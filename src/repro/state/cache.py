@@ -13,7 +13,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Iterator, MutableMapping
+from typing import Iterable, Iterator, Mapping, MutableMapping
 
 from repro.analysis import race
 from repro.errors import StateError
@@ -93,6 +93,15 @@ class LRUCacheMapping(MutableMapping[bytes, bytes]):
     def __delitem__(self, key: bytes) -> None:
         self._cache.pop(key, None)
         del self._backing[key]
+
+    def update(  # type: ignore[override]  # bytes keys: no keyword form
+        self, other: "Mapping[bytes, bytes] | Iterable[tuple[bytes, bytes]]" = (), /
+    ) -> None:
+        """Write through as one backing ``update`` (one store batch)."""
+        pairs = list(other.items() if isinstance(other, Mapping) else other)
+        self._backing.update(pairs)
+        for key, value in pairs:
+            self._insert(key, value)
 
     def __iter__(self) -> Iterator[bytes]:
         return iter(self._backing)

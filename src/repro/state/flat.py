@@ -10,7 +10,8 @@ while moving the hot path onto plain dictionaries:
 * **Commits** push a *journal layer* — the map of overwritten old
   values — then seal the epoch by folding the whole dirty set into the
   MPT with :meth:`~repro.state.mpt.trie.MerklePatriciaTrie.put_batch`
-  (one subtree rebuild, unchanged children keep their hashes).
+  (one subtree rebuild, unchanged children keep their hashes, and all
+  new nodes reach the store as one atomic write batch).
 * **Historical reads** (``snapshot(old_root)``) replay the retained
   journal layers backwards over the flat dict; roots older than the
   journal window fall back to the trie-backed oracle, which stays

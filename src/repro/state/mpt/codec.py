@@ -19,14 +19,22 @@ RLPItem = Union[bytes, list]
 def rlp_encode(item: RLPItem) -> bytes:
     """Encode bytes or an arbitrarily nested list of bytes."""
     if isinstance(item, (bytes, bytearray)):
-        payload = bytes(item)
-        if len(payload) == 1 and payload[0] < 0x80:
-            return payload
-        return _encode_length(len(payload), 0x80) + payload
+        return rlp_bytes(bytes(item))
     if isinstance(item, (list, tuple)):
-        body = b"".join(rlp_encode(element) for element in item)
-        return _encode_length(len(body), 0xC0) + body
+        return rlp_list(b"".join(rlp_encode(element) for element in item))
     raise TrieError(f"cannot RLP-encode {type(item).__name__}")
+
+
+def rlp_bytes(payload: bytes) -> bytes:
+    """Encode one byte-string item."""
+    if len(payload) == 1 and payload[0] < 0x80:
+        return payload
+    return _encode_length(len(payload), 0x80) + payload
+
+
+def rlp_list(body: bytes) -> bytes:
+    """Wrap already-encoded items, concatenated in ``body``, as a list."""
+    return _encode_length(len(body), 0xC0) + body
 
 
 def rlp_decode(data: bytes) -> RLPItem:
@@ -39,17 +47,9 @@ def rlp_decode(data: bytes) -> RLPItem:
 
 def _encode_length(length: int, offset: int) -> bytes:
     if length < 56:
-        return bytes([offset + length])
-    length_bytes = _to_big_endian(length)
-    return bytes([offset + 55 + len(length_bytes)]) + length_bytes
-
-
-def _to_big_endian(value: int) -> bytes:
-    out = b""
-    while value:
-        out = bytes([value & 0xFF]) + out
-        value >>= 8
-    return out or b"\x00"
+        return bytes((offset + length,))
+    length_bytes = length.to_bytes((length.bit_length() + 7) // 8, "big")
+    return bytes((offset + 55 + len(length_bytes),)) + length_bytes
 
 
 def _decode_item(data: bytes, offset: int) -> tuple[RLPItem, int]:

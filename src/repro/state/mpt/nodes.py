@@ -17,11 +17,15 @@ import hashlib
 from dataclasses import dataclass, field
 
 from repro.errors import TrieError
-from repro.state.mpt.codec import rlp_decode, rlp_encode
+from repro.state.mpt.codec import rlp_bytes, rlp_decode, rlp_list
 from repro.state.mpt.nibbles import Nibbles, hp_decode, hp_encode
 
 EMPTY_REF = b""
 """Reference marking an absent child."""
+
+_EMPTY_ITEM = b"\x80"
+_REF_HEADER = b"\xa0"
+"""RLP string header of a 32-byte item, i.e. of every non-empty ref."""
 
 
 def hash_node(encoded: bytes) -> bytes:
@@ -29,7 +33,12 @@ def hash_node(encoded: bytes) -> bytes:
     return hashlib.sha256(encoded).digest()
 
 
-@dataclass(frozen=True)
+# Never mutate a node: the decoded cache hands one instance to every
+# reader.  The classes are not ``frozen`` only because a frozen dataclass
+# pays ``object.__setattr__`` per field, in the seal's innermost loop.
+
+
+@dataclass(slots=True)
 class LeafNode:
     """Terminal node holding the remaining key path and the value."""
 
@@ -38,10 +47,10 @@ class LeafNode:
 
     def encode(self) -> bytes:
         """Canonical RLP serialisation."""
-        return rlp_encode([hp_encode(self.path, is_leaf=True), self.value])
+        return rlp_list(rlp_bytes(hp_encode(self.path, True)) + rlp_bytes(self.value))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ExtensionNode:
     """Path-compressing node pointing at a single child."""
 
@@ -56,10 +65,10 @@ class ExtensionNode:
 
     def encode(self) -> bytes:
         """Canonical RLP serialisation."""
-        return rlp_encode([hp_encode(self.path, is_leaf=False), self.child])
+        return rlp_list(rlp_bytes(hp_encode(self.path, False)) + rlp_bytes(self.child))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BranchNode:
     """Sixteen-way fan-out node with an optional value."""
 
@@ -72,7 +81,12 @@ class BranchNode:
 
     def encode(self) -> bytes:
         """Canonical RLP serialisation (17-element list)."""
-        return rlp_encode([*self.children, self.value if self.value is not None else b""])
+        items = [
+            _EMPTY_ITEM if not ref else _REF_HEADER + ref if len(ref) == 32 else rlp_bytes(ref)
+            for ref in self.children
+        ]
+        items.append(rlp_bytes(self.value) if self.value is not None else _EMPTY_ITEM)
+        return rlp_list(b"".join(items))
 
     def child_count(self) -> int:
         """Number of occupied child slots."""

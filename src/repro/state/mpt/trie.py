@@ -12,6 +12,7 @@ with branch-node "no value" slots, as in Ethereum).
 from __future__ import annotations
 
 import hashlib
+from contextlib import contextmanager
 from typing import Iterable, Iterator, MutableMapping
 
 from repro.errors import TrieError
@@ -34,6 +35,9 @@ from repro.state.mpt.nodes import (
 EMPTY_ROOT = hashlib.sha256(b"").digest()
 """Root hash of the empty trie."""
 
+_NIBBLE = [bytes((value,)) for value in range(16)]
+"""One-nibble paths, for extending a path by a branch slot."""
+
 
 DEFAULT_DECODED_CACHE = 1 << 18
 """Decoded interior nodes retained in memory (nodes are immutable, so
@@ -53,6 +57,9 @@ class NodeStore:
     Content addressing makes the cache trivially coherent — a ref's node
     can never change — except for explicit deletion (pruning), which
     must call :meth:`drop_caches`.
+
+    Inside :meth:`batch` saves are buffered and reach the backing mapping
+    as one ``update`` when the block exits, or not at all when it raises.
     """
 
     def __init__(
@@ -63,27 +70,66 @@ class NodeStore:
         self._nodes: MutableMapping[bytes, bytes] = backing if backing is not None else {}
         self._decoded: dict[bytes, Node] = {}
         self._decoded_cap = decoded_cache_size
+        self._pending: dict[bytes, bytes] | None = None
+        self._replaced: list[bytes] = []
 
     def load(self, ref: bytes) -> Node:
         """Fetch and decode a node by reference."""
         node = self._decoded.get(ref)
         if node is not None:
             return node
-        try:
-            encoded = self._nodes[ref]
-        except KeyError:
-            raise TrieError(f"missing trie node {ref.hex()[:16]}...") from None
-        node = decode_node(encoded)
+        node = decode_node(self.raw(ref))
         self._cache_decoded(ref, node)
         return node
+
+    def load_replaced(self, ref: bytes) -> Node:
+        """:meth:`load` a node the open batch is about to supersede.
+
+        The ref leaves the decoded cache when the batch lands (unless the
+        batch saved the same content again), so the cache follows the
+        live interior set instead of accumulating every old version.  The
+        backing mapping keeps the node: old roots stay readable.
+        """
+        self._replaced.append(ref)
+        return self.load(ref)
 
     def save(self, node: Node) -> bytes:
         """Encode, hash, and persist a node; returns its reference."""
         encoded = node.encode()
         ref = hash_node(encoded)
-        self._nodes[ref] = encoded
+        if self._pending is not None:
+            self._pending[ref] = encoded
+        else:
+            self._nodes[ref] = encoded
         self._cache_decoded(ref, node)
         return ref
+
+    @contextmanager
+    def batch(self) -> Iterator[None]:
+        """Buffer every :meth:`save` in the block into one backing write.
+
+        Content-identical nodes collapse into one entry.  If the block
+        raises, the buffer is discarded — the backing mapping is exactly
+        as it was — along with the decoded-cache entries it fed.
+        """
+        if self._pending is not None:
+            raise TrieError("node store batch already open")
+        pending: dict[bytes, bytes] = {}
+        self._pending = pending
+        try:
+            yield
+            self._nodes.update(pending)
+        except BaseException:
+            for ref in pending:
+                self._decoded.pop(ref, None)
+            raise
+        else:
+            for ref in self._replaced:
+                if ref not in pending:
+                    self._decoded.pop(ref, None)
+        finally:
+            self._pending = None
+            self._replaced.clear()
 
     def drop_caches(self) -> None:
         """Forget every decoded node (required after external deletes)."""
@@ -105,6 +151,11 @@ class NodeStore:
 
     def raw(self, ref: bytes) -> bytes:
         """The encoded bytes of a node (used to build proofs)."""
+        pending = self._pending
+        if pending is not None:
+            encoded = pending.get(ref)
+            if encoded is not None:
+                return encoded
         try:
             return self._nodes[ref]
         except KeyError:
@@ -149,7 +200,7 @@ class MerklePatriciaTrie:
         """All ``(key, value)`` pairs in ascending key order."""
         if self.root == EMPTY_ROOT:
             return
-        yield from self._items(self.root, ())
+        yield from self._items(self.root, b"")
 
     def items_with_prefix(self, prefix: bytes) -> Iterator[tuple[bytes, bytes]]:
         """Entries whose key starts with ``prefix``, in key order.
@@ -162,7 +213,7 @@ class MerklePatriciaTrie:
             return
         target = bytes_to_nibbles(prefix)
         ref = self.root
-        consumed: tuple[int, ...] = ()
+        consumed = b""
         while True:
             node = self.store.load(ref)
             if isinstance(node, LeafNode):
@@ -190,7 +241,7 @@ class MerklePatriciaTrie:
             child = node.children[slot]
             if child == EMPTY_REF:
                 return
-            consumed = consumed + (slot,)
+            consumed = consumed + _NIBBLE[slot]
             ref = child
             if len(consumed) >= len(target):
                 yield from self._items_filtered(ref, consumed, target)
@@ -216,7 +267,7 @@ class MerklePatriciaTrie:
             yield nibbles_to_bytes(prefix), node.value
         for index, child in enumerate(node.children):
             if child != EMPTY_REF:
-                yield from self._items(child, prefix + (index,))
+                yield from self._items(child, prefix + _NIBBLE[index])
 
     # ----------------------------------------------------------- mutations
 
@@ -307,6 +358,10 @@ class MerklePatriciaTrie:
         refs — their hashes are never recomputed.  The trie's canonical
         form (maximal path compression) makes the resulting root
         bit-identical to the sequential-put root for the same content.
+
+        All new nodes reach the store as one batch (see
+        :meth:`NodeStore.batch`); if anything raises on the way, neither
+        the store nor :attr:`root` changes.
         """
         staged: dict[Nibbles, bytes] = {}
         for key, value in items:
@@ -316,12 +371,15 @@ class MerklePatriciaTrie:
         if not staged:
             return self.root
         pairs = sorted(staged.items())
-        if self.root == EMPTY_ROOT:
-            node = self._build_subtree(pairs)
-        else:
-            node = self._put_batch(self.store.load(self.root), pairs)
-        self.root = self.store.save(node)
-        return self.root
+        store = self.store
+        with store.batch():
+            if self.root == EMPTY_ROOT:
+                node = self._build_subtree(pairs)
+            else:
+                node = self._put_batch(store.load_replaced(self.root), pairs)
+            root = store.save(node)
+        self.root = root
+        return root
 
     def _put_batch(self, node: Node, pairs: list[tuple[Nibbles, bytes]]) -> Node:
         """Merge sorted ``(path, value)`` pairs into ``node``'s subtree.
@@ -329,105 +387,93 @@ class MerklePatriciaTrie:
         Returns the replacement node *unsaved*; the caller saves it (the
         recursion saves children, so every new node is hashed once).
         """
-        if isinstance(node, LeafNode):
-            merged = dict(pairs)
-            merged.setdefault(node.path, node.value)
-            return self._build_subtree(sorted(merged.items()))
+        if isinstance(node, BranchNode):
+            return self._put_batch_branch(node, pairs)
         if isinstance(node, ExtensionNode):
             return self._put_batch_extension(node, pairs)
-        return self._put_batch_branch(node, pairs)
+        if len(pairs) == 1 and pairs[0][0] == node.path:
+            return LeafNode(node.path, pairs[0][1])
+        merged = dict(pairs)
+        merged.setdefault(node.path, node.value)
+        return self._build_subtree(sorted(merged.items()))
 
     def _put_batch_branch(
         self, node: BranchNode, pairs: list[tuple[Nibbles, bytes]]
     ) -> BranchNode:
-        value = node.value
-        groups: dict[int, list[tuple[Nibbles, bytes]]] = {}
-        for path, item in pairs:
-            if not path:
-                value = item
-            else:
-                groups.setdefault(path[0], []).append((path[1:], item))
+        value, groups = _group_by_first_nibble(pairs, node.value)
         children = list(node.children)
+        store = self.store
         for slot, group in groups.items():
             if children[slot] == EMPTY_REF:
                 sub = self._build_subtree(group)
             else:
-                sub = self._put_batch(self.store.load(children[slot]), group)
-            children[slot] = self.store.save(sub)
-        return BranchNode(children=tuple(children), value=value)
+                sub = self._put_batch(store.load_replaced(children[slot]), group)
+            children[slot] = store.save(sub)
+        return BranchNode(tuple(children), value)
 
     def _put_batch_extension(
         self, node: ExtensionNode, pairs: list[tuple[Nibbles, bytes]]
     ) -> Node:
-        shared = min(
-            common_prefix_length(node.path, path) for path, _ in pairs
-        )
+        store = self.store
+        # Sorted input: every path lies between the first and the last, so
+        # one of those two diverges from the extension earliest.
+        first, last = pairs[0][0], pairs[-1][0]
+        if first.startswith(node.path) and last.startswith(node.path):
+            shared = len(node.path)
+        else:
+            shared = min(
+                common_prefix_length(node.path, first),
+                common_prefix_length(node.path, last),
+            )
         if shared == len(node.path):
             trimmed = [(path[shared:], value) for path, value in pairs]
-            child = self._put_batch(self.store.load(node.child), trimmed)
-            return ExtensionNode(path=node.path, child=self.store.save(child))
+            child = self._put_batch(store.load_replaced(node.child), trimmed)
+            return ExtensionNode(node.path, store.save(child))
         # Split the extension at the earliest divergence point.
-        value: bytes | None = None
-        groups: dict[int, list[tuple[Nibbles, bytes]]] = {}
-        for path, item in pairs:
-            rest = path[shared:]
-            if not rest:
-                value = item
-            else:
-                groups.setdefault(rest[0], []).append((rest[1:], item))
+        value, groups = _group_by_first_nibble(
+            [(path[shared:], item) for path, item in pairs] if shared else pairs, None
+        )
         children: list[bytes] = [EMPTY_REF] * 16
         ext_rest = node.path[shared:]
         if ext_rest[0] in groups:
             # Some pairs continue into the extension's own subtree.
             if len(ext_rest) == 1:
-                inner: Node = self.store.load(node.child)
+                inner: Node = store.load_replaced(node.child)
             else:
-                inner = ExtensionNode(path=ext_rest[1:], child=node.child)
+                inner = ExtensionNode(ext_rest[1:], node.child)
             merged = self._put_batch(inner, groups.pop(ext_rest[0]))
-            children[ext_rest[0]] = self.store.save(merged)
+            children[ext_rest[0]] = store.save(merged)
         elif len(ext_rest) == 1:
             children[ext_rest[0]] = node.child  # untouched ref, reused as-is
         else:
-            children[ext_rest[0]] = self.store.save(
-                ExtensionNode(path=ext_rest[1:], child=node.child)
-            )
+            children[ext_rest[0]] = store.save(ExtensionNode(ext_rest[1:], node.child))
         for slot, group in groups.items():
-            children[slot] = self.store.save(self._build_subtree(group))
-        branch = BranchNode(children=tuple(children), value=value)
+            children[slot] = store.save(self._build_subtree(group))
+        branch = BranchNode(tuple(children), value)
         if shared:
-            return ExtensionNode(
-                path=node.path[:shared], child=self.store.save(branch)
-            )
+            return ExtensionNode(node.path[:shared], store.save(branch))
         return branch
 
     def _build_subtree(self, pairs: list[tuple[Nibbles, bytes]]) -> Node:
         """Canonical subtree for sorted, distinct ``(path, value)`` pairs."""
         if len(pairs) == 1:
             path, value = pairs[0]
-            return LeafNode(path=path, value=value)
+            return LeafNode(path, value)
         # Sorted input: the common prefix of first and last covers all.
         shared = common_prefix_length(pairs[0][0], pairs[-1][0])
         if shared:
             trimmed = [(path[shared:], value) for path, value in pairs]
             branch = self._build_branch(trimmed)
-            return ExtensionNode(
-                path=pairs[0][0][:shared], child=self.store.save(branch)
-            )
+            return ExtensionNode(pairs[0][0][:shared], self.store.save(branch))
         return self._build_branch(pairs)
 
     def _build_branch(self, pairs: list[tuple[Nibbles, bytes]]) -> BranchNode:
         """Branch over pairs that share no leading nibble (>= 2 pairs)."""
-        value: bytes | None = None
-        groups: dict[int, list[tuple[Nibbles, bytes]]] = {}
-        for path, item in pairs:
-            if not path:
-                value = item
-            else:
-                groups.setdefault(path[0], []).append((path[1:], item))
+        value, groups = _group_by_first_nibble(pairs, None)
         children: list[bytes] = [EMPTY_REF] * 16
         for slot, group in groups.items():
             children[slot] = self.store.save(self._build_subtree(group))
-        return BranchNode(children=tuple(children), value=value)
+        return BranchNode(tuple(children), value)
 
     def delete(self, key: bytes) -> bytes:
         """Remove ``key`` if present; returns the new root hash."""
@@ -491,11 +537,11 @@ class MerklePatriciaTrie:
         if count == 0:
             if node.value is None:
                 return None
-            return LeafNode(path=(), value=node.value)
+            return LeafNode(path=b"", value=node.value)
         if count == 1 and node.value is None:
             slot, ref = node.only_child()
             child = self.store.load(ref)
-            return self._merge_extension((slot,), child)
+            return self._merge_extension(_NIBBLE[slot], child)
         return node
 
     # -------------------------------------------------------------- proofs
@@ -534,6 +580,22 @@ class MerklePatriciaTrie:
 
     def __contains__(self, key: bytes) -> bool:
         return self.get(key) is not None
+
+
+def _group_by_first_nibble(
+    pairs: list[tuple[Nibbles, bytes]], value: bytes | None
+) -> tuple[bytes | None, dict[int, list[tuple[Nibbles, bytes]]]]:
+    """Split pairs by leading nibble, each keeping the rest of its path.
+
+    An empty path addresses the branch itself: its item replaces ``value``.
+    """
+    groups: dict[int, list[tuple[Nibbles, bytes]]] = {}
+    for path, item in pairs:
+        if not path:
+            value = item
+        else:
+            groups.setdefault(path[0], []).append((path[1:], item))
+    return value, groups
 
 
 _UNCHANGED = object()

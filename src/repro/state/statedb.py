@@ -11,12 +11,12 @@ Node bytes can live in memory or inside any :class:`~repro.storage.api.KVStore`
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, MutableMapping
+from typing import Iterable, Iterator, Mapping, MutableMapping
 
 from repro.errors import StateError
 from repro.state.account import decode_int, encode_int
 from repro.state.mpt.trie import EMPTY_ROOT, MerklePatriciaTrie, NodeStore
-from repro.storage.api import KVStore
+from repro.storage.api import KVStore, WriteBatch
 from repro.txn.rwset import Address
 
 
@@ -49,6 +49,19 @@ class KVNodeMapping(MutableMapping[bytes, bytes]):
         if self._count is not None and self._store.get(self._prefix + key) is not None:
             self._count -= 1
         self._store.delete(self._prefix + key)
+
+    def update(  # type: ignore[override]  # bytes keys: no keyword form
+        self, other: "Mapping[bytes, bytes] | Iterable[tuple[bytes, bytes]]" = (), /
+    ) -> None:
+        """Write many nodes as one atomic :class:`WriteBatch`."""
+        prefix = self._prefix
+        pairs = other.items() if isinstance(other, Mapping) else other
+        operations: list[tuple[bytes, bytes | None]] = [
+            (prefix + key, value) for key, value in pairs
+        ]
+        if self._count is not None:
+            self._count += sum(1 for key, _ in operations if self._store.get(key) is None)
+        self._store.write(WriteBatch(operations))
 
     def __iter__(self) -> Iterator[bytes]:
         offset = len(self._prefix)

@@ -57,7 +57,7 @@ class KVStore(abc.ABC):
 
     @abc.abstractmethod
     def write(self, batch: WriteBatch) -> None:
-        """Apply a batch atomically."""
+        """Apply a batch atomically (durable stores: also across a crash)."""
 
     @abc.abstractmethod
     def scan(self, prefix: bytes = b"") -> Iterator[tuple[bytes, bytes]]:

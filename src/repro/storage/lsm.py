@@ -170,10 +170,14 @@ class LSMStore(KVStore):
 
     def write(self, batch: WriteBatch) -> None:
         self._ensure_open()
+        if not batch.operations:
+            return
         operations = [
             (bytes(key), None if value is None else bytes(value))
             for key, value in batch.operations
         ]
+        # One WAL record, one flush check: recovery replays all of the
+        # batch or none of it, and the memtable is never frozen mid-batch.
         self._wal.append_many(operations)
         for key, value in operations:
             if value is None:

@@ -4,11 +4,17 @@ Every mutation of the LSM store is appended here before it touches the
 memtable, so acknowledged writes survive a crash.  Record format::
 
     [u32 crc32][u32 payload_len][payload]
-    payload := op:u8 | key_len:u32 | key | value_len:u32 | value
+    payload := entry                          (one put or delete)
+             | 2:u8 | count:u32 | entry*      (a batch record)
+    entry   := op:u8 | key_len:u32 | key | value_len:u32 | value
 
-``op`` is 0 for delete (no value section) and 1 for put.  Replay stops at
-the first corrupt or truncated record — the tail beyond a torn write is
-discarded, matching LevelDB semantics.
+``op`` is 0 for delete (no value section) and 1 for put.  A payload that
+starts with 2 is a *batch record*: all its entries sit under the one
+checksum, so a torn write loses the whole batch, never part of it — an
+epoch seal recovers all of its trie nodes or none.  Logs written before
+batch records existed hold only single-entry payloads and replay
+unchanged.  Replay stops at the first corrupt or truncated record — the
+tail beyond a torn write is discarded, matching LevelDB semantics.
 """
 
 from __future__ import annotations
@@ -23,9 +29,11 @@ from repro.errors import CorruptionError, StorageError
 
 _HEADER = struct.Struct("<II")
 _U32 = struct.Struct("<I")
+_OP_U32 = struct.Struct("<BI")
 
 OP_DELETE = 0
 OP_PUT = 1
+OP_BATCH = 2
 
 
 class WriteAheadLog:
@@ -45,15 +53,14 @@ class WriteAheadLog:
         self._append(_encode_payload(OP_DELETE, key, b""))
 
     def append_many(self, operations: list[tuple[bytes, bytes | None]]) -> None:
-        """Log a batch of operations with a single flush."""
-        chunks = []
+        """Log a batch as one checksummed record with a single flush."""
+        parts = [_OP_U32.pack(OP_BATCH, len(operations))]
         for key, value in operations:
             if value is None:
-                payload = _encode_payload(OP_DELETE, key, b"")
+                parts.append(_encode_payload(OP_DELETE, key, b""))
             else:
-                payload = _encode_payload(OP_PUT, key, value)
-            chunks.append(_frame(payload))
-        self._write(b"".join(chunks))
+                parts.append(_encode_payload(OP_PUT, key, value))
+        self._append(b"".join(parts))
 
     def sync(self) -> None:
         """Force the OS to persist buffered records."""
@@ -65,8 +72,8 @@ class WriteAheadLog:
         """Discard all records (called after a successful memtable flush)."""
         self._ensure_open()
         self._file.close()
-        self._file = open(self.path, "wb")
-        self._file.flush()
+        with open(self.path, "wb"):
+            pass
         self._file = open(self.path, "ab")
 
     def close(self) -> None:
@@ -121,7 +128,7 @@ def replay(path: str | Path, strict: bool = False) -> Iterator[tuple[bytes, byte
             if strict:
                 raise CorruptionError("record checksum mismatch")
             return
-        yield _decode_payload(payload)
+        yield from _decode_payload(payload)
 
 
 def _frame(payload: bytes) -> bytes:
@@ -129,23 +136,35 @@ def _frame(payload: bytes) -> bytes:
 
 
 def _encode_payload(op: int, key: bytes, value: bytes) -> bytes:
-    parts = [bytes([op]), _U32.pack(len(key)), key]
+    parts = [_OP_U32.pack(op, len(key)), key]
     if op == OP_PUT:
         parts.append(_U32.pack(len(value)))
         parts.append(value)
     return b"".join(parts)
 
 
-def _decode_payload(payload: bytes) -> tuple[bytes, bytes | None]:
-    op = payload[0]
-    (key_len,) = _U32.unpack_from(payload, 1)
-    key_start = 1 + _U32.size
-    key = payload[key_start : key_start + key_len]
+def _decode_payload(payload: bytes) -> list[tuple[bytes, bytes | None]]:
+    """The operations of one intact record (several for a batch record)."""
+    if payload[0] != OP_BATCH:
+        return [_decode_entry(payload, 0)[0]]
+    _, count = _OP_U32.unpack_from(payload, 0)
+    offset = _OP_U32.size
+    operations = []
+    for _ in range(count):
+        operation, offset = _decode_entry(payload, offset)
+        operations.append(operation)
+    return operations
+
+
+def _decode_entry(payload: bytes, offset: int) -> tuple[tuple[bytes, bytes | None], int]:
+    op, key_len = _OP_U32.unpack_from(payload, offset)
+    key_start = offset + _OP_U32.size
+    value_start = key_start + key_len
+    key = payload[key_start:value_start]
     if op == OP_DELETE:
-        return key, None
+        return (key, None), value_start
     if op != OP_PUT:
         raise CorruptionError(f"unknown WAL opcode {op}")
-    value_start = key_start + key_len
     (value_len,) = _U32.unpack_from(payload, value_start)
-    value = payload[value_start + _U32.size : value_start + _U32.size + value_len]
-    return key, value
+    value_start += _U32.size
+    return (key, payload[value_start : value_start + value_len]), value_start + value_len

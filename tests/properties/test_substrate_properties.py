@@ -6,8 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.state import StateDB, decode_int, encode_int
 from repro.state.mpt import (
+    BranchNode,
+    ExtensionNode,
+    LeafNode,
     MerklePatriciaTrie,
     bytes_to_nibbles,
+    common_prefix_length,
+    decode_node,
     hp_decode,
     hp_encode,
     nibbles_to_bytes,
@@ -47,9 +52,56 @@ def test_nibble_roundtrip(data):
     st.booleans(),
 )
 def test_hex_prefix_roundtrip(nibbles, is_leaf):
-    path, leaf = hp_decode(hp_encode(tuple(nibbles), is_leaf))
-    assert path == tuple(nibbles)
+    path, leaf = hp_decode(hp_encode(bytes(nibbles), is_leaf))
+    assert path == bytes(nibbles)
     assert leaf == is_leaf
+
+
+nibble_paths = st.lists(st.integers(min_value=0, max_value=15), max_size=20).map(bytes)
+# RLP's header boundaries: a single byte either side of 0x80 and the
+# 55/56-byte switch from short to long strings (a branch reads an empty
+# value as "no value", so only the leaf test adds it).
+node_values = st.one_of(
+    st.sampled_from([b"\x00", b"\x7f", b"\x80", b"x" * 55, b"x" * 56, b"x" * 300]),
+    st.binary(min_size=1, max_size=80),
+)
+child_refs = st.one_of(st.just(b""), st.binary(min_size=32, max_size=32), st.binary(max_size=40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(nibble_paths, nibble_paths)
+def test_common_prefix_length_matches_scan(left, right):
+    expected = 0
+    for a, b in zip(left, right):
+        if a != b:
+            break
+        expected += 1
+    assert common_prefix_length(left, right) == expected
+    assert common_prefix_length(left, left) == len(left)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nibble_paths, st.just(b"") | node_values)
+def test_leaf_encoding_is_generic_rlp(path, value):
+    leaf = LeafNode(path=path, value=value)
+    assert leaf.encode() == rlp_encode([hp_encode(path, True), value])
+    assert decode_node(leaf.encode()) == leaf
+
+
+@settings(max_examples=200, deadline=None)
+@given(nibble_paths.filter(len), child_refs.filter(len))
+def test_extension_encoding_is_generic_rlp(path, child):
+    node = ExtensionNode(path=path, child=child)
+    assert node.encode() == rlp_encode([hp_encode(path, False), child])
+    assert decode_node(node.encode()) == node
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(child_refs, min_size=16, max_size=16), st.none() | node_values)
+def test_branch_encoding_is_generic_rlp(children, value):
+    branch = BranchNode(children=tuple(children), value=value)
+    assert branch.encode() == rlp_encode([*children, value if value is not None else b""])
+    assert decode_node(branch.encode()) == branch
 
 
 @settings(max_examples=150, deadline=None)

@@ -73,11 +73,15 @@ class TestNibbles:
         assert nibbles_to_bytes(bytes_to_nibbles(data)) == data
 
     def test_split_values(self):
-        assert bytes_to_nibbles(b"\xab\x01") == (0xA, 0xB, 0x0, 0x1)
+        assert bytes_to_nibbles(b"\xab\x01") == bytes([0xA, 0xB, 0x0, 0x1])
 
     def test_odd_nibbles_rejected(self):
         with pytest.raises(TrieError):
-            nibbles_to_bytes((1, 2, 3))
+            nibbles_to_bytes(bytes([1, 2, 3]))
+
+    def test_out_of_range_nibble_rejected(self):
+        with pytest.raises(TrieError):
+            nibbles_to_bytes(bytes([1, 16]))
 
 
 class TestHexPrefix:
@@ -86,6 +90,7 @@ class TestHexPrefix:
         "path", [(), (1,), (1, 2), (15, 0, 3), (5,) * 9]
     )
     def test_roundtrip(self, path, is_leaf):
+        path = bytes(path)
         decoded_path, decoded_leaf = hp_decode(hp_encode(path, is_leaf))
         assert decoded_path == path
         assert decoded_leaf == is_leaf
@@ -95,7 +100,7 @@ class TestHexPrefix:
             hp_decode(b"")
 
     def test_flags_encoded_in_first_nibble(self):
-        assert hp_encode((), False)[0] >> 4 == 0
-        assert hp_encode((1,), False)[0] >> 4 == 1
-        assert hp_encode((), True)[0] >> 4 == 2
-        assert hp_encode((1,), True)[0] >> 4 == 3
+        assert hp_encode(b"", False)[0] >> 4 == 0
+        assert hp_encode(b"\x01", False)[0] >> 4 == 1
+        assert hp_encode(b"", True)[0] >> 4 == 2
+        assert hp_encode(b"\x01", True)[0] >> 4 == 3

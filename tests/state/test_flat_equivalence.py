@@ -72,6 +72,114 @@ class TestPutBatchEquivalence:
         sequential.put(b"abc", b"3x")
         assert batched.root == sequential.root
 
+    def test_duplicate_keys_last_one_wins(self):
+        items = [(b"dup", b"first"), (b"other", b"x"), (b"dup", b"second"), (b"dup", b"last")]
+        sequential = MerklePatriciaTrie()
+        for key, value in items:
+            sequential.put(key, value)
+        batched = MerklePatriciaTrie()
+        assert batched.put_batch(items) == sequential.root
+        assert batched.get(b"dup") == b"last"
+
+    def test_content_identical_nodes_inside_one_batch(self):
+        """Keys whose leaves (and whole subtrees) encode to the same bytes
+        collapse into one stored node without disturbing the root."""
+        # Twenty two-leaf subtrees with one shape: same remaining paths,
+        # same values, so each level's nodes collide by content.
+        items = [(bytes([group, tail]), b"same") for group in range(20) for tail in (1, 2)]
+        sequential = MerklePatriciaTrie()
+        for key, value in items:
+            sequential.put(key, value)
+        batched = MerklePatriciaTrie()
+        assert batched.put_batch(items) == sequential.root
+        assert list(batched.items()) == sorted(items)
+        # Forty leaves, two distinct encodings: each was written once.
+        assert len(batched.store) < len(items)
+        batched.put_batch([(bytes([3, 1]), b"same"), (bytes([4, 1]), b"other")])
+        sequential.put(bytes([3, 1]), b"same")
+        sequential.put(bytes([4, 1]), b"other")
+        assert batched.root == sequential.root
+
+    @pytest.mark.parametrize("backing", ["dict", "memstore", "lsm"])
+    def test_failed_batch_changes_nothing(self, backing, tmp_path, monkeypatch):
+        from repro.state.statedb import KVNodeMapping
+        from repro.storage import LSMStore
+
+        kv = None
+        if backing == "memstore":
+            kv = MemStore()
+        elif backing == "lsm":
+            kv = LSMStore(tmp_path / "db")
+        mapping = {} if kv is None else KVNodeMapping(kv)
+        store = NodeStore(mapping, decoded_cache_size=64)
+        trie = MerklePatriciaTrie(store=store)
+        trie.put_batch((b"key-%02d" % i, b"v%d" % i) for i in range(40))
+        root = trie.root
+        before = dict(mapping.items())
+        cached = dict(store._decoded)
+
+        saves = 0
+        real_save = NodeStore.save
+
+        def failing_save(self, node):
+            nonlocal saves
+            saves += 1
+            if saves == 5:
+                raise RuntimeError("injected mid-seal failure")
+            return real_save(self, node)
+
+        monkeypatch.setattr(NodeStore, "save", failing_save)
+        with pytest.raises(RuntimeError, match="injected"):
+            trie.put_batch((b"key-%02d" % i, b"new") for i in range(0, 40, 3))
+        monkeypatch.undo()
+
+        assert trie.root == root
+        assert dict(mapping.items()) == before  # byte for byte
+        # Nothing the failed seal decoded-cached may point at a missing node.
+        assert all(ref in before for ref in store._decoded)
+        assert cached.keys() >= store._decoded.keys()
+        # The store is usable again: the same seal now succeeds.
+        oracle = MerklePatriciaTrie(store=NodeStore(dict(before)), root=root)
+        for i in range(0, 40, 3):
+            oracle.put(b"key-%02d" % i, b"new")
+        assert trie.put_batch((b"key-%02d" % i, b"new") for i in range(0, 40, 3)) == oracle.root
+        if kv is not None:
+            kv.close()
+
+    def test_invalid_value_rejected_before_any_write(self):
+        from repro.errors import TrieError
+
+        trie = MerklePatriciaTrie()
+        trie.put(b"a", b"1")
+        nodes = len(trie.store)
+        with pytest.raises(TrieError):
+            trie.put_batch([(b"b", b"2"), (b"c", b"")])
+        assert len(trie.store) == nodes and trie.get(b"b") is None
+
+    def test_one_store_batch_per_seal(self):
+        class CountingStore(MemStore):
+            def __init__(self):
+                super().__init__()
+                self.puts = 0
+                self.batches = []
+
+            def put(self, key, value):
+                self.puts += 1
+                super().put(key, value)
+
+            def write(self, batch):
+                self.batches.append(len(batch))
+                super().write(batch)
+
+        store = CountingStore()
+        db = FlatStateDB(store=store)
+        db.seed({f"acct-{i:03d}": 100 for i in range(200)})
+        for i in range(0, 200, 7):
+            db.set(f"acct-{i:03d}", i)
+        db.commit()
+        assert store.puts == 0
+        assert len(store.batches) == 2 and all(store.batches)
+
 
 def _epoch_roots(flat_state: bool, **overrides) -> list[bytes]:
     config = ClusterConfig(
@@ -258,7 +366,67 @@ class TestKVNodeMappingCount:
         assert mapping.count() == 11
 
 
+    def test_count_exact_across_batched_write(self):
+        from repro.state.statedb import KVNodeMapping
+
+        mapping = KVNodeMapping(MemStore())
+        mapping[b"a"] = b"1"
+        mapping[b"b"] = b"2"
+        assert mapping.count() == 2
+        mapping.update({b"a": b"1x", b"c": b"3", b"d": b"4"})  # one overwrite
+        assert mapping.count() == 4
+        assert mapping.count() == sum(1 for _ in mapping)
+        # ... and through the trie's seal, which writes via update().
+        trie = MerklePatriciaTrie(store=NodeStore(mapping))
+        trie.put_batch((b"k%d" % i, b"v") for i in range(30))
+        trie.put_batch((b"k%d" % i, b"w") for i in range(0, 30, 4))
+        assert mapping.count() == sum(1 for _ in mapping)
+
+    def test_batched_write_before_count_stays_scan_free(self):
+        from repro.state.statedb import KVNodeMapping
+
+        class NoReadStore(MemStore):
+            def get(self, key):
+                raise AssertionError("batched write probed for presence")
+
+        KVNodeMapping(NoReadStore()).update({b"a": b"1", b"b": b"2"})
+
+
 class TestDecodedNodeCache:
+    def test_cache_follows_live_interior_set(self):
+        """Sixty seals over a fixed key set: superseded interior nodes
+        leave the decoded cache instead of piling up until the cap."""
+        rng = random.Random(11)
+        store = NodeStore(decoded_cache_size=1 << 18)
+        trie = MerklePatriciaTrie(store=store)
+        keys = [b"acct:%05d" % i for i in range(2_000)]
+        trie.put_batch((key, b"genesis") for key in keys)
+        first_root = trie.root
+        for seal in range(60):
+            trie.put_batch(
+                (key, b"seal-%d-%d" % (seal, rng.randrange(50)))
+                for key in rng.sample(keys, 150)
+            )
+        from repro.state.mpt import LeafNode
+        from repro.state.pruning import collect_reachable
+
+        cached = len(store._decoded)  # before the scan below re-warms it
+        live_interior = sum(
+            1
+            for ref in collect_reachable(store, [trie.root])
+            if not isinstance(store.load(ref), LeafNode)
+        )
+        assert cached <= 2 * live_interior
+        # The store itself keeps every old version: old roots stay readable.
+        assert MerklePatriciaTrie(store=store, root=first_root).get(keys[0]) == b"genesis"
+
+    def test_resaved_identical_node_stays_cached(self):
+        store = NodeStore(decoded_cache_size=64)
+        trie = MerklePatriciaTrie(store=store)
+        trie.put_batch((b"key-%d" % i, b"v") for i in range(20))
+        trie.put_batch([(b"key-3", b"v")])  # same content: same refs
+        assert trie.root in store._decoded
+
     def test_cache_returns_identical_content(self):
         store = NodeStore(decoded_cache_size=64)
         trie = MerklePatriciaTrie(store=store)

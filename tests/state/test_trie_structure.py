@@ -80,9 +80,9 @@ class TestNodeValidation:
 
     def test_extension_requires_path_and_child(self):
         with pytest.raises(TrieError):
-            ExtensionNode(path=(), child=b"x" * 32)
+            ExtensionNode(path=b"", child=b"x" * 32)
         with pytest.raises(TrieError):
-            ExtensionNode(path=(1,), child=b"")
+            ExtensionNode(path=b"\x01", child=b"")
 
     def test_decode_rejects_wrong_arity(self):
         with pytest.raises(TrieError):
@@ -93,7 +93,7 @@ class TestNodeValidation:
             decode_node(rlp_encode(b"not-a-node"))
 
     def test_leaf_roundtrip(self):
-        leaf = LeafNode(path=(1, 2, 3), value=b"payload")
+        leaf = LeafNode(path=bytes([1, 2, 3]), value=b"payload")
         assert decode_node(leaf.encode()) == leaf
 
     def test_branch_roundtrip_with_value(self):

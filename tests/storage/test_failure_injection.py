@@ -56,6 +56,27 @@ class TestCrashRecovery:
         assert all(recovered.get(f"batch-{i}".encode()) == b"v" for i in range(50))
         recovered.close()
 
+    @pytest.mark.parametrize("cut", [1, 7, 200])
+    def test_torn_batch_recovers_none_of_it(self, tmp_path, cut):
+        """A batch is one WAL record: a torn tail never replays a prefix."""
+        from repro.storage import WriteBatch
+
+        store = LSMStore(tmp_path / "db")
+        store.put(b"before", b"1")
+        batch = WriteBatch()
+        for i in range(50):
+            batch.put(f"batch-{i:02d}".encode(), b"v")
+        batch.delete(b"before")
+        store.write(batch)
+        crash(store)
+        wal_path = tmp_path / "db" / "wal.log"
+        data = wal_path.read_bytes()
+        wal_path.write_bytes(data[:-cut])  # tear inside the batch record
+        recovered = LSMStore(tmp_path / "db")
+        assert recovered.get(b"before") == b"1"
+        assert not any(recovered.has(f"batch-{i:02d}".encode()) for i in range(50))
+        recovered.close()
+
     def test_crash_after_flush_and_more_writes(self, tmp_path):
         store = LSMStore(tmp_path / "db", flush_bytes=256)
         for i in range(100):
