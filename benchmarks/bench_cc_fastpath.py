@@ -97,7 +97,6 @@ def write_results(payload: dict, path: Path = RESULTS_PATH) -> None:
 def test_cc_fastpath_speedup(report_table):
     """Fast path must keep >= 2x on rank_division + transaction_sorting."""
     payload = measure_fastpath()
-    write_results(payload)
     rows = [
         [
             phase,

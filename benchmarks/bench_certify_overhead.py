@@ -153,7 +153,6 @@ def write_results(payload: dict, path: Path = RESULTS_PATH) -> None:
 def test_certify_overhead_under_ceiling(report_table):
     """Certification-on must add < 5% to p50 epoch-processing latency."""
     payload = measure_certify_overhead()
-    write_results(payload)
     report_table(
         "certify_overhead",
         "\n".join(

@@ -115,7 +115,6 @@ def write_results(payload: dict, path: Path = RESULTS_PATH) -> None:
 def test_delta_cc_abort_drop(report_table):
     """Delta-CC must dissolve >= 40% of hot-key write aborts at skew 0.9."""
     payload = measure_delta_cc()
-    write_results(payload)
     lines = [
         "skew | uw base | uw delta | drop | committed base->delta | commuted"
     ]

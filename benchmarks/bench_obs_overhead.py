@@ -163,7 +163,6 @@ def write_results(payload: dict, path: Path = RESULTS_PATH) -> None:
 def test_obs_overhead_under_ceiling(report_table):
     """Tracing-on and ledger-on must each add < 5% to p50 epoch latency."""
     payload = measure_obs_overhead()
-    write_results(payload)
     report_table(
         "obs_overhead",
         "\n".join(

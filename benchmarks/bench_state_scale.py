@@ -152,7 +152,6 @@ def write_results(payload: dict, path: Path = RESULTS_PATH) -> None:
 def test_state_scale_gates(report_table):
     """Flat state must be >= 3x cheaper at 100k and cost-flat with scale."""
     payload = measure_state_scale()
-    write_results(payload)
     lines = ["accounts | flat us/write | oracle us/write | speedup"]
     for entry in payload["sweep"]:
         lines.append(

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from repro.baselines.johnson import DEFAULT_CYCLE_BUDGET, find_elementary_cycles
 from repro.baselines.tarjan import nontrivial_components
-from repro.core.schedule import Schedule, serial_schedule
+from repro.core.schedule import Schedule, SchemeResult, serial_schedule
 from repro.errors import CycleBudgetExceeded, SchedulingError
 from repro.txn.transaction import Transaction
 
@@ -84,7 +84,7 @@ class ConflictGraph:
 
 
 @dataclass
-class CGResult:
+class CGResult(SchemeResult):
     """Schedule plus diagnostics from one CG run."""
 
     schedule: Schedule
@@ -93,6 +93,10 @@ class CGResult:
     cycle_count: int = 0
     failed: bool = False
     failure: str | None = None
+
+    def phase_seconds(self) -> dict[str, float]:
+        """The Figure 10 sub-phase breakdown."""
+        return self.timings.as_dict()
 
 
 def build_conflict_graph(transactions: Sequence[Transaction]) -> ConflictGraph:
@@ -200,6 +204,10 @@ class CGScheduler:
     """End-to-end CG concurrency control (the paper's strawman)."""
 
     name = "cg"
+    execution = "speculative"
+    supports_deltas = False
+    supports_streaming = False
+    tracer = None
 
     def __init__(self, config: CGConfig | None = None) -> None:
         self.config = config or CGConfig()

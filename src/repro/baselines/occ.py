@@ -14,19 +14,19 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.schedule import Schedule, serial_schedule
+from repro.core.schedule import Schedule, SchemeResult, serial_schedule
 from repro.txn.rwset import Address
 from repro.txn.transaction import Transaction
 
 
 @dataclass
-class OCCResult:
+class OCCResult(SchemeResult):
     """Schedule plus validation timing from one OCC run."""
 
     schedule: Schedule
     validation_seconds: float = 0.0
 
-    def as_dict(self) -> dict[str, float]:
+    def phase_seconds(self) -> dict[str, float]:
         """Phase name -> seconds, matching the other schemes' results."""
         return {"validation": self.validation_seconds}
 
@@ -35,6 +35,10 @@ class OCCScheduler:
     """First-committer-wins validation in transaction-id order."""
 
     name = "occ"
+    execution = "speculative"
+    supports_deltas = False
+    supports_streaming = False
+    tracer = None
 
     def schedule(self, transactions: Sequence[Transaction]) -> OCCResult:
         """Validate the batch and return a serial schedule of survivors."""

@@ -20,26 +20,19 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.schedule import Schedule, schedule_from_sequences
+from repro.core.schedule import Schedule, SchemeResult, schedule_from_sequences
 from repro.txn.rwset import Address
 from repro.txn.transaction import Transaction
 
 
 @dataclass
-class PCCResult:
-    """Schedule plus scheduling time from one PCC run.
-
-    ``requires_reexecution`` tells the pipeline that commit waves must be
-    *executed* in wave order (each wave observes the previous waves'
-    writes) rather than applying snapshot-speculated write values: under
-    locking there is no speculation against a stale snapshot.
-    """
+class PCCResult(SchemeResult):
+    """Schedule plus scheduling time from one PCC run."""
 
     schedule: Schedule
     scheduling_seconds: float = 0.0
-    requires_reexecution: bool = True
 
-    def as_dict(self) -> dict[str, float]:
+    def phase_seconds(self) -> dict[str, float]:
         """Phase name -> seconds, matching the other schemes' results."""
         return {"lock_scheduling": self.scheduling_seconds}
 
@@ -47,14 +40,19 @@ class PCCResult:
 class PCCScheduler:
     """Ordered-locking schedule: zero aborts, wave-level concurrency.
 
-    ``uses_declared_rwsets`` tells the pipeline to schedule from the
-    transactions' declared read/write sets without a speculative phase:
-    ordered locking requires a-priori lock sets (PEEP's standing
-    assumption) and executes under locks rather than against a snapshot.
+    ``execution = "declared"`` tells the pipeline to schedule from the
+    transactions' declared read/write sets without a speculative phase
+    and to *execute* the commit waves in wave order (each wave observes
+    the previous waves' writes): ordered locking requires a-priori lock
+    sets (PEEP's standing assumption) and executes under locks rather
+    than against a snapshot.
     """
 
     name = "pcc"
-    uses_declared_rwsets = True
+    execution = "declared"
+    supports_deltas = False
+    supports_streaming = False
+    tracer = None
 
     def schedule(self, transactions: Sequence[Transaction]) -> PCCResult:
         """Assign each transaction the earliest wave its locks allow.

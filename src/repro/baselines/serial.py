@@ -12,25 +12,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.schedule import Schedule, serial_schedule
+from repro.core.schedule import Schedule, SchemeResult, serial_schedule
 from repro.txn.transaction import Transaction
 
 
 @dataclass
-class SerialResult:
-    """Schedule produced by the serial scheme (never aborts)."""
+class SerialResult(SchemeResult):
+    """Schedule produced by the serial scheme (never aborts, no CC phases)."""
 
     schedule: Schedule
-
-    def as_dict(self) -> dict[str, float]:
-        """No concurrency-control phases exist for the serial scheme."""
-        return {}
 
 
 class SerialScheduler:
     """Commits every transaction in id order, one at a time."""
 
     name = "serial"
+    execution = "serial"
+    supports_deltas = False
+    supports_streaming = False
+    tracer = None
 
     def schedule(self, transactions: Sequence[Transaction]) -> SerialResult:
         """Return the identity schedule: all transactions, id order."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.baselines.conflict_graph import CGConfig, CGScheduler
 from repro.baselines.occ import OCCScheduler
@@ -27,6 +27,9 @@ from repro.obs.taxonomy import taxonomy_counts
 from repro.txn.transaction import Transaction
 from repro.workload.smallbank import SmallBankConfig, SmallBankWorkload
 from repro.workload.generator import flatten_blocks
+
+if TYPE_CHECKING:
+    from repro.node.pipeline import Scheduler
 
 
 def bench_scale() -> float:
@@ -64,7 +67,7 @@ class SchemeRun:
         return self.schedule.abort_rate
 
 
-SchemeFactory = Callable[[], object]
+SchemeFactory = Callable[[], "Scheduler"]
 
 SCHEMES: dict[str, SchemeFactory] = {
     "serial": SerialScheduler,
@@ -76,31 +79,25 @@ SCHEMES: dict[str, SchemeFactory] = {
 }
 
 
-def make_scheme(name: str, cycle_budget: int | None = None) -> object:
+def make_scheme(name: str, cycle_budget: int | None = None) -> Scheduler:
     """Instantiate a scheme by name (CG accepts a cycle budget)."""
     if name == "cg" and cycle_budget is not None:
         return CGScheduler(CGConfig(cycle_budget=cycle_budget))
     return SCHEMES[name]()
 
 
-def run_scheme(scheme: object, transactions: Sequence[Transaction]) -> SchemeRun:
+def run_scheme(scheme: Scheduler, transactions: Sequence[Transaction]) -> SchemeRun:
     """Execute one scheme over one batch with wall-clock timing."""
     start = time.perf_counter()
     result = scheme.schedule(transactions)
     elapsed = time.perf_counter() - start
-    timings = getattr(result, "timings", None)
-    phase_seconds = timings.as_dict() if timings is not None else {}
-    if not phase_seconds and hasattr(result, "as_dict"):
-        phase_seconds = result.as_dict()
     return SchemeRun(
-        scheme=getattr(scheme, "name", type(scheme).__name__),
+        scheme=scheme.name,
         schedule=result.schedule,
         total_seconds=elapsed,
-        phase_seconds=phase_seconds,
-        failed=bool(getattr(result, "failed", False)),
-        abort_reasons=taxonomy_counts(
-            result.schedule.aborted, getattr(result, "abort_reasons", None)
-        ),
+        phase_seconds=result.phase_seconds(),
+        failed=result.failed,
+        abort_reasons=taxonomy_counts(result.schedule.aborted, result.abort_reasons),
     )
 
 

@@ -65,14 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="execution/commit worker pool size (0 = serial)",
-    )
-    simulate.add_argument(
-        "--exec-backend",
-        choices=("auto", "serial", "thread", "process"),
-        default="auto",
-        help="execution-phase backend (process = multi-core speculative "
-        "execution with delta-synced worker state replicas)",
+        help="execution-phase placement: 0-1 = in-process, N > 1 = N worker "
+        "processes with delta-synced state replicas",
     )
     simulate.add_argument(
         "--delta-cc",
@@ -482,7 +476,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             account_count=args.accounts,
             seed=args.seed,
             workers=args.workers,
-            exec_backend=args.exec_backend,
             delta_cc=args.delta_cc,
             flat_state=not args.trie_state,
             state_cache=args.state_cache,
@@ -1029,7 +1022,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     transactions = load_trace(args.file)
     tracer, metrics, _ = _make_obs(args)
     scheme = make_scheme(args.scheme)
-    if tracer is not None and hasattr(scheme, "tracer"):
+    if tracer is not None:
         scheme.tracer = tracer
     run = run_scheme(scheme, transactions)
     rows = [

@@ -19,6 +19,7 @@ from repro.core.rank import (
 from repro.core.schedule import (
     CommitGroup,
     Schedule,
+    SchemeResult,
     schedule_from_sequences,
     serial_schedule,
 )
@@ -48,6 +49,7 @@ __all__ = [
     "PhaseTimings",
     "RankPolicy",
     "Schedule",
+    "SchemeResult",
     "SortState",
     "Unit",
     "UnitKind",

@@ -10,7 +10,10 @@ serial schedule is simply one transaction per group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from types import MappingProxyType
+from typing import Any, Iterator, Mapping, Sequence
+
+_NOTHING: Mapping[int, Any] = MappingProxyType({})
 
 
 @dataclass(frozen=True)
@@ -97,6 +100,43 @@ class Schedule:
     def iter_groups(self) -> Iterator[CommitGroup]:
         """Yield commit groups in commit order."""
         return iter(self.groups)
+
+
+class SchemeResult:
+    """What any scheme's ``schedule()`` returns, as its consumers read it.
+
+    The pipeline, the bench harness and the CLI read exactly these
+    members off a result, whatever the scheme; a scheme that records
+    more (Nezha's attribution, CG's failure flag) overrides the default.
+
+    Attributes
+    ----------
+    schedule:
+        The commit schedule (every scheme sets it).
+    failed:
+        The scheme gave up wholesale (CG's cycle budget); nothing commits.
+    abort_reasons:
+        txid -> taxonomy reason for the aborts the scheme attributes;
+        unattributed aborts count as ``scheme_conflict``.
+    abort_edges:
+        txid -> attributed conflict edges ``(peer txid, address, kind)``.
+    revived / revived_txids:
+        Transactions a validation pass rescued back into the schedule.
+    """
+
+    schedule: Schedule
+    failed: bool = False
+    abort_reasons: Mapping[int, str] = _NOTHING
+    abort_edges: Mapping[int, list[tuple[int, str, str]]] = _NOTHING
+    revived: int = 0
+    revived_txids: tuple[int, ...] = ()
+
+    def __init__(self, schedule: Schedule) -> None:
+        self.schedule = schedule
+
+    def phase_seconds(self) -> dict[str, float]:
+        """Sub-phase name -> wall-clock seconds (none by default)."""
+        return {}
 
 
 def schedule_from_sequences(

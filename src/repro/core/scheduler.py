@@ -15,7 +15,7 @@ from typing import Sequence
 from repro.core.acg import ACG, DenseACG, build_acg, build_dense_acg
 from repro.core.interner import intern_batch
 from repro.core.rank import RankPolicy, divide_ranks, divide_ranks_dense
-from repro.core.schedule import Schedule, schedule_from_sequences
+from repro.core.schedule import Schedule, SchemeResult, schedule_from_sequences
 from repro.core.sorting import (
     INITIAL_SEQUENCE,
     UNASSIGNED,
@@ -87,7 +87,7 @@ class PhaseTimings:
         }
 
 
-class NezhaResult:
+class NezhaResult(SchemeResult):
     """Everything produced by one scheduling run.
 
     ``acg`` is materialised lazily on fast-path runs: the dense pipeline
@@ -108,7 +108,7 @@ class NezhaResult:
         abort_edges: dict[int, list[tuple[int, str, str]]] | None = None,
         revived_txids: tuple[int, ...] = (),
     ) -> None:
-        self.schedule = schedule
+        super().__init__(schedule)
         self.timings = timings
         self.rank_order = rank_order if rank_order is not None else []
         self.dense_acg = dense_acg
@@ -137,6 +137,10 @@ class NezhaResult:
         """Ids aborted by sorting or validation."""
         return self.schedule.aborted
 
+    def phase_seconds(self) -> dict[str, float]:
+        """The Figure 10 sub-phase breakdown."""
+        return self.timings.as_dict()
+
 
 class NezhaScheduler:
     """Schedules one epoch's concurrent transactions with Nezha.
@@ -153,10 +157,14 @@ class NezhaScheduler:
 
     name = "nezha"
 
-    # Commutative delta units are first-class in the Nezha pipeline; the
-    # executor only emits them for schedulers advertising this flag, so
-    # baselines keep seeing plain read-modify-writes.
+    # Declared scheme capabilities (the node's ``Scheduler`` protocol):
+    # snapshot-speculated execution; commutative delta units are
+    # first-class (the executor only emits them for schedulers declaring
+    # so — baselines keep seeing plain read-modify-writes); and
+    # ``schedule_dense`` accepts the streaming engine's pre-built graph.
+    execution = "speculative"
     supports_deltas = True
+    supports_streaming = True
 
     def __init__(
         self, config: NezhaConfig | None = None, tracer: Tracer | None = None

@@ -53,7 +53,6 @@ class ClusterConfig:
     seed: int = 0
     workers: int = 0
     use_vm: bool = False
-    exec_backend: str = "auto"
     delta_cc: bool = False
     flat_state: bool = True
     state_cache: int = 0
@@ -171,10 +170,7 @@ class Cluster:
             config=PipelineConfig(
                 workers=self.config.workers,
                 use_vm=self.config.use_vm,
-                backend=self.config.exec_backend,
                 delta_cc=self.config.delta_cc,
-                flat_state=self.config.flat_state,
-                state_cache=self.config.state_cache,
                 streaming=self.config.streaming,
                 certify=self.config.certify,
             ),
@@ -226,7 +222,7 @@ class Cluster:
         # Simulated execution charge at the paper's calibrated EVM rate
         # (0 by default): serial executes everything one by one, the
         # concurrent schemes only pay the parallel speculative phase.
-        if report.scheme == "serial":
+        if self.node.scheduler.execution == "serial":
             modelled = self.config.cost_model.serial_batch_seconds(
                 report.input_transactions
             )

@@ -2,7 +2,7 @@
 
 from repro.node.committer import CommitReport, Committer, SerialExecutorCommitter
 from repro.node.engine import EngineStats, StreamingEpochEngine
-from repro.node.executor import BACKENDS, ConcurrentExecutor, caller_id
+from repro.node.executor import ConcurrentExecutor, caller_id
 from repro.node.ingest import BlockIngest, IngestStats
 from repro.node.metrics import (
     Counter,
@@ -16,7 +16,6 @@ from repro.node.phases import EpochReport, PhaseLatencies
 from repro.node.pipeline import PipelineConfig, TransactionPipeline
 
 __all__ = [
-    "BACKENDS",
     "BlockIngest",
     "CommitReport",
     "Committer",

@@ -12,7 +12,7 @@ flushed to the backing store, yielding the epoch's new state root.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.core.schedule import Schedule
 from repro.errors import ExecutionError
@@ -33,10 +33,12 @@ class CommitReport:
     ``write_delta`` is the epoch's net effect on flat state — every
     address written, with its final committed value (last writer in
     group order wins).  The pipeline ships exactly this delta to the
-    process execution backend's worker replicas, so replica sync cost
+    executor's worker-process replicas, so replica sync cost
     tracks the epoch's write set rather than the world state.  Paths
-    that commit without a schedule (serial execute-and-commit) leave it
-    ``None``.
+    that execute against live state (serial execute-and-commit, lock
+    waves) leave it ``None`` — replicas must then resync from state —
+    and list in ``reverted`` the transactions whose live execution
+    reverted (no effects; they count as failed simulations).
 
     ``guard_aborted`` lists scheduled transactions the commit-time
     over/underflow guard rejected: folding their commutative deltas
@@ -61,6 +63,7 @@ class CommitReport:
     guard_edges: "Mapping[int, tuple[int, Address, str]]" = field(
         default_factory=dict
     )
+    reverted: tuple[int, ...] = ()
 
 
 class _DeltaPlan:
@@ -72,8 +75,7 @@ class _DeltaPlan:
     would leave an address outside ``[0, 2**64)``.  The group-apply loop
     then skips planned addresses entirely — their final values install
     in one pass at the end, which is exactly what the serial walk
-    computed, whatever interleaving the parallel group apply uses for
-    the rest.  Without deltas the plan is a transparent passthrough.
+    computed.  Without deltas the plan is a transparent passthrough.
     """
 
     def __init__(
@@ -169,19 +171,13 @@ class _DeltaPlan:
 class Committer:
     """Applies commit schedules to a :class:`~repro.state.statedb.StateDB`.
 
-    ``workers > 1`` applies the transactions *within* each group through a
-    thread pool — safe because a group's members are pairwise
-    conflict-free, so no two threads ever write the same address.  Groups
-    themselves always commit in sequence order.  The default is in-process
-    serial application, which is faster under CPython's GIL but models the
-    same semantics (tests assert both produce identical roots).  The pool
-    is created lazily and reused across epochs; :meth:`close` releases it.
+    Groups commit in sequence order; a group's members are pairwise
+    conflict-free, so applying them in txid order equals any concurrent
+    interleaving.
     """
 
-    def __init__(self, workers: int = 0, tracer: Tracer | None = None) -> None:
-        self.workers = workers
+    def __init__(self, tracer: Tracer | None = None) -> None:
         self.tracer = tracer
-        self._pool = None
 
     def commit(
         self,
@@ -210,17 +206,12 @@ class Committer:
                             f"committed T{txid} has no simulated write values"
                         )
                 txids = plan.surviving(group.txids)
-                if self.workers > 1 and len(txids) > 1:
-                    self._apply_group_parallel(txids, plan.writes_of, state)
-                else:
-                    for txid in txids:
-                        self._apply_one(plan.writes_of(txid), state)
-                # Within a group writes are pairwise disjoint, so merging in
-                # txid order equals any interleaving; across groups the later
-                # group overwrites, matching the application order above.
+                # Across groups the later group overwrites, so the delta
+                # ends at each address's last committed value.
                 for txid in txids:
                     for address, value in plan.writes_of(txid).items():
                         delta[address] = int(value)
+                        state.set(address, delta[address])
                 committed += len(txids)
             for address, value in plan.finals.items():
                 state.set(address, value)
@@ -238,35 +229,6 @@ class Committer:
             delta_commuted=plan.delta_commuted,
             guard_edges=plan.guard_edges,
         )
-
-    def _apply_group_parallel(
-        self,
-        txids: tuple[int, ...],
-        writes_of: "Callable[[int], Mapping[Address, Any]]",
-        state: StateDB,
-    ) -> None:
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="repro-commit"
-            )
-        list(
-            self._pool.map(
-                lambda txid: self._apply_one(writes_of(txid), state), txids
-            )
-        )
-
-    def close(self) -> None:
-        """Shut down the reused group-apply pool (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    @staticmethod
-    def _apply_one(writes: Mapping[Address, Any], state: StateDB) -> None:
-        for address, value in writes.items():
-            state.set(address, int(value))
 
 
 class SerialExecutorCommitter:
@@ -286,24 +248,39 @@ class SerialExecutorCommitter:
         """Release the inner executor's resources (idempotent)."""
         self.executor.close()
 
+    def execute_and_apply(self, txn: Transaction, state: StateDB) -> bool:
+        """Run one transaction on live state; ``False`` when it reverted.
+
+        The per-transaction step of every discipline that executes under
+        its own writes instead of a snapshot: the serial loop below and
+        the pipeline's lock waves (PCC).
+        """
+        if txn.contract is None or self.registry is None:
+            for address, value in txn.rwset.writes.items():
+                state.set(address, int(value) if value is not None else 0)
+            # Declared deltas fold against the live state — executed in
+            # order, a commutative increment is just the
+            # read-modify-write it abbreviates.
+            for address, delta in txn.rwset.deltas.items():
+                state.set(address, state.get(address) + delta)
+            return True
+        result = self.executor.execute_one(txn, state.get)
+        if result.ok:
+            for address, value in result.rwset.writes.items():
+                state.set(address, int(value))
+        return result.ok
+
     def run(self, transactions: Sequence[Transaction], state: StateDB) -> CommitReport:
         """Execute and commit serially; returns the new root."""
-        committed = 0
-        for txn in transactions:
-            if txn.contract is None or self.registry is None:
-                for address, value in txn.rwset.writes.items():
-                    state.set(address, int(value) if value is not None else 0)
-                # Declared deltas fold against the live state — under
-                # serial execution a commutative increment is just the
-                # read-modify-write it abbreviates.
-                for address, delta in txn.rwset.deltas.items():
-                    state.set(address, state.get(address) + delta)
-                committed += 1
-                continue
-            result = self.executor.execute_one(txn, state.get)
-            if result.ok:
-                for address, value in result.rwset.writes.items():
-                    state.set(address, int(value))
-                committed += 1
-        root = state.commit()
-        return CommitReport(state_root=root, committed_count=committed, group_count=committed)
+        reverted = tuple(
+            txn.txid
+            for txn in transactions
+            if not self.execute_and_apply(txn, state)
+        )
+        committed = len(transactions) - len(reverted)
+        return CommitReport(
+            state_root=state.commit(),
+            committed_count=committed,
+            group_count=committed,
+            reverted=reverted,
+        )

@@ -59,8 +59,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 from repro.analysis import race
 from repro.core.incremental import IncrementalACG
 from repro.dag.block import Block
-from repro.dag.epochs import Epoch, extract_epoch
-from repro.errors import BlockValidationError
+from repro.dag.epochs import Epoch
 from repro.node.committer import CommitReport
 from repro.node.phases import EpochReport, PhaseLatencies
 from repro.obs.tracer import maybe_span
@@ -111,8 +110,7 @@ class _Inflight:
     """The single back-stage slot: one epoch in CC + commit."""
 
     epoch: Epoch
-    txids: frozenset[int]
-    future: "Future[tuple[EpochReport, CommitReport | None]] | None"
+    future: "Future[tuple[EpochReport, CommitReport]] | None"
     # Fallback epochs complete synchronously; their report parks here
     # until the next submit (or drain) hands it to the caller.
     report: EpochReport | None = None
@@ -163,7 +161,7 @@ class StreamingEpochEngine:
         spec = self._speculate(blocks)
         previous = self._join()
         admit_start = time.perf_counter()
-        epoch = self._admit(blocks)
+        epoch = self.node._admit(blocks)
         admit_seconds = time.perf_counter() - admit_start
         if spec is not None and spec.matches(epoch):
             self.node._register_epoch(epoch)
@@ -180,14 +178,7 @@ class StreamingEpochEngine:
             self.stats.epochs_fallback += 1
             self._last_delta = None
             report = self.node.process_epoch(epoch)
-            if self.node.blockstore is not None:
-                self.node.blockstore.set_state_root(report.state_root)
-            self._inflight = _Inflight(
-                epoch=epoch,
-                txids=frozenset(self._epoch_txids(epoch)),
-                future=None,
-                report=report,
-            )
+            self._inflight = _Inflight(epoch=epoch, future=None, report=report)
         self._export_metrics()
         return previous
 
@@ -223,9 +214,10 @@ class StreamingEpochEngine:
         index = self.node._next_epoch
         ordered = sorted(blocks, key=lambda b: b.chain_id)
         guess = Epoch(index=index, blocks=tuple(ordered))
-        exclude = set(self.node._seen_txids)
-        if self._inflight is not None:
-            exclude |= self._inflight.txids
+        # Duplicate protection, tested in place: the node's set already
+        # holds the in-flight epoch's txids (registered at admission).
+        seen = self.node._seen_txids
+        fresh: set[int] = set()
         read_fn = self._spec_read_fn()
         executor = self.pipeline.executor
         acg = IncrementalACG()
@@ -240,20 +232,18 @@ class StreamingEpochEngine:
                 for block in ordered:
                     group = []
                     for txn in block.transactions:
-                        if txn.txid in exclude:
+                        if txn.txid in seen or txn.txid in fresh:
                             continue
-                        exclude.add(txn.txid)
+                        fresh.add(txn.txid)
                         group.append(txn)
                     if group:
                         groups.append(group)
                         transactions.extend(group)
                 if transactions:
                     # One pool dispatch for the whole epoch — per-block
-                    # dispatches would multiply chunk boundaries (and,
-                    # with a modelled execution charge, sleep wake-ups
-                    # contending for the GIL against the background
-                    # stage).  Execution is per-transaction pure, so
-                    # results regroup into blocks losslessly.
+                    # dispatches would multiply chunk boundaries.
+                    # Execution is per-transaction pure, so results
+                    # regroup into blocks losslessly.
                     batch = executor.execute_batch(
                         transactions,
                         read_fn,
@@ -385,49 +375,6 @@ class StreamingEpochEngine:
         )
         return batch, spec.acg, spec.seconds + time.perf_counter() - start
 
-    # -------------------------------------------------------- admission
-
-    def _admit(self, blocks: Sequence[Block]) -> Epoch:
-        """The barrier node's accept loop, verbatim semantics.
-
-        Root-checks each block against the now-final previous root,
-        appends survivors to the chains, and seals the epoch.  Raising
-        here (every block discarded / empty epoch) matches
-        ``FullNode.receive_epoch`` exactly.
-        """
-        node = self.node
-        with maybe_span(
-            self.tracer, "node.block_arrival", epoch=node._next_epoch
-        ) as span:
-            accepted = 0
-            for block in blocks:
-                if block.header.state_root != node.state.root:
-                    continue  # Discard: stale or wrong state root.
-                try:
-                    node.chains.append(block)
-                except BlockValidationError:
-                    continue  # Discard: structural failure.
-                if node.blockstore is not None:
-                    node.blockstore.put_block(block)
-                accepted += 1
-            span.set(offered=len(blocks), accepted=accepted)
-            if accepted == 0:
-                raise BlockValidationError(
-                    "every block of the epoch was discarded"
-                )
-        with maybe_span(self.tracer, "node.epoch_seal", epoch=node._next_epoch):
-            epoch = extract_epoch(node.chains, node._next_epoch)
-        if epoch is None:
-            raise BlockValidationError(f"epoch {node._next_epoch} is empty")
-        node._next_epoch += 1
-        return epoch
-
-    @staticmethod
-    def _epoch_txids(epoch: Epoch) -> set[int]:
-        return {
-            txn.txid for block in epoch.blocks for txn in block.transactions
-        }
-
     def _export_metrics(self) -> None:
         """Publish speculation accounting into the node's registry."""
         metrics = self.node.metrics
@@ -468,11 +415,7 @@ class StreamingEpochEngine:
         future = self._stage.submit(
             self._run_back_stage, epoch, transactions, batch, acg, phases
         )
-        self._inflight = _Inflight(
-            epoch=epoch,
-            txids=frozenset(self._epoch_txids(epoch)),
-            future=future,
-        )
+        self._inflight = _Inflight(epoch=epoch, future=future)
 
     def _run_back_stage(
         self,
@@ -481,8 +424,9 @@ class StreamingEpochEngine:
         batch: SimulationBatch,
         acg: IncrementalACG,
         phases: PhaseLatencies,
-    ) -> tuple[EpochReport, CommitReport | None]:
-        """Background thread: seal the graph, schedule, commit, report.
+    ) -> tuple[EpochReport, CommitReport]:
+        """Background thread: seal the graph, schedule, then the
+        pipeline's shared finish (apply, report, ledger, certificate).
 
         Touches no executor pipes (replica sync is deferred to the join
         on the main thread) — its only shared mutation is the state
@@ -499,14 +443,8 @@ class StreamingEpochEngine:
             )
             span.set(aborted=result.schedule.aborted_count)
         phases.concurrency_control = time.perf_counter() - start
-        outcome = self.pipeline._commit_and_report(
-            epoch,
-            transactions,
-            batch,
-            result,
-            result.schedule,
-            phases,
-            sync_replicas=False,
+        outcome = self.pipeline._finish_epoch(
+            epoch, transactions, batch, result, phases, sync_replicas=False
         )
         # Join edge: pairs with the ``hb_acquire`` after
         # ``future.result()`` in :meth:`_join`.
@@ -526,12 +464,10 @@ class StreamingEpochEngine:
         ):
             report, commit_report = inflight.future.result()
         race.hb_acquire(("engine-join", id(self)))
-        self._last_delta = (
-            commit_report.write_delta if commit_report is not None else None
-        )
+        self._last_delta = commit_report.write_delta
         if self._last_delta:
             # Deferred replica sync: all executor traffic stays on the
             # main thread.
             self.pipeline.executor.apply_delta(self._last_delta)
-        self.node._finish_report(report)
+        self.node._record_report(report)
         return report

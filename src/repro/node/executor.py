@@ -7,33 +7,28 @@ transaction against the same immutable snapshot — execution order is
 irrelevant, which is what makes the phase embarrassingly parallel — and
 records each transaction's read/write sets through the logger.
 
-Three backends implement the phase, selected by ``backend``/``workers``:
+Where the batch runs is computed from ``workers``, never configured:
 
-* **serial** — in-process loop.  Fastest under CPython's GIL for cheap
-  pure-Python contracts, and the equivalence oracle for the other two.
-* **thread** — a persistent :class:`ThreadPoolExecutor` fed manually
-  built chunks (one task per chunk, not per transaction).  Wins when
-  per-transaction cost releases the GIL (VM gas charges, modelled EVM
-  latency, any I/O).
-* **process** — a pool of persistent worker processes, each bootstrapped
-  once with the pickled contract registry and a **flat replica of the
-  world state**.  The parent keeps replicas in sync by shipping only the
-  per-epoch commit write-delta (see ``apply_delta``), never the full
-  state and never the MPT; workers read the replica with plain dict
-  lookups, faithful to the paper's single-snapshot semantics because
-  replicas only change *between* epochs.  Transactions and results cross
-  the pipe as compact wire tuples (:mod:`repro.txn.codec`).  This is the
-  only backend that escapes the GIL for pure-Python contracts.
+* **in-process** — one loop on the calling thread.  Used whenever
+  ``workers <= 1``, and the equivalence oracle for the pool.
+* **process pool** — ``workers > 1`` persistent worker processes, each
+  bootstrapped once with the pickled contract registry and a **flat
+  replica of the world state**.  The parent keeps replicas in sync by
+  shipping only the per-epoch commit write-delta (see ``apply_delta``),
+  never the full state and never the MPT; workers read the replica with
+  plain dict lookups, faithful to the paper's single-snapshot semantics
+  because replicas only change *between* epochs.  Transactions and
+  results cross the pipe as compact wire tuples
+  (:mod:`repro.txn.codec`).  This is the only placement that escapes
+  the GIL.
 
-The process backend degrades gracefully: an unpicklable registry, a
-missing state provider, ``workers <= 1``, or a worker crash all fall
-back to the thread/serial paths, which produce identical results.
+The pool degrades gracefully: an unpicklable registry, a missing state
+provider or a worker crash all fall back to the in-process loop, which
+produces identical results.
 """
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Mapping, Sequence
 
 from repro.analysis.static.deltas import (
@@ -62,8 +57,6 @@ from repro.vm.native import ContractRegistry, registry_is_picklable
 ReadFn = Callable[[Address], int]
 StateProvider = Callable[[], Mapping[Address, int]]
 
-BACKENDS = ("auto", "serial", "thread", "process")
-
 
 def caller_id(sender: str) -> int:
     """Numeric caller id from a ``user:NNN`` style sender string."""
@@ -74,9 +67,7 @@ def caller_id(sender: str) -> int:
         return 0
 
 
-def _worker_main(
-    conn, registry, use_vm, gas_limit, txn_cost_seconds, index, delta_cc=False
-) -> None:
+def _worker_main(conn, registry, use_vm, gas_limit, index, delta_cc=False) -> None:
     """Loop of one persistent worker process.
 
     The worker is bootstrapped once (registry, VM flags, worker index) and
@@ -101,7 +92,6 @@ def _worker_main(
         registry=registry,
         use_vm=use_vm,
         gas_limit=gas_limit,
-        txn_cost_seconds=txn_cost_seconds,
         delta_cc=delta_cc,
     )
     tracer = Tracer(track=f"worker-{index}")
@@ -152,7 +142,6 @@ class _ProcessPool:
         workers: int,
         use_vm: bool,
         gas_limit: int,
-        txn_cost_seconds: float,
         delta_cc: bool = False,
     ) -> None:
         import multiprocessing as mp
@@ -165,15 +154,7 @@ class _ProcessPool:
             parent_conn, child_conn = context.Pipe(duplex=True)
             process = context.Process(
                 target=_worker_main,
-                args=(
-                    child_conn,
-                    registry,
-                    use_vm,
-                    gas_limit,
-                    txn_cost_seconds,
-                    index,
-                    delta_cc,
-                ),
+                args=(child_conn, registry, use_vm, gas_limit, index, delta_cc),
                 daemon=True,
             )
             process.start()
@@ -247,20 +228,16 @@ class _ProcessPool:
 class ConcurrentExecutor:
     """Simulates a batch of transactions against one state snapshot.
 
-    Pools (threads or processes) are created lazily on the first
-    parallel batch and reused for every later epoch — constructing and
-    tearing down a pool per ``execute_batch`` call costs spawns every
-    epoch and dominated small-batch execution.  Call :meth:`close` (or
-    use the executor as a context manager) to release them explicitly.
+    The worker-process pool is created lazily on the first parallel
+    batch and reused for every later epoch — constructing and tearing
+    down a pool per ``execute_batch`` call costs spawns every epoch and
+    dominated small-batch execution.  Call :meth:`close` (or use the
+    executor as a context manager) to release it explicitly.
 
     ``state_provider`` supplies the flat committed state used to
-    bootstrap (and, after :meth:`mark_stale`, resync) the process
-    backend's worker replicas; without one the process backend is not
-    viable and the executor falls back to threads.  ``txn_cost_seconds``
-    charges each speculative execution a fixed modelled latency (the
-    :mod:`repro.vm.costmodel` calibration hook used by the scaling
-    benchmarks); the charge is paid inside whichever backend executes,
-    so parallel backends overlap it.
+    bootstrap (and, after :meth:`mark_stale`, resync) the worker
+    replicas; without one the pool is not viable and every batch runs
+    in-process.
     """
 
     def __init__(
@@ -269,62 +246,41 @@ class ConcurrentExecutor:
         workers: int = 0,
         use_vm: bool = False,
         gas_limit: int = DEFAULT_GAS_LIMIT,
-        backend: str = "auto",
         state_provider: StateProvider | None = None,
-        txn_cost_seconds: float = 0.0,
         tracer: Tracer | None = None,
         delta_cc: bool = False,
     ) -> None:
-        if backend not in BACKENDS:
-            raise ExecutionError(
-                f"unknown execution backend {backend!r}; expected one of {BACKENDS}"
-            )
         self.registry = registry
         self.workers = workers
         self.use_vm = use_vm
         self.gas_limit = gas_limit
-        self.backend = backend
         self.state_provider = state_provider
-        self.txn_cost_seconds = txn_cost_seconds
         self.tracer = tracer
         self.delta_cc = delta_cc
         self._delta_classes: dict[tuple[str, str], DeltaClassification] = {}
         self._svm = SVM()
-        self._pool: ThreadPoolExecutor | None = None
         self._process_pool: _ProcessPool | None = None
         self._process_broken = False
         self._replicas_stale = True  # bootstrap counts as a stale resync
 
-    # ------------------------------------------------------------ backends
+    # ----------------------------------------------------------- placement
 
     @property
     def resolved_backend(self) -> str:
-        """The backend the next ``execute_batch`` will actually use."""
-        if self.backend == "serial" or self.workers <= 1:
-            return "serial"
-        if self.backend == "process":
-            if self._process_broken:
-                return "serial"  # a crashed pool degrades to the oracle
-            if self._process_viable():
-                return "process"
-        return "thread"
+        """Where the next ``execute_batch`` runs: "process" or "in-process"."""
+        if (
+            self.workers > 1
+            and not self._process_broken
+            and self.state_provider is not None
+            and registry_is_picklable(self.registry)
+        ):
+            return "process"
+        return "in-process"
 
     @property
     def process_active(self) -> bool:
         """True while a live worker-process pool is attached."""
         return self._process_pool is not None and not self._process_broken
-
-    def _process_viable(self) -> bool:
-        if self._process_broken or self.state_provider is None:
-            return False
-        return registry_is_picklable(self.registry)
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="repro-exec"
-            )
-        return self._pool
 
     def _ensure_process_pool(self) -> "_ProcessPool | None":
         if self._process_pool is None:
@@ -334,7 +290,6 @@ class ConcurrentExecutor:
                     self.workers,
                     self.use_vm,
                     self.gas_limit,
-                    self.txn_cost_seconds,
                     self.delta_cc,
                 )
             except Exception:
@@ -344,17 +299,14 @@ class ConcurrentExecutor:
         return self._process_pool
 
     def _retire_process_pool(self) -> None:
-        """Degrade permanently to the thread/serial fallbacks."""
+        """Degrade permanently to the in-process loop."""
         self._process_broken = True
         if self._process_pool is not None:
             pool, self._process_pool = self._process_pool, None
             pool.close()
 
     def close(self) -> None:
-        """Shut down the reused worker pools (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        """Shut down the reused worker pool (idempotent)."""
         if self._process_pool is not None:
             pool, self._process_pool = self._process_pool, None
             pool.close()
@@ -403,47 +355,9 @@ class ConcurrentExecutor:
         results: list[SimulationResult] | None = None
         if ordered and self.resolved_backend == "process":
             results = self._execute_process(ordered)
-        if results is None and ordered and self.resolved_backend == "thread":
-            results = self._execute_threaded(ordered, read_fn)
         if results is None:
             results = self.execute_run(ordered, read_fn)
         return SimulationBatch(results=tuple(results), snapshot_root=snapshot_root)
-
-    def _execute_threaded(
-        self, ordered: list[Transaction], read_fn: ReadFn
-    ) -> list[SimulationResult]:
-        pool = self._ensure_pool()
-        # Hand each worker a run of transactions instead of one task per
-        # transaction.  Chunking must be manual: ThreadPoolExecutor.map
-        # accepts ``chunksize`` but silently ignores it (only process
-        # pools honour it), so mapping transactions directly would pay
-        # one queue round-trip per transaction.  With a modelled charge
-        # the usual 4-chunks-per-worker load balancing is a loss: every
-        # chunk pays its charge as one sleep, and each extra wake-up is
-        # a GIL reacquisition that can stall behind CPU-bound threads
-        # (the streaming engine's background CC + commit stage), so cut
-        # straight to one equal run per worker.
-        if self.txn_cost_seconds > 0.0:
-            chunksize = max(1, -(-len(ordered) // self.workers))
-        else:
-            chunksize = max(1, len(ordered) // (self.workers * 4))
-        futures = [
-            pool.submit(self._execute_chunk, ordered[i : i + chunksize], read_fn)
-            for i in range(0, len(ordered), chunksize)
-        ]
-        return [result for future in futures for result in future.result()]
-
-    def _execute_chunk(
-        self, chunk: Sequence[Transaction], read_fn: ReadFn
-    ) -> list[SimulationResult]:
-        """One thread task: a contiguous run of the ordered batch.
-
-        The span lands on the executing pool thread's own track (the
-        tracer keys tracks by thread name), so a merged trace shows
-        per-thread occupancy and stragglers directly.
-        """
-        with maybe_span(self.tracer, "execute.chunk", txns=len(chunk)):
-            return self.execute_run(chunk, read_fn)
 
     def _execute_process(
         self, ordered: list[Transaction]
@@ -481,31 +395,11 @@ class ConcurrentExecutor:
     def execute_run(
         self, chunk: Sequence[Transaction], read_fn: ReadFn
     ) -> list[SimulationResult]:
-        """Execute a run of transactions, paying the charge as one sleep.
-
-        Wall-clock equivalent to per-transaction charges (the modelled
-        latency is a fixed per-transaction amount either way), but one
-        aggregated ``sleep`` per run instead of ``len(chunk)`` short
-        ones.  That matters whenever a CPU-bound thread shares the
-        interpreter — e.g. the streaming engine's background CC/commit
-        stage: every short-sleep wakeup would otherwise wait out a GIL
-        switch interval behind it, inflating the charged phase by orders
-        of magnitude on single-core hosts.
-        """
-        if self.txn_cost_seconds > 0.0 and chunk:
-            time.sleep(self.txn_cost_seconds * len(chunk))
-        return [self._execute_uncharged(txn, read_fn) for txn in chunk]
+        """Execute a run of transactions on the calling thread."""
+        return [self.execute_one(txn, read_fn) for txn in chunk]
 
     def execute_one(self, txn: Transaction, read_fn: ReadFn) -> SimulationResult:
         """Speculatively execute a single transaction (always in-process)."""
-        return self._execute_one(txn, read_fn)
-
-    def _execute_one(self, txn: Transaction, read_fn: ReadFn) -> SimulationResult:
-        if self.txn_cost_seconds > 0.0:
-            time.sleep(self.txn_cost_seconds)
-        return self._execute_uncharged(txn, read_fn)
-
-    def _execute_uncharged(self, txn: Transaction, read_fn: ReadFn) -> SimulationResult:
         if txn.contract is None or self.registry is None:
             return self._passthrough(txn, read_fn)
         if self.use_vm:

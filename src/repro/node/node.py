@@ -11,7 +11,7 @@ epoch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from repro.dag.block import Block
 from repro.dag.blockstore import BlockStore
@@ -67,9 +67,9 @@ class FullNode:
         }
         # The streaming engine overlaps speculation with CC + commit; it
         # needs a scheduler that accepts pre-built dense graphs (Nezha).
-        # Serial/locking schemes silently keep the barrier path.
+        # Schemes that do not declare so silently keep the barrier path.
         self.engine: "StreamingEpochEngine | None" = None
-        if self.config.streaming and hasattr(self.scheduler, "schedule_dense"):
+        if self.config.streaming and self.scheduler.supports_streaming:
             from repro.node.engine import StreamingEpochEngine
 
             self.engine = StreamingEpochEngine(self)
@@ -119,6 +119,16 @@ class FullNode:
             previous = self.engine.submit(blocks)
             tail = self.engine.drain()
             return tail[-1] if tail else previous  # type: ignore[return-value]
+        return self.process_epoch(self._admit(blocks))
+
+    def _admit(self, blocks: Sequence[Block]) -> Epoch:
+        """The node's one block-accept loop: root-check, append, seal.
+
+        Each block must carry the current (previous epoch's) state root
+        and pass the chain layer's structural checks; survivors are
+        appended to the chains and archived, and the epoch they form is
+        sealed.  Raises when every block was discarded.
+        """
         with maybe_span(
             self.tracer, "node.block_arrival", epoch=self._next_epoch
         ) as span:
@@ -140,11 +150,8 @@ class FullNode:
             epoch = extract_epoch(self.chains, self._next_epoch)
         if epoch is None:
             raise BlockValidationError(f"epoch {self._next_epoch} is empty")
-        report = self.process_epoch(epoch)
         self._next_epoch += 1
-        if self.blockstore is not None:
-            self.blockstore.set_state_root(report.state_root)
-        return report
+        return epoch
 
     def submit_epoch(self, blocks: list[Block]) -> EpochReport | None:
         """Streaming ingress: feed one epoch, get the *previous* report.
@@ -172,10 +179,7 @@ class FullNode:
         """
         report = self.pipeline.process_epoch(epoch, exclude_txids=self._seen_txids)
         self._register_epoch(epoch)
-        self.reports.append(report)
-        if self.metrics is not None:
-            record_epoch(self.metrics, report)
-            record_state(self.metrics, self.state)
+        self._record_report(report)
         return report
 
     def _register_epoch(self, epoch: Epoch) -> None:
@@ -208,13 +212,9 @@ class FullNode:
                 )
             self.ledger.record_many(events)
 
-    def _finish_report(self, report: EpochReport) -> None:
-        """Record a completed epoch (streaming join path).
-
-        Mirrors the bookkeeping the barrier path performs inline in
-        :meth:`process_epoch` + :meth:`receive_epoch`: report history,
-        metrics, and the archive's state-root watermark.
-        """
+    def _record_report(self, report: EpochReport) -> None:
+        """Book a completed epoch: report history, metrics, and the
+        archive's state-root watermark (barrier and streaming join)."""
         self.reports.append(report)
         if self.metrics is not None:
             record_epoch(self.metrics, report)
@@ -226,13 +226,16 @@ class FullNode:
         """Release the engine's stage and the pipeline's worker pools
         (idempotent).
 
-        Nodes configured with the process execution backend own worker
-        processes; closing guarantees none outlive the node.  The
-        streaming engine drains first so no epoch is lost in flight.
+        Nodes configured with ``workers > 1`` own worker processes;
+        closing guarantees none outlive the node — also when the
+        streaming engine, which drains first so no epoch is lost in
+        flight, re-raises what its in-flight epoch raised.
         """
-        if self.engine is not None:
-            self.engine.close()
-        self.pipeline.close()
+        try:
+            if self.engine is not None:
+                self.engine.close()
+        finally:
+            self.pipeline.close()
 
     def __enter__(self) -> "FullNode":
         return self

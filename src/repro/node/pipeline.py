@@ -1,33 +1,36 @@
 """The four-phase concurrent transaction processing pipeline.
 
 Implements the paper's workflow (Section III-B) over one epoch's
-concurrent blocks:
+concurrent blocks — one sequence, whatever the scheme:
 
 1. **Validation** — verify each block's carried state root against the
    previous epoch's root (structural/PoW checks belong to the chain
    layer; the full node calls both).
-2. **Concurrent execution** — speculatively simulate all first-appearance
+2. **Execution** — speculatively simulate all first-appearance
    transactions on the epoch snapshot, logging read/write sets.
-3. **Concurrency control** — run the configured scheme (Nezha, CG, OCC)
-   over the simulated summaries to obtain a commit schedule.
-4. **Commitment** — apply write values group by group and flush the new
-   state root.
+3. **Concurrency control** — run the configured scheme over the
+   transaction summaries to obtain a commit schedule.
+4. **Commitment** — apply the schedule and flush the new state root,
+   then assemble the epoch's report, ledger narration and certificate.
 
-The Serial scheme replaces phases 2-4 with the classic execute-and-commit
-loop over the deterministic block order, exactly as current DAG-based
-blockchains do.
+Schemes differ only in what they declare (:class:`Scheduler`): a
+``"speculative"`` scheme (Nezha, CG, OCC) takes all four steps and
+applies the speculated write values group by group; a ``"declared"``
+scheme (PCC) skips step 2, schedules the declared read/write sets and
+*executes* its commit waves in order; the ``"serial"`` scheme skips
+steps 2-3 and runs the classic execute-and-commit loop over the
+deterministic block order, exactly as current DAG-based blockchains do.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Protocol, Sequence, runtime_checkable
 
 from repro.analysis.certify import EpochCertificate, certify_epoch
 from repro.core.export import epoch_artifact
-from repro.core.schedule import Schedule
-from repro.dag.block import Block
+from repro.core.schedule import Schedule, SchemeResult
 from repro.dag.epochs import Epoch
 from repro.errors import BlockValidationError, CertificationError
 from repro.node.committer import CommitReport, Committer, SerialExecutorCommitter
@@ -37,50 +40,70 @@ from repro.obs.ledger import Event, FlightLedger
 from repro.obs.taxonomy import DELTA_OVERFLOW, SCHEME_CONFLICT, taxonomy_counts
 from repro.obs.tracer import Tracer, maybe_span
 from repro.state.statedb import StateDB
+from repro.txn.simulation import SimulationBatch
 from repro.txn.transaction import Transaction
 from repro.vm.native import ContractRegistry
 
 
+@runtime_checkable
 class Scheduler(Protocol):
-    """Any concurrency-control scheme: Nezha, CG, OCC, or Serial."""
+    """Any concurrency-control scheme: what it must declare to plug in.
+
+    ``execution`` names how transactions execute relative to the
+    scheme, and with it which of the pipeline's three apply disciplines
+    commits the schedule:
+
+    * ``"speculative"`` — simulate everything on the epoch snapshot,
+      schedule the simulated read/write sets, apply the speculated write
+      values group by group (Nezha, CG, OCC);
+    * ``"declared"`` — no speculation: schedule the transactions'
+      declared read/write sets, then execute the commit waves in order
+      against the live state, as lock holders would (PCC);
+    * ``"serial"`` — no concurrency control at all: execute and commit
+      one by one in deterministic block order; ``schedule`` is not
+      called.
+
+    ``supports_deltas`` — the scheme understands commutative delta units
+    (otherwise the executor hands it plain read-modify-writes whatever
+    ``PipelineConfig.delta_cc`` says).  ``supports_streaming`` — the
+    scheme also provides ``schedule_dense(dense, graph_seconds)`` over a
+    pre-built :class:`~repro.core.acg.DenseACG`, which is what the
+    streaming engine's back stage calls.  ``tracer`` is the slot the
+    pipeline fills so a scheme that records sub-phase spans nests them
+    under the concurrency-control span.
+    """
 
     name: str
+    execution: str
+    supports_deltas: bool
+    supports_streaming: bool
+    tracer: Tracer | None
 
-    def schedule(self, transactions: Sequence[Transaction]) -> object:
-        """Produce an object exposing ``.schedule`` (a Schedule)."""
+    def schedule(self, transactions: Sequence[Transaction]) -> SchemeResult:
+        """Produce the commit schedule for one epoch's transactions."""
 
 
 @dataclass
 class PipelineConfig:
     """Pipeline tunables.
 
-    ``backend`` selects the execution-phase implementation ("auto",
-    "serial", "thread", or "process" — see
-    :class:`~repro.node.executor.ConcurrentExecutor`); "auto" keeps the
-    historical behaviour (threads when ``workers > 1``, else serial).
-    ``workers`` feeds both the executor pool and the committer's
-    within-group parallel apply.  ``delta_cc`` turns on operation-level
-    concurrency control: the executor promotes statically classified
-    commutative writes to delta units and the committer folds them at
-    commit time — effective only for schedulers advertising
-    ``supports_deltas`` (Nezha); baselines keep seeing plain
-    read-modify-writes.  ``flat_state`` selects the journaled flat
-    account state (:class:`~repro.state.flat.FlatStateDB`) when the
-    surrounding deployment builds the node's state from this config;
-    ``state_cache`` bounds the trie-node LRU in front of the backing
-    store (0 = uncached).  Both only take effect where the state is
-    constructed (``Cluster``, ``ReplicaNetwork``, CLI) — a pipeline
-    handed an explicit ``state`` object uses it as-is.  ``streaming``
-    turns on the cross-epoch overlap engine
-    (:class:`~repro.node.engine.StreamingEpochEngine`): epoch ``e+1``
-    speculates on the executor pool while epoch ``e``'s concurrency
-    control and commit run on a background stage, with results
-    bit-identical to this barrier pipeline (default off).
-    ``txn_cost_seconds`` charges each speculative execution a fixed
-    modelled latency inside whichever backend runs it (the calibration
-    hook the scaling benchmarks use).  ``certify`` runs the independent
-    proof-carrying schedule certifier (:mod:`repro.analysis.certify`)
-    over every committed epoch — barrier and streaming alike — attaching
+    ``workers`` sizes the execution phase: 0-1 runs it in-process, N > 1
+    on N persistent worker processes (see
+    :class:`~repro.node.executor.ConcurrentExecutor`).  ``use_vm``
+    executes contract bytecode on the SVM instead of the native
+    contracts.  ``delta_cc`` turns on operation-level concurrency
+    control: the executor promotes statically classified commutative
+    writes to delta units and the committer folds them at commit time —
+    effective only for schedulers declaring ``supports_deltas`` (Nezha);
+    baselines keep seeing plain read-modify-writes.  ``streaming`` turns
+    on the cross-epoch overlap engine
+    (:class:`~repro.node.engine.StreamingEpochEngine`) for schedulers
+    declaring ``supports_streaming``: epoch ``e+1`` speculates while
+    epoch ``e``'s concurrency control and commit run on a background
+    stage, with results bit-identical to the barrier pipeline (default
+    off).  ``certify`` runs the independent proof-carrying schedule
+    certifier (:mod:`repro.analysis.certify`) over every epoch a
+    speculative scheme commits — barrier and streaming alike — attaching
     an :class:`~repro.analysis.certify.EpochCertificate` to the epoch
     report and raising :class:`~repro.errors.CertificationError` on
     rejection; the matching epoch artifact (the certifier's exact
@@ -90,23 +113,17 @@ class PipelineConfig:
 
     workers: int = 0
     use_vm: bool = False
-    validate_blocks: bool = True
-    backend: str = "auto"
     delta_cc: bool = False
-    flat_state: bool = True
-    state_cache: int = 0
     streaming: bool = False
-    txn_cost_seconds: float = 0.0
     certify: bool = False
 
 
 class TransactionPipeline:
     """Drives one node's transaction processing across epochs.
 
-    Owns worker pools (threads and, for the process backend, persistent
-    worker processes), so call :meth:`close` — or use the pipeline as a
-    context manager — when done; worker processes must never outlive the
-    node.
+    Owns the executor's worker processes, so call :meth:`close` — or use
+    the pipeline as a context manager — when done; worker processes must
+    never outlive the node.
     """
 
     def __init__(
@@ -118,20 +135,31 @@ class TransactionPipeline:
         tracer: Tracer | None = None,
         ledger: FlightLedger | None = None,
     ) -> None:
+        disciplines = {
+            "speculative": self._apply_speculated,
+            "declared": self._apply_waves,
+            "serial": self._apply_serial,
+        }
+        if not isinstance(scheduler, Scheduler) or scheduler.execution not in disciplines:
+            raise TypeError(
+                f"{type(scheduler).__name__} does not declare the Scheduler "
+                "protocol: name, execution (one of "
+                f"{sorted(disciplines)}), supports_deltas, "
+                "supports_streaming, tracer, schedule()"
+            )
+        self._apply = disciplines[scheduler.execution]
         self.state = state
         self.scheduler = scheduler
         self.registry = registry
         self.config = config or PipelineConfig()
         self.tracer = tracer
-        # Optional flight ledger: the commit path batches every epoch's
+        # Optional flight ledger: the finish step batches every epoch's
         # execute/schedule/commit/abort lifecycle events into it (the
         # streaming engine's background stage records from its thread —
         # the ledger is lock-protected).
         self.ledger = ledger
-        if tracer is not None and hasattr(scheduler, "tracer"):
-            # Schedulers that record sub-phase spans (Nezha) nest them
-            # under this pipeline's concurrency-control span.
-            scheduler.tracer = tracer  # type: ignore[attr-defined]
+        if tracer is not None:
+            scheduler.tracer = tracer
         if tracer is not None and getattr(state, "tracer", "absent") is None:
             # State backends that record seal/read spans (FlatStateDB)
             # nest them under this pipeline's commit span.
@@ -139,36 +167,31 @@ class TransactionPipeline:
         # Delta promotion changes the conflict structure the scheduler
         # sees, so it is only safe for schedulers that understand delta
         # units; everything else keeps plain read-modify-writes.
-        self._delta_cc = self.config.delta_cc and bool(
-            getattr(scheduler, "supports_deltas", False)
-        )
+        self._delta_cc = self.config.delta_cc and scheduler.supports_deltas
         self.executor = ConcurrentExecutor(
             registry=registry,
             workers=self.config.workers,
             use_vm=self.config.use_vm,
-            backend=self.config.backend,
-            # Process-backend replicas bootstrap from the committed flat
-            # state; steady-state sync then ships only commit deltas.
+            # Worker replicas bootstrap from the committed flat state;
+            # steady-state sync then ships only commit deltas.
             state_provider=lambda: dict(self.state.items()),
-            txn_cost_seconds=self.config.txn_cost_seconds,
             tracer=tracer,
             delta_cc=self._delta_cc,
         )
-        self.committer = Committer(workers=self.config.workers, tracer=tracer)
+        self.committer = Committer(tracer=tracer)
         self._serial = SerialExecutorCommitter(
             registry=registry, use_vm=self.config.use_vm
         )
         # One JSON-safe certifier-input record per certified epoch (only
         # populated when ``config.certify`` is on).  Appended by the
-        # commit path — possibly the streaming engine's background
+        # finish step — possibly on the streaming engine's background
         # thread; ``list.append`` is atomic and callers read the list
         # only after joining the epoch.
         self.artifacts: list[dict] = []
 
     def close(self) -> None:
-        """Release every worker pool the pipeline owns (idempotent)."""
+        """Release the worker processes the pipeline owns (idempotent)."""
         self.executor.close()
-        self.committer.close()
         self._serial.close()
 
     def __enter__(self) -> "TransactionPipeline":
@@ -185,10 +208,49 @@ class TransactionPipeline:
         ``exclude_txids`` suppresses transactions committed in earlier
         epochs (cross-epoch duplicate protection).
         """
+        phases = PhaseLatencies()
+        execution = self.scheduler.execution
         with maybe_span(
             self.tracer, "pipeline.epoch", epoch=epoch.index, scheme=self.scheduler.name
         ) as epoch_span:
-            report = self._process_epoch_traced(epoch, exclude_txids)
+            previous_root = self.state.root
+            start = time.perf_counter()
+            with maybe_span(self.tracer, "pipeline.validate") as span:
+                # The paper's validation phase: state roots must match
+                # epoch e-1.
+                for block in epoch.blocks:
+                    if block.header.state_root != previous_root:
+                        raise BlockValidationError(
+                            f"block {block.hash.hex()[:12]} carries stale state root"
+                        )
+                transactions = epoch.transactions(exclude=exclude_txids)
+                span.set(blocks=len(epoch.blocks), txns=len(transactions))
+            phases.validation = time.perf_counter() - start
+
+            batch: SimulationBatch | None = None
+            candidates: Sequence[Transaction] = transactions
+            if execution == "speculative":
+                start = time.perf_counter()
+                with maybe_span(self.tracer, "pipeline.simulate") as span:
+                    snapshot = self.state.snapshot()
+                    batch = self.executor.execute_batch(
+                        transactions, snapshot.get, snapshot_root=previous_root
+                    )
+                    candidates = batch.transactions()
+                    span.set(txns=len(transactions), failed=batch.failed_count)
+                phases.execution = time.perf_counter() - start
+
+            if execution == "serial":
+                # Nothing is scheduled, so nothing can abort.
+                result = SchemeResult(Schedule())
+            else:
+                start = time.perf_counter()
+                with maybe_span(self.tracer, "pipeline.concurrency_control") as span:
+                    result = self.scheduler.schedule(candidates)
+                    span.set(aborted=result.schedule.aborted_count)
+                phases.concurrency_control = time.perf_counter() - start
+
+            report, _ = self._finish_epoch(epoch, transactions, batch, result, phases)
             epoch_span.set(
                 txns=report.input_transactions,
                 committed=report.committed,
@@ -196,112 +258,112 @@ class TransactionPipeline:
             )
         return report
 
-    def _process_epoch_traced(
-        self, epoch: Epoch, exclude_txids: frozenset[int] | set[int]
-    ) -> EpochReport:
-        phases = PhaseLatencies()
-        previous_root = self.state.root
+    # ------------------------------------------------ the apply disciplines
 
-        start = time.perf_counter()
-        with maybe_span(self.tracer, "pipeline.validate_blocks") as span:
-            if self.config.validate_blocks:
-                self._validate_blocks(epoch.blocks, previous_root)
-            transactions = epoch.transactions(exclude=exclude_txids)
-            span.set(blocks=len(epoch.blocks), txns=len(transactions))
-        phases.validation = time.perf_counter() - start
+    def _apply_speculated(
+        self,
+        transactions: Sequence[Transaction],
+        batch: SimulationBatch | None,
+        schedule: Schedule,
+    ) -> CommitReport:
+        """Speculative schemes: install the simulated write values."""
+        assert batch is not None
+        return self.committer.commit(
+            schedule,
+            batch.write_values(),
+            self.state,
+            delta_values=batch.delta_values() if self._delta_cc else None,
+        )
 
-        if self.scheduler.name == "serial":
-            return self._process_serial(epoch, transactions, phases)
+    def _apply_waves(
+        self,
+        transactions: Sequence[Transaction],
+        batch: SimulationBatch | None,
+        schedule: Schedule,
+    ) -> CommitReport:
+        """Locking schemes (PCC): execute the commit waves in order.
 
-        if getattr(self.scheduler, "uses_declared_rwsets", False):
-            # Locking schemes (PCC) need no speculation: they lock the
-            # declared read/write sets and execute wave by wave.
-            start = time.perf_counter()
-            with maybe_span(self.tracer, "pipeline.concurrency_control"):
-                result = self.scheduler.schedule(transactions)
-            phases.concurrency_control = time.perf_counter() - start
-            return self._process_reexecuted(
-                epoch, transactions, None, result, result.schedule, phases
-            )
+        Each wave executes against the state left by the previous waves,
+        exactly as lock holders would observe each other's writes.
+        """
+        by_id = {txn.txid: txn for txn in transactions}
+        reverted = tuple(
+            txid
+            for group in schedule.iter_groups()
+            for txid in group.txids
+            if not self._serial.execute_and_apply(by_id[txid], self.state)
+        )
+        return CommitReport(
+            state_root=self.state.commit(),
+            committed_count=schedule.committed_count - len(reverted),
+            group_count=len(schedule.groups),
+            reverted=reverted,
+        )
 
-        start = time.perf_counter()
-        with maybe_span(self.tracer, "pipeline.simulate") as span:
-            snapshot = self.state.snapshot()
-            batch = self.executor.execute_batch(
-                transactions, snapshot.get, snapshot_root=previous_root
-            )
-            simulated = batch.transactions()
-            span.set(txns=len(transactions), failed=batch.failed_count)
-        phases.execution = time.perf_counter() - start
+    def _apply_serial(
+        self,
+        transactions: Sequence[Transaction],
+        batch: SimulationBatch | None,
+        schedule: Schedule,
+    ) -> CommitReport:
+        """Serial: execute and commit one by one in block order."""
+        return self._serial.run(transactions, self.state)
 
-        start = time.perf_counter()
-        with maybe_span(self.tracer, "pipeline.concurrency_control") as span:
-            result = self.scheduler.schedule(simulated)
-            schedule: Schedule = result.schedule
-            span.set(aborted=schedule.aborted_count)
-        phases.concurrency_control = time.perf_counter() - start
+    # ----------------------------------------------------- the shared finish
 
-        if getattr(result, "requires_reexecution", False):
-            return self._process_reexecuted(
-                epoch, transactions, batch, result, schedule, phases
-            )
-
-        return self._commit_and_report(
-            epoch, transactions, batch, result, schedule, phases
-        )[0]
-
-    def _commit_and_report(
+    def _finish_epoch(
         self,
         epoch: Epoch,
-        transactions: list[Transaction],
-        batch,
-        result,
-        schedule: Schedule,
+        transactions: Sequence[Transaction],
+        batch: SimulationBatch | None,
+        result: SchemeResult,
         phases: PhaseLatencies,
         sync_replicas: bool = True,
-    ) -> "tuple[EpochReport, CommitReport | None]":
-        """Commit a scheduled batch and assemble its epoch report.
+    ) -> tuple[EpochReport, CommitReport]:
+        """Apply a scheduled epoch and assemble everything reported on it.
 
-        Shared between the barrier pipeline and the streaming engine's
-        background commit stage.  ``sync_replicas=False`` skips the
-        process-backend replica delta sync — the engine runs this method
-        off the main thread and must apply the delta itself at join
-        time, because all executor pipe traffic stays on the main thread
-        (the same thread that runs speculation).  The returned
-        :class:`~repro.node.committer.CommitReport` carries the write
-        delta for exactly that deferred sync (``None`` on scheduler
-        failure).
+        The one tail of every epoch — barrier pipeline and the streaming
+        engine's background stage alike: commit through the scheme's
+        apply discipline, then taxonomy, abort-edge merge, ledger
+        narration, certification and the :class:`EpochReport`.
+        ``sync_replicas=False`` skips the worker-replica delta sync —
+        the engine runs this method off the main thread and applies the
+        returned report's ``write_delta`` itself at join time, because
+        all executor pipe traffic stays on the main thread (the same
+        thread that runs speculation).
         """
+        schedule = result.schedule
         start = time.perf_counter()
-        failed = bool(getattr(result, "failed", False))
-        guard_aborted: tuple[int, ...] = ()
-        delta_commuted = 0
-        commit_report: CommitReport | None = None
         with maybe_span(self.tracer, "pipeline.commit") as span:
-            if failed:
-                commit_root = self.state.root
-                group_count = 0
-                committed = 0
-            else:
-                commit_report = self.committer.commit(
-                    schedule,
-                    batch.write_values(),
-                    self.state,
-                    delta_values=batch.delta_values() if self._delta_cc else None,
+            if result.failed:
+                # The scheme gave up wholesale: nothing is applied.
+                commit_report = CommitReport(
+                    state_root=self.state.root,
+                    committed_count=0,
+                    group_count=0,
+                    write_delta={},
                 )
-                commit_root = commit_report.state_root
-                group_count = commit_report.group_count
-                committed = commit_report.committed_count
-                guard_aborted = commit_report.guard_aborted
-                delta_commuted = commit_report.delta_commuted
-                if sync_replicas and commit_report.write_delta:
-                    # Keep the process backend's worker replicas in lockstep
-                    # with the committed state before the next epoch executes.
-                    self.executor.apply_delta(commit_report.write_delta)
-            span.set(committed=committed, groups=group_count)
+            else:
+                commit_report = self._apply(transactions, batch, schedule)
+            if commit_report.write_delta is None:
+                # Live-state disciplines leave no delta to ship: worker
+                # replicas must resync from state before executing again.
+                self.executor.mark_stale()
+            elif sync_replicas:
+                # Keep the worker replicas in lockstep with the committed
+                # state before the next epoch executes.
+                self.executor.apply_delta(commit_report.write_delta)
+            span.set(
+                committed=commit_report.committed_count,
+                groups=commit_report.group_count,
+            )
         phases.commitment = time.perf_counter() - start
 
-        abort_reasons = self._taxonomy(schedule, result)
+        guard_aborted = commit_report.guard_aborted
+        # Schemes that do not attribute aborts (CG, OCC) fall through to
+        # the catch-all ``scheme_conflict`` bucket, so the counts always
+        # sum to the aborted total regardless of scheme.
+        abort_reasons = taxonomy_counts(schedule.aborted, result.abort_reasons)
         if guard_aborted:
             # Guard aborts happen after scheduling, so they are absent
             # from the schedule's aborted set; fold them in to keep the
@@ -309,40 +371,34 @@ class TransactionPipeline:
             abort_reasons[DELTA_OVERFLOW] = (
                 abort_reasons.get(DELTA_OVERFLOW, 0) + len(guard_aborted)
             )
-        abort_edges = self._merge_abort_edges(result, schedule, commit_report)
+        abort_edges = self._merge_abort_edges(result, commit_report)
         if self.ledger is not None:
-            self._record_lifecycle(
-                epoch, batch, result, schedule, failed, abort_edges, commit_report
-            )
+            self._record_lifecycle(epoch, batch, result, abort_edges, commit_report)
         certificate: EpochCertificate | None = None
-        if self.config.certify and not failed and batch is not None:
+        if self.config.certify and batch is not None and not result.failed:
             certificate = self._certify_epoch(
-                epoch,
-                batch,
-                result,
-                schedule,
-                guard_aborted,
-                abort_reasons,
-                abort_edges,
+                epoch, batch, result, guard_aborted, abort_reasons, abort_edges
             )
-        timings = getattr(result, "timings", None)
-        scheme_phases = timings.as_dict() if timings is not None else {}
         report = EpochReport(
             epoch_index=epoch.index,
             scheme=self.scheduler.name,
             block_concurrency=epoch.concurrency,
             input_transactions=len(transactions),
-            committed=committed,
+            committed=commit_report.committed_count,
             aborted=schedule.aborted_count + len(guard_aborted),
-            failed_simulation=batch.failed_count,
-            state_root=commit_root,
+            failed_simulation=(
+                batch.failed_count
+                if batch is not None
+                else len(commit_report.reverted)
+            ),
+            state_root=commit_report.state_root,
             phases=phases,
-            scheme_phases=scheme_phases,
-            commit_group_count=group_count,
-            scheduler_failed=failed,
+            scheme_phases=result.phase_seconds(),
+            commit_group_count=commit_report.group_count,
+            scheduler_failed=result.failed,
             abort_reasons=abort_reasons,
-            revived=int(getattr(result, "revived", 0)),
-            delta_commuted=delta_commuted,
+            revived=result.revived,
+            delta_commuted=commit_report.delta_commuted,
             certificate=certificate,
             abort_edges=abort_edges,
         )
@@ -352,7 +408,7 @@ class TransactionPipeline:
 
     @staticmethod
     def _merge_abort_edges(
-        result, schedule: Schedule, commit_report: CommitReport | None
+        result: SchemeResult, commit_report: CommitReport
     ) -> dict[int, list[tuple[int, str, str]]]:
         """Fold CC and commit-time attribution into one txid -> edges map.
 
@@ -361,34 +417,34 @@ class TransactionPipeline:
         delta-overflow guard's edges.  A txid never appears in both —
         guard aborts are by definition transactions CC admitted.
         """
-        cc_edges = getattr(result, "abort_edges", None) or {}
+        cc_edges = result.abort_edges
         merged = {
             txid: list(cc_edges[txid])
-            for txid in schedule.aborted
+            for txid in result.schedule.aborted
             if txid in cc_edges
         }
-        if commit_report is not None:
-            for txid, edge in commit_report.guard_edges.items():
-                merged.setdefault(txid, []).append(edge)
+        for txid, edge in commit_report.guard_edges.items():
+            merged.setdefault(txid, []).append(edge)
         return merged
 
     def _record_lifecycle(
         self,
         epoch: Epoch,
-        batch,
-        result,
-        schedule: Schedule,
-        failed: bool,
+        batch: SimulationBatch | None,
+        result: SchemeResult,
         abort_edges: dict[int, list[tuple[int, str, str]]],
-        commit_report: CommitReport | None,
+        commit_report: CommitReport,
     ) -> None:
         """Batch one epoch's lifecycle events into the flight ledger.
 
         Event content is derived only from the batch, schedule, and
         attribution maps — all bit-identical between the barrier pipeline
         and the streaming engine — so the ledger's stable-kind digest
-        matches across both modes.
+        matches across both modes.  Transactions whose live execution
+        reverted (locking waves) were never speculated, so they leave
+        no events, like a failed simulation minus its ``execute``.
         """
+        assert self.ledger is not None
         events: list[Event] = []
         index = epoch.index
         if batch is not None:
@@ -396,71 +452,63 @@ class TransactionPipeline:
                 {"epoch": index, "txid": r.txid, "kind": "execute", "ok": r.ok}
                 for r in batch.results
             )
-        if failed:
-            # The scheme failed wholesale (OCC validation abort): there
-            # is no schedule to narrate, only the executions.
+        if result.failed:
+            # The scheme failed wholesale (CG's cycle budget): there is
+            # no schedule to narrate, only the executions.
             self.ledger.record_many(events)
             return
+        schedule = result.schedule
         reordered = set(schedule.reordered)
-        revived = set(getattr(result, "revived_txids", ()))
-        for group in schedule.iter_groups():
-            for txid in group.txids:
-                events.append(
-                    {
-                        "epoch": index,
-                        "txid": txid,
-                        "kind": "schedule",
-                        "seq": group.sequence,
-                        "reordered": txid in reordered,
-                        "revived": txid in revived,
-                    }
-                )
-        guard_aborted = (
-            set(commit_report.guard_aborted) if commit_report is not None else set()
+        revived = set(result.revived_txids)
+        reverted = set(commit_report.reverted)
+        guard_aborted = set(commit_report.guard_aborted)
+        scheduled = [
+            (txid, group.sequence)
+            for group in schedule.iter_groups()
+            for txid in group.txids
+            if txid not in reverted
+        ]
+        events.extend(
+            {
+                "epoch": index,
+                "txid": txid,
+                "kind": "schedule",
+                "seq": sequence,
+                "reordered": txid in reordered,
+                "revived": txid in revived,
+            }
+            for txid, sequence in scheduled
         )
-        for group in schedule.iter_groups():
-            for txid in group.txids:
-                if txid not in guard_aborted:
-                    events.append(
-                        {
-                            "epoch": index,
-                            "txid": txid,
-                            "kind": "commit",
-                            "group": group.sequence,
-                        }
-                    )
-        reasons = getattr(result, "abort_reasons", None) or {}
-        for txid in schedule.aborted:
-            events.append(
-                {
-                    "epoch": index,
-                    "txid": txid,
-                    "kind": "abort",
-                    "reason": reasons.get(txid, SCHEME_CONFLICT),
-                    "edges": abort_edges.get(txid, []),
-                }
-            )
-        for txid in sorted(guard_aborted):
-            events.append(
-                {
-                    "epoch": index,
-                    "txid": txid,
-                    "kind": "abort",
-                    "reason": DELTA_OVERFLOW,
-                    "edges": abort_edges.get(txid, []),
-                }
-            )
+        events.extend(
+            {"epoch": index, "txid": txid, "kind": "commit", "group": sequence}
+            for txid, sequence in scheduled
+            if txid not in guard_aborted
+        )
+        reasons = result.abort_reasons
+        aborts = [
+            (txid, reasons.get(txid, SCHEME_CONFLICT)) for txid in schedule.aborted
+        ]
+        aborts.extend((txid, DELTA_OVERFLOW) for txid in sorted(guard_aborted))
+        events.extend(
+            {
+                "epoch": index,
+                "txid": txid,
+                "kind": "abort",
+                "reason": reason,
+                "edges": abort_edges.get(txid, []),
+            }
+            for txid, reason in aborts
+        )
         self.ledger.record_many(events)
 
     def _certify_epoch(
         self,
         epoch: Epoch,
-        batch,
-        result,
-        schedule: Schedule,
+        batch: SimulationBatch,
+        result: SchemeResult,
         guard_aborted: tuple[int, ...],
         abort_reasons: dict[str, int],
-        abort_edges: dict[int, list[tuple[int, str, str]]] | None = None,
+        abort_edges: dict[int, list[tuple[int, str, str]]],
     ) -> EpochCertificate:
         """Run the independent certifier over one committed epoch.
 
@@ -469,7 +517,8 @@ class TransactionPipeline:
         """
         rwsets = {r.txid: r.rwset for r in batch.results if r.ok}
         failed_ids = sorted(r.txid for r in batch.results if not r.ok)
-        reasons = getattr(result, "abort_reasons", None)
+        schedule = result.schedule
+        reasons = result.abort_reasons
         self.artifacts.append(
             epoch_artifact(
                 epoch_index=epoch.index,
@@ -496,151 +545,3 @@ class TransactionPipeline:
             )
             span.set(ok=certificate.ok, edges=certificate.conflict_edges)
         return certificate
-
-    @staticmethod
-    def _taxonomy(schedule: Schedule, result: object) -> dict[str, int]:
-        """Classify the final aborted set via the scheduler's reason map.
-
-        Schemes that do not attribute aborts (CG, OCC) fall through to the
-        catch-all ``scheme_conflict`` bucket, so the counts always sum to
-        ``schedule.aborted_count`` regardless of scheme.
-        """
-        reasons = getattr(result, "abort_reasons", None)
-        return taxonomy_counts(schedule.aborted, reasons)
-
-    def _process_reexecuted(
-        self,
-        epoch: Epoch,
-        transactions: list[Transaction],
-        batch,
-        result,
-        schedule: Schedule,
-        phases: PhaseLatencies,
-    ) -> EpochReport:
-        """Commit path for locking schemes (PCC): re-execute wave by wave.
-
-        Each commit group executes against the state left by the previous
-        groups (the dirty StateDB view), exactly as lock-holders would
-        observe each other's writes; the snapshot-speculated values from
-        the execution phase are discarded.
-        """
-        by_id = {t.txid: t for t in transactions}
-        start = time.perf_counter()
-        committed = 0
-        committed_ids: list[tuple[int, int]] = []
-        with maybe_span(self.tracer, "pipeline.commit") as span:
-            for group in schedule.iter_groups():
-                for txid in group.txids:
-                    txn = by_id[txid]
-                    if txn.contract is None or self.registry is None:
-                        for address, value in txn.rwset.writes.items():
-                            self.state.set(
-                                address, int(value) if value is not None else 0
-                            )
-                        # Declared deltas fold against the live wave state;
-                        # under lock-based waves that is exactly the
-                        # read-modify-write the delta abbreviates.
-                        for address, amount in txn.rwset.deltas.items():
-                            self.state.set(
-                                address, self.state.get(address) + amount
-                            )
-                        committed += 1
-                        committed_ids.append((txid, group.sequence))
-                        continue
-                    sim = self.executor.execute_one(txn, self.state.get)
-                    if sim.ok:
-                        for address, value in sim.rwset.writes.items():
-                            self.state.set(address, int(value))
-                        committed += 1
-                        committed_ids.append((txid, group.sequence))
-            commit_root = self.state.commit()
-            # No write-delta exists for wave-by-wave commits, so the process
-            # backend must resync its replicas from state before executing.
-            self.executor.mark_stale()
-            span.set(committed=committed, groups=len(schedule.groups))
-        phases.commitment = time.perf_counter() - start
-        if self.ledger is not None:
-            # Locking schemes attribute nothing — schedule/commit/abort
-            # events only, with the catch-all abort reason.
-            reasons = getattr(result, "abort_reasons", None) or {}
-            events: list[Event] = [
-                {
-                    "epoch": epoch.index,
-                    "txid": txid,
-                    "kind": "schedule",
-                    "seq": sequence,
-                    "reordered": False,
-                    "revived": False,
-                }
-                for txid, sequence in committed_ids
-            ]
-            events.extend(
-                {
-                    "epoch": epoch.index,
-                    "txid": txid,
-                    "kind": "commit",
-                    "group": sequence,
-                }
-                for txid, sequence in committed_ids
-            )
-            events.extend(
-                {
-                    "epoch": epoch.index,
-                    "txid": txid,
-                    "kind": "abort",
-                    "reason": reasons.get(txid, SCHEME_CONFLICT),
-                    "edges": [],
-                }
-                for txid in schedule.aborted
-            )
-            self.ledger.record_many(events)
-        timings = getattr(result, "timings", None)
-        scheme_phases = timings.as_dict() if timings is not None else {}
-        if not scheme_phases and hasattr(result, "as_dict"):
-            scheme_phases = result.as_dict()
-        return EpochReport(
-            epoch_index=epoch.index,
-            scheme=self.scheduler.name,
-            block_concurrency=epoch.concurrency,
-            input_transactions=len(transactions),
-            committed=committed,
-            aborted=schedule.aborted_count,
-            failed_simulation=len(transactions) - committed - schedule.aborted_count,
-            state_root=commit_root,
-            phases=phases,
-            scheme_phases=scheme_phases,
-            commit_group_count=len(schedule.groups),
-            abort_reasons=self._taxonomy(schedule, result),
-            revived=int(getattr(result, "revived", 0)),
-        )
-
-    def _process_serial(
-        self,
-        epoch: Epoch,
-        transactions: list[Transaction],
-        phases: PhaseLatencies,
-    ) -> EpochReport:
-        start = time.perf_counter()
-        report = self._serial.run(transactions, self.state)
-        phases.commitment = time.perf_counter() - start
-        return EpochReport(
-            epoch_index=epoch.index,
-            scheme="serial",
-            block_concurrency=epoch.concurrency,
-            input_transactions=len(transactions),
-            committed=report.committed_count,
-            aborted=0,
-            failed_simulation=len(transactions) - report.committed_count,
-            state_root=report.state_root,
-            phases=phases,
-            commit_group_count=report.group_count,
-        )
-
-    @staticmethod
-    def _validate_blocks(blocks: Sequence[Block], expected_root: bytes) -> None:
-        """The paper's validation phase: state roots must match epoch e-1."""
-        for block in blocks:
-            if block.header.state_root != expected_root:
-                raise BlockValidationError(
-                    f"block {block.hash.hex()[:12]} carries stale state root"
-                )

@@ -113,13 +113,13 @@ class ContractRegistry:
 def registry_is_picklable(registry: ContractRegistry | None) -> bool:
     """Whether the registry can be reconstructed inside a worker process.
 
-    The process execution backend bootstraps each persistent worker with
+    The executor's process pool bootstraps each persistent worker with
     a pickled copy of the registry: bytecode is plain bytes, and native
     functions / key renderers pickle by reference as long as they are
     module-level (as every shipped contract's are).  Registries built
     from closures or lambdas (common in tests) cannot cross the process
-    boundary — the executor detects that here and falls back to the
-    thread/serial backends.
+    boundary — the executor detects that here and runs in-process
+    instead.
     """
     if registry is None:
         return True

@@ -206,31 +206,27 @@ class TestCertifyEpochUnits:
 
 
 SWEEP = [
-    # (skew, omega, backend, flat_state, delta_cc, streaming)
-    (0.0, 2, "serial", True, False, False),
-    (0.99, 4, "serial", True, False, False),
-    (0.8, 4, "thread", True, True, False),
-    (0.8, 4, "serial", False, False, False),
-    (0.8, 4, "serial", True, True, True),
-    (0.99, 4, "thread", True, True, True),
-    (0.0, 4, "serial", False, False, True),
-    (0.5, 2, "thread", False, True, False),
+    # (skew, omega, flat_state, delta_cc, streaming)
+    (0.0, 2, True, False, False),
+    (0.99, 4, True, False, False),
+    (0.8, 4, True, True, False),
+    (0.8, 4, False, False, False),
+    (0.8, 4, True, True, True),
+    (0.99, 4, True, True, True),
+    (0.0, 4, False, False, True),
+    (0.5, 2, False, True, False),
 ]
 
 
 class TestPipelineCertification:
-    @pytest.mark.parametrize(
-        "skew,omega,backend,flat,delta,streaming", SWEEP
-    )
-    def test_every_epoch_certifies(self, skew, omega, backend, flat, delta, streaming):
+    @pytest.mark.parametrize("skew,omega,flat,delta,streaming", SWEEP)
+    def test_every_epoch_certifies(self, skew, omega, flat, delta, streaming):
         config = ClusterConfig(
             block_concurrency=omega,
             block_size=25,
             account_count=150,
             skew=skew,
             seed=7,
-            workers=2 if backend == "thread" else 0,
-            exec_backend=backend,
             delta_cc=delta,
             flat_state=flat,
             streaming=streaming,

@@ -2,8 +2,8 @@
 
 Each test generates real epoch artifacts from a certify-enabled cluster
 run, applies one targeted corruption, and asserts the certifier rejects
-it with the expected rule family — across skew, execution backend, and
-delta-CC configurations (satellite of the certifier acceptance bar:
+it with the expected rule family — across skew and delta-CC
+configurations (satellite of the certifier acceptance bar:
 100% of corruptions must be caught).
 """
 
@@ -19,11 +19,11 @@ from repro.core.scheduler import NezhaScheduler
 from repro.net.cluster import Cluster, ClusterConfig
 
 CONFIGS = [
-    # (skew, backend, delta_cc)
-    (0.3, "serial", False),
-    (0.9, "serial", True),
-    (0.9, "thread", False),
-    (0.6, "thread", True),
+    # (skew, delta_cc)
+    (0.3, False),
+    (0.9, True),
+    (0.9, False),
+    (0.6, True),
 ]
 
 
@@ -31,15 +31,13 @@ CONFIGS = [
 def artifact_corpus():
     """One representative artifact payload per configuration."""
     corpus = {}
-    for skew, backend, delta in CONFIGS:
+    for skew, delta in CONFIGS:
         config = ClusterConfig(
             block_concurrency=4,
             block_size=40,
             account_count=120,
             skew=skew,
             seed=11,
-            workers=2 if backend == "thread" else 0,
-            exec_backend=backend,
             delta_cc=delta,
             certify=True,
         )
@@ -51,7 +49,7 @@ def artifact_corpus():
         chosen = next(
             (payload for payload in artifacts if payload["aborted"]), artifacts[0]
         )
-        corpus[(skew, backend, delta)] = chosen
+        corpus[(skew, delta)] = chosen
     return corpus
 
 

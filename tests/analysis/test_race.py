@@ -203,8 +203,6 @@ class TestInstrumentedRun:
                 account_count=150,
                 skew=0.8,
                 seed=5,
-                workers=2,
-                exec_backend="thread",
                 delta_cc=delta_cc,
                 streaming=True,
                 state_cache=256,

@@ -119,8 +119,8 @@ class TestND105ProcessPoolClosures:
         assert rules_of(source) == ["ND105"]
 
     def test_thread_pool_is_exempt(self):
-        # Threads never pickle; the committer legitimately maps a lambda
-        # over a ThreadPoolExecutor.
+        # Threads never pickle, so a lambda handed to a thread pool is
+        # legitimate.
         source = (
             "from concurrent.futures import ThreadPoolExecutor\n"
             "pool = ThreadPoolExecutor(4)\n"

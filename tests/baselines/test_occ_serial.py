@@ -66,4 +66,4 @@ class TestSerial:
 
     def test_empty_phase_dict(self):
         result = SerialScheduler().schedule([])
-        assert result.as_dict() == {}
+        assert result.phase_seconds() == {}

@@ -55,13 +55,12 @@ class TestWaveAssignment:
         waves = PCCScheduler().schedule(txns).schedule.sequences()
         assert waves[1] < waves[2] < waves[3]
 
-    def test_requires_reexecution_flag(self):
-        result = PCCScheduler().schedule([])
-        assert result.requires_reexecution
+    def test_declares_lock_based_execution(self):
+        assert PCCScheduler.execution == "declared"
 
     def test_timing_reported(self):
         result = PCCScheduler().schedule([make_transaction(1, writes=["x"])])
-        assert "lock_scheduling" in result.as_dict()
+        assert "lock_scheduling" in result.phase_seconds()
 
 
 class TestPCCPipeline:

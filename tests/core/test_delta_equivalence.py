@@ -1,12 +1,12 @@
 """Differential equivalence for operation-level (delta) concurrency control.
 
 Delta-CC changes *which* transactions commit, never what committing
-means: for every skew, block concurrency, execution backend, and
+means: for every skew, block concurrency, execution placement, and
 scheduler path, the state the pipeline commits under ``delta_cc`` must
 be bit-identical to a serial native replay of exactly the committed
 transactions in schedule order.  The dense fast path must also stay
 bit-identical to the string-keyed reference path on delta-carrying
-batches, and every execution backend must produce the same report —
+batches, and both execution placements must produce the same report —
 the delta analogues of ``tests/core/test_fastpath.py`` and
 ``tests/node/test_exec_backends.py``.
 """
@@ -25,7 +25,7 @@ from repro.workload import SmallBankConfig, SmallBankWorkload, initial_state
 
 SKEWS = (0.0, 0.6, 0.9, 0.99)
 OMEGAS = (2, 8)
-BACKENDS = (("serial", 0), ("process", 2))
+WORKERS = (0, 2)  # in-process, worker-process pool
 CHAINS = 3
 BLOCK_SIZE = 25
 SEED = 17
@@ -41,7 +41,7 @@ def fresh_state(config):
     return state
 
 
-def build_node(skew, backend="serial", workers=0, fast_path=True):
+def build_node(skew, workers=0, fast_path=True):
     config = workload_config(skew)
     return FullNode(
         chains=ParallelChains(chain_count=CHAINS, pow_params=PoWParams(6)),
@@ -50,7 +50,7 @@ def build_node(skew, backend="serial", workers=0, fast_path=True):
         # The static delta classifier reads the assembled bytecode even
         # when execution itself is native.
         registry=default_registry(include_bytecode=True),
-        config=PipelineConfig(workers=workers, backend=backend, delta_cc=True),
+        config=PipelineConfig(workers=workers, delta_cc=True),
     )
 
 
@@ -97,15 +97,11 @@ class TestSerialReplayEquivalence:
     """Pipeline state under delta-CC == serial native replay, everywhere."""
 
     @pytest.mark.parametrize("fast_path", [True, False], ids=["fast", "ref"])
-    @pytest.mark.parametrize(
-        "backend,workers", BACKENDS, ids=[b for b, _ in BACKENDS]
-    )
+    @pytest.mark.parametrize("workers", WORKERS, ids=["in-process", "process"])
     @pytest.mark.parametrize("skew", SKEWS)
-    def test_state_root_matches_serial_replay(
-        self, skew, backend, workers, fast_path
-    ):
+    def test_state_root_matches_serial_replay(self, skew, workers, fast_path):
         config = workload_config(skew)
-        node = build_node(skew, backend=backend, workers=workers, fast_path=fast_path)
+        node = build_node(skew, workers=workers, fast_path=fast_path)
         chains = ParallelChains(chain_count=CHAINS, pow_params=node.chains.pow_params)
         coordinator = EpochCoordinator(
             chains=chains, miners=["m0"], block_size=BLOCK_SIZE
@@ -135,7 +131,7 @@ class TestSerialReplayEquivalence:
                 replay_state.commit()
                 assert replay_state.root == report.state_root, (
                     f"delta-CC state diverged from serial replay at "
-                    f"skew={skew} backend={backend} fast_path={fast_path}"
+                    f"skew={skew} workers={workers} fast_path={fast_path}"
                 )
 
     def test_hot_keys_actually_commute(self):
@@ -197,9 +193,9 @@ class TestPathAgreementOnDeltaBatches:
 
 
 class TestBackendAgreement:
-    """Every execution backend produces the same delta-CC reports."""
+    """Both execution placements produce the same delta-CC reports."""
 
-    def test_reports_identical_across_backends(self):
+    def test_reports_identical_across_placements(self):
         config = workload_config(0.9)
         pow_params = PoWParams(6)
         chains = ParallelChains(chain_count=CHAINS, pow_params=pow_params)
@@ -209,7 +205,7 @@ class TestBackendAgreement:
         pool = Mempool()
         pool.submit_many(SmallBankWorkload(config).generate(400))
         # Blocks carry the previous epoch's root; a probe node learns each
-        # epoch's root, then every backend replays identical blocks.
+        # epoch's root, then every placement replays identical blocks.
         probe = build_node(0.9)
         all_blocks = []
         root = probe.state_root
@@ -220,8 +216,8 @@ class TestBackendAgreement:
                 root = probe.receive_epoch(blocks).state_root
 
         fingerprints = []
-        for backend, workers in BACKENDS:
-            node = build_node(0.9, backend=backend, workers=workers)
+        for workers in WORKERS:
+            node = build_node(0.9, workers=workers)
             with node:
                 reports = [node.receive_epoch(blocks) for blocks in all_blocks]
             fingerprints.append(

@@ -85,41 +85,3 @@ class TestSerialExecutorCommitter:
         report = committer.run(txns, state)
         assert report.committed_count == 0
         assert state.get("chk:000001") == 10
-
-
-class TestParallelCommit:
-    def test_parallel_matches_serial_root(self):
-        from repro.core import NezhaScheduler
-        from repro.node import ConcurrentExecutor
-        from repro.vm.contracts import default_registry
-        from repro.workload import (
-            SmallBankConfig,
-            SmallBankWorkload,
-            flatten_blocks,
-            initial_state,
-        )
-
-        config = SmallBankConfig(account_count=300, skew=0.5, seed=44)
-        txns = flatten_blocks(
-            SmallBankWorkload(config).generate_blocks(2, 60)
-        )
-        roots = []
-        for workers in (0, 4):
-            state = StateDB()
-            state.seed(initial_state(config))
-            executor = ConcurrentExecutor(registry=default_registry())
-            batch = executor.execute_batch(txns, state.snapshot().get)
-            result = NezhaScheduler().schedule(batch.transactions())
-            report = Committer(workers=workers).commit(
-                result.schedule, batch.write_values(), state
-            )
-            roots.append(report.state_root)
-        assert roots[0] == roots[1]
-
-    def test_parallel_missing_values_still_rejected(self):
-        from repro.core import CommitGroup, Schedule
-
-        state = StateDB()
-        schedule = Schedule(groups=(CommitGroup(1, (1, 2)),))
-        with pytest.raises(ExecutionError):
-            Committer(workers=4).commit(schedule, {1: {"x": 1}}, state)

@@ -1,9 +1,10 @@
-"""Backend equivalence for the execution phase.
+"""Placement equivalence for the execution phase.
 
-The serial path is the oracle: the thread and process backends must
-produce bit-identical simulation batches, schedules, and state roots.
-The process backend additionally exercises replica bootstrap, per-epoch
-write-delta sync, crash degradation, and unpicklable-registry fallback.
+The in-process loop is the oracle: the worker-process pool must produce
+bit-identical simulation batches, schedules, and state roots.  The pool
+additionally exercises replica bootstrap, per-epoch write-delta sync,
+crash degradation, and the unpicklable-registry / no-state-provider
+fallbacks to in-process.
 """
 
 from __future__ import annotations
@@ -29,15 +30,7 @@ from repro.workload import (
 
 WORKLOAD_CONFIG = SmallBankConfig(account_count=250, skew=0.6, seed=23)
 
-BACKEND_SWEEP = [
-    ("serial", 0),
-    ("thread", 1),
-    ("thread", 2),
-    ("thread", 4),
-    ("process", 1),
-    ("process", 2),
-    ("process", 4),
-]
+WORKER_SWEEP = [0, 1, 2, 4]
 
 
 def fresh_state() -> StateDB:
@@ -51,11 +44,10 @@ def epoch_batch(omega: int = 3, block_size: int = 40) -> list[Transaction]:
     return flatten_blocks(workload.generate_blocks(omega, block_size))
 
 
-def make_executor(backend: str, workers: int, state: StateDB) -> ConcurrentExecutor:
+def make_executor(workers: int, state: StateDB) -> ConcurrentExecutor:
     return ConcurrentExecutor(
         registry=default_registry(),
         workers=workers,
-        backend=backend,
         state_provider=lambda: dict(state.items()),
     )
 
@@ -68,28 +60,29 @@ def batch_fingerprint(batch):
 
 
 class TestExecutorEquivalence:
-    @pytest.mark.parametrize("backend,workers", BACKEND_SWEEP)
-    def test_batch_matches_serial_oracle(self, backend, workers):
+    @pytest.mark.parametrize("workers", WORKER_SWEEP)
+    def test_batch_matches_in_process_oracle(self, workers):
         state = fresh_state()
         txns = epoch_batch()
         snapshot = state.snapshot()
         oracle = ConcurrentExecutor(registry=default_registry())
         expected = batch_fingerprint(oracle.execute_batch(txns, snapshot.get))
-        with make_executor(backend, workers, state) as executor:
+        with make_executor(workers, state) as executor:
             got = batch_fingerprint(executor.execute_batch(txns, snapshot.get))
+            assert executor.process_active == (workers > 1)
         assert got == expected
 
-    def test_abort_sets_identical_across_backends(self):
+    def test_abort_sets_identical_across_placements(self):
         state = fresh_state()
         txns = epoch_batch()
         snapshot = state.snapshot()
         aborts = {}
-        for backend, workers in (("serial", 0), ("thread", 4), ("process", 2)):
-            with make_executor(backend, workers, state) as executor:
+        for workers in (0, 2):
+            with make_executor(workers, state) as executor:
                 batch = executor.execute_batch(txns, snapshot.get)
             result = NezhaScheduler().schedule(batch.transactions())
-            aborts[backend] = tuple(result.schedule.aborted)
-        assert aborts["serial"] == aborts["thread"] == aborts["process"]
+            aborts[workers] = tuple(result.schedule.aborted)
+        assert aborts[0] == aborts[2]
 
 
 def mine_shared_epochs(epochs: int, block_size: int = 30):
@@ -122,13 +115,13 @@ class TestNodeLevelEquivalence:
     def test_three_epoch_sweep_identical_reports(self):
         pow_params, all_blocks = mine_shared_epochs(epochs=3)
         fingerprints = []
-        for backend, workers in (("serial", 0), ("thread", 2), ("process", 4)):
+        for workers in (0, 4):
             node = FullNode(
                 chains=ParallelChains(chain_count=3, pow_params=pow_params),
                 state=fresh_state(),
                 scheduler=NezhaScheduler(),
                 registry=default_registry(),
-                config=PipelineConfig(workers=workers, backend=backend),
+                config=PipelineConfig(workers=workers),
             )
             with node:
                 reports = [node.receive_epoch(blocks) for blocks in all_blocks]
@@ -139,17 +132,17 @@ class TestNodeLevelEquivalence:
                     for r in reports
                 ]
             )
-        assert fingerprints[0] == fingerprints[1] == fingerprints[2]
+        assert fingerprints[0] == fingerprints[1]
 
-    def test_process_backend_actually_engaged(self):
-        """Guard against the sweep silently testing a fallen-back backend."""
+    def test_process_pool_actually_engaged(self):
+        """Guard against the sweep silently testing a fallen-back pool."""
         pow_params, all_blocks = mine_shared_epochs(epochs=1)
         node = FullNode(
             chains=ParallelChains(chain_count=3, pow_params=pow_params),
             state=fresh_state(),
             scheduler=NezhaScheduler(),
             registry=default_registry(),
-            config=PipelineConfig(workers=2, backend="process"),
+            config=PipelineConfig(workers=2),
         )
         with node:
             node.receive_epoch(all_blocks[0])
@@ -158,23 +151,23 @@ class TestNodeLevelEquivalence:
 
 
 class TestProcessDegradation:
-    def test_worker_crash_degrades_to_serial(self):
+    def test_worker_crash_degrades_to_in_process(self):
         state = fresh_state()
         txns = epoch_batch()
         snapshot = state.snapshot()
         oracle = ConcurrentExecutor(registry=default_registry())
         expected = batch_fingerprint(oracle.execute_batch(txns, snapshot.get))
-        with make_executor("process", 2, state) as executor:
+        with make_executor(2, state) as executor:
             first = batch_fingerprint(executor.execute_batch(txns, snapshot.get))
             assert first == expected
             assert executor.resolved_backend == "process"
             # Kill one worker between epochs; the next batch must still
-            # produce oracle-identical results via the serial fallback.
+            # produce oracle-identical results via the in-process fallback.
             executor._process_pool._processes[0].kill()
             time.sleep(0.05)
             second = batch_fingerprint(executor.execute_batch(txns, snapshot.get))
             assert second == expected
-            assert executor.resolved_backend == "serial"
+            assert executor.resolved_backend == "in-process"
             assert not executor.process_active
 
     def test_unpicklable_registry_falls_back(self):
@@ -190,30 +183,30 @@ class TestProcessDegradation:
         executor = ConcurrentExecutor(
             registry=registry,
             workers=4,
-            backend="process",
             state_provider=lambda: dict(state.items()),
         )
         with executor:
-            assert executor.resolved_backend == "thread"
+            assert executor.resolved_backend == "in-process"
             txn = Transaction(txid=1, contract="closure", function="noop", args=())
             batch = executor.execute_batch([txn], state.get)
             assert batch.results[0].ok
 
     def test_missing_state_provider_falls_back(self):
-        executor = ConcurrentExecutor(
-            registry=default_registry(), workers=4, backend="process"
-        )
+        executor = ConcurrentExecutor(registry=default_registry(), workers=4)
         with executor:
-            assert executor.resolved_backend == "thread"
+            assert executor.resolved_backend == "in-process"
+            batch = executor.execute_batch(epoch_batch(), fresh_state().get)
+            assert not executor.process_active
+            assert len(batch.results) == len(epoch_batch())
 
-    def test_workers_leq_one_is_serial(self):
+    def test_workers_leq_one_is_in_process(self):
         state = fresh_state()
-        with make_executor("process", 1, state) as executor:
-            assert executor.resolved_backend == "serial"
+        with make_executor(1, state) as executor:
+            assert executor.resolved_backend == "in-process"
 
     def test_deterministic_contract_error_still_raises(self):
         state = fresh_state()
-        with make_executor("process", 2, state) as executor:
+        with make_executor(2, state) as executor:
             bad = Transaction(txid=1, contract="missing", function="f", args=())
             with pytest.raises(ExecutionError):
                 executor.execute_batch([bad], state.get)
@@ -230,7 +223,7 @@ class TestDeltaSync:
         without it they would still see the bootstrap values.
         """
         state = fresh_state()
-        with make_executor("process", 2, state) as executor:
+        with make_executor(2, state) as executor:
             probe = Transaction(
                 txid=7, contract="smallbank", function="getBalance", args=(1,)
             )
@@ -244,7 +237,7 @@ class TestDeltaSync:
 
     def test_mark_stale_resyncs_from_state(self):
         state = fresh_state()
-        with make_executor("process", 2, state) as executor:
+        with make_executor(2, state) as executor:
             probe = Transaction(
                 txid=9, contract="smallbank", function="getBalance", args=(2,)
             )

@@ -87,88 +87,8 @@ class TestContractExecution:
         with pytest.raises(ExecutionError):
             executor.execute_batch([txn], read_fn)
 
-    def test_thread_pool_matches_serial(self):
-        registry = default_registry()
-        serial = ConcurrentExecutor(registry=registry, workers=0)
-        pooled = ConcurrentExecutor(registry=registry, workers=4)
-        txns = [
-            smallbank_txn(i, "updateBalance", (i % 3, 5), sender=f"user:{i:06d}")
-            for i in range(1, 40)
-        ]
-        a = serial.execute_batch(txns, read_fn)
-        b = pooled.execute_batch(txns, read_fn)
-        assert [r.rwset.writes for r in a.results] == [r.rwset.writes for r in b.results]
-
     def test_write_values_exposed_for_commit(self):
         executor = ConcurrentExecutor(registry=default_registry())
         txn = smallbank_txn(4, "updateSavings", (2, 50))
         batch = executor.execute_batch([txn], read_fn)
         assert batch.write_values() == {4: {"sav:000002": 100}}
-
-
-class _ImmediateFuture:
-    def __init__(self, value):
-        self._value = value
-
-    def result(self):
-        return self._value
-
-
-class _CountingPool:
-    """Thread-pool stub: runs tasks inline and counts submissions."""
-
-    def __init__(self):
-        self.submissions = 0
-
-    def submit(self, fn, *args):
-        self.submissions += 1
-        return _ImmediateFuture(fn(*args))
-
-
-class TestThreadChunking:
-    """The thread backend must submit chunks, not one task per transaction.
-
-    ``ThreadPoolExecutor.map(chunksize=N)`` silently ignores ``chunksize``
-    (only process pools honour it), so chunking is done manually; this
-    pins the actual task count.
-    """
-
-    def test_submits_one_task_per_chunk(self, monkeypatch):
-        executor = ConcurrentExecutor(registry=default_registry(), workers=4)
-        pool = _CountingPool()
-        monkeypatch.setattr(executor, "_ensure_pool", lambda: pool)
-        txns = [
-            smallbank_txn(i, "updateBalance", (i % 5, 1), sender=f"user:{i:06d}")
-            for i in range(1, 40)
-        ]
-        batch = executor.execute_batch(txns, read_fn)
-        assert len(batch.results) == len(txns)
-        # 39 txns / chunksize max(1, 39 // 16) = 2 -> 20 chunks, not 39 tasks.
-        assert pool.submissions == 20
-        assert [r.txid for r in batch.results] == sorted(t.txid for t in txns)
-
-    def test_charged_batches_chunk_once_per_worker(self, monkeypatch):
-        """With a modelled charge each chunk sleeps once, so finer
-        chunking than one-run-per-worker only multiplies GIL wake-ups."""
-        executor = ConcurrentExecutor(
-            registry=default_registry(), workers=4, txn_cost_seconds=1e-9
-        )
-        pool = _CountingPool()
-        monkeypatch.setattr(executor, "_ensure_pool", lambda: pool)
-        txns = [
-            smallbank_txn(i, "updateBalance", (i % 5, 1), sender=f"user:{i:06d}")
-            for i in range(1, 40)
-        ]
-        batch = executor.execute_batch(txns, read_fn)
-        assert len(batch.results) == len(txns)
-        # 39 txns / chunksize ceil(39 / 4) = 10 -> 4 chunks, one per worker.
-        assert pool.submissions == 4
-
-    def test_small_batches_still_execute(self, monkeypatch):
-        executor = ConcurrentExecutor(registry=default_registry(), workers=8)
-        pool = _CountingPool()
-        monkeypatch.setattr(executor, "_ensure_pool", lambda: pool)
-        txns = [smallbank_txn(i, "updateSavings", (i, 1)) for i in range(1, 4)]
-        batch = executor.execute_batch(txns, read_fn)
-        assert len(batch.results) == 3
-        assert pool.submissions == 3  # chunksize floors at 1

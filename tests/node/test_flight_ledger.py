@@ -48,12 +48,7 @@ def _make_node(streaming: bool, delta_cc: bool, ledger: FlightLedger) -> FullNod
         state=_fresh_state(),
         scheduler=NezhaScheduler(),
         registry=default_registry(include_bytecode=delta_cc),
-        config=PipelineConfig(
-            workers=2,
-            backend="thread",
-            streaming=streaming,
-            delta_cc=delta_cc,
-        ),
+        config=PipelineConfig(streaming=streaming, delta_cc=delta_cc),
         ledger=ledger,
     )
 

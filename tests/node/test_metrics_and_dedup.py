@@ -8,7 +8,7 @@ import pytest
 
 from repro.core import NezhaScheduler
 from repro.dag import EpochCoordinator, Mempool, ParallelChains, PoWParams
-from repro.node import FullNode, MetricsRegistry
+from repro.node import FullNode, MetricsRegistry, PipelineConfig
 from repro.node.metrics import MetricsError
 from repro.state import StateDB
 from repro.vm.contracts import default_registry
@@ -97,7 +97,7 @@ class TestNodeMetrics:
 
 
 class TestCrossEpochDedup:
-    def build_node(self):
+    def build_node(self, streaming=False):
         state = StateDB()
         state.seed(initial_state(CONFIG))
         return FullNode(
@@ -105,6 +105,7 @@ class TestCrossEpochDedup:
             state=state,
             scheduler=NezhaScheduler(),
             registry=default_registry(),
+            config=PipelineConfig(streaming=streaming),
         )
 
     def test_repacked_transactions_not_reexecuted(self):
@@ -126,6 +127,38 @@ class TestCrossEpochDedup:
         report2 = node.receive_epoch(blocks)
         assert report2.input_transactions == 0
         assert report2.committed == 0
+
+    def test_repacked_transactions_not_respeculated_while_in_flight(self):
+        """Streaming ingress: epoch 1 re-packs half of epoch 0 while
+        epoch 0 is still on the back stage; epoch 2 re-packs all of it."""
+        probe = self.build_node()
+        chains = ParallelChains(chain_count=2, pow_params=POW)
+        coordinator = EpochCoordinator(chains=chains, miners=["m"], block_size=10)
+        pool = Mempool()
+        batch = SmallBankWorkload(CONFIG).generate(30)
+        first, fresh = batch[:20], batch[20:]
+        mined = []
+        for offered in (first, first[:10] + fresh, first):
+            pool.forget({t.txid for t in offered})
+            pool.submit_many(offered)
+            blocks = coordinator.mine_epoch(pool, state_root=probe.state_root)
+            mined.append(blocks)
+            probe.receive_epoch(blocks)
+        assert [r.input_transactions for r in probe.reports] == [20, 10, 0]
+
+        with self.build_node(streaming=True) as node:
+            for blocks in mined:
+                node.submit_epoch(blocks)
+            node.drain()
+            stats = node.engine.stats
+        assert [r.input_transactions for r in node.reports] == [20, 10, 0]
+        assert [r.state_root for r in node.reports] == [
+            r.state_root for r in probe.reports
+        ]
+        # Re-packed transactions were never speculated a second time, and
+        # the guess still matched the admitted epoch (no barrier fallback).
+        assert stats.speculated == 30
+        assert stats.epochs_fallback == 0
 
     def test_epoch_transactions_exclude_parameter(self):
         from repro.dag.epochs import extract_epoch

@@ -186,10 +186,7 @@ class TestSerialScheme:
 
 
 class TestPoolLifecycle:
-    def test_workers_wired_into_committer(self):
-        node = build_node(NezhaScheduler())
-        assert node.pipeline.committer.workers == 0
-        node.close()
+    def test_workers_wired_into_executor(self):
         state = StateDB()
         pipeline_node = FullNode(
             chains=ParallelChains(chain_count=3, pow_params=PoWParams(6)),
@@ -197,34 +194,43 @@ class TestPoolLifecycle:
             scheduler=NezhaScheduler(),
             config=PipelineConfig(workers=4),
         )
-        assert pipeline_node.pipeline.committer.workers == 4
         assert pipeline_node.pipeline.executor.workers == 4
         pipeline_node.close()
 
-    def test_close_releases_thread_pool(self):
-        node = build_node(NezhaScheduler())
-        node.config = node.config  # dataclass access sanity
-        node.pipeline.executor.workers = 2
-        node.pipeline.executor._ensure_pool()
-        assert node.pipeline.executor._pool is not None
-        node.close()
-        assert node.pipeline.executor._pool is None
-        node.close()  # idempotent
-
     def test_node_context_manager_closes_pools(self):
-        with build_node(NezhaScheduler()) as node:
+        state = StateDB()
+        state.seed(initial_state(WORKLOAD_CONFIG))
+        node = FullNode(
+            chains=ParallelChains(chain_count=3, pow_params=PoWParams(6)),
+            state=state,
+            scheduler=NezhaScheduler(),
+            registry=default_registry(),
+            config=PipelineConfig(workers=2),
+        )
+        with node:
             mine_epochs(node, epochs=1)
-        assert node.pipeline.executor._pool is None
+            assert node.pipeline.executor.process_active
         assert node.pipeline.executor._process_pool is None
+        node.close()  # idempotent
 
     def test_pipeline_context_manager(self):
         from repro.node import TransactionPipeline
+        from repro.txn import Transaction
 
         state = StateDB()
-        with TransactionPipeline(state=state, scheduler=NezhaScheduler()) as pipeline:
-            pipeline.executor.workers = 2
-            pipeline.executor._ensure_pool()
-        assert pipeline.executor._pool is None
+        state.seed(initial_state(WORKLOAD_CONFIG))
+        with TransactionPipeline(
+            state=state,
+            scheduler=NezhaScheduler(),
+            registry=default_registry(),
+            config=PipelineConfig(workers=2),
+        ) as pipeline:
+            txn = Transaction(
+                txid=1, contract="smallbank", function="getBalance", args=(1,)
+            )
+            pipeline.executor.execute_batch([txn], state.get)
+            assert pipeline.executor.process_active
+        assert pipeline.executor._process_pool is None
 
 
 class TestSchedulerFailureHandling:

@@ -3,7 +3,7 @@
 DESIGN.md invariant 11: a streaming node replaying the same block
 sequence as a barrier node produces bit-identical epoch reports —
 state roots, commit/abort counts, abort taxonomy, commit groups — for
-every backend and CC mode.  Speculation and reconciliation are pure
+every execution placement and CC mode.  Speculation and reconciliation are pure
 optimisations of *when* work happens, never of *what* is computed.
 
 Blocks are pre-mined per CC mode with a config-matched probe node:
@@ -45,8 +45,7 @@ def _fresh_state(skew: float = 0.6, flat: bool = True):
 
 def _make_node(
     streaming: bool,
-    backend: str = "thread",
-    workers: int = 2,
+    workers: int = 0,
     delta_cc: bool = False,
     skew: float = 0.6,
     flat: bool = True,
@@ -58,7 +57,6 @@ def _make_node(
         registry=default_registry(include_bytecode=delta_cc),
         config=PipelineConfig(
             workers=workers,
-            backend=backend,
             streaming=streaming,
             delta_cc=delta_cc,
         ),
@@ -81,7 +79,7 @@ def _mine(delta_cc: bool, skew: float = 0.6) -> list:
             EPOCHS * CHAINS * BLOCK_SIZE + 60
         )
     )
-    probe = _make_node(False, "serial", 0, delta_cc, skew)
+    probe = _make_node(False, 0, delta_cc, skew)
     epochs = []
     root = probe.state_root
     with probe:
@@ -111,28 +109,22 @@ def _fingerprint(reports):
 
 class TestBitIdentity:
     @pytest.mark.parametrize(
-        "backend,workers,delta_cc",
-        [
-            ("serial", 0, False),
-            ("thread", 2, False),
-            ("thread", 2, True),
-            ("process", 2, False),
-            ("process", 2, True),
-        ],
+        "workers,delta_cc",
+        [(0, False), (0, True), (2, False), (2, True)],
     )
-    def test_streaming_matches_barrier(self, backend, workers, delta_cc):
+    def test_streaming_matches_barrier(self, workers, delta_cc):
         epochs = _mine(delta_cc)
-        with _make_node(False, backend, workers, delta_cc) as barrier:
+        with _make_node(False, workers, delta_cc) as barrier:
             expected = _fingerprint(
                 [barrier.receive_epoch(b) for b in epochs]
             )
         # Live mode: submit + drain per call, report contract unchanged.
-        with _make_node(True, backend, workers, delta_cc) as live:
+        with _make_node(True, workers, delta_cc) as live:
             live_fp = _fingerprint([live.receive_epoch(b) for b in epochs])
             assert live.engine is not None
             assert live.engine.stats.epochs_fallback == 0
         # Replay mode: back-to-back submits realise the actual overlap.
-        with _make_node(True, backend, workers, delta_cc) as replay:
+        with _make_node(True, workers, delta_cc) as replay:
             reports = []
             for blocks in epochs:
                 previous = replay.submit_epoch(blocks)

@@ -1,4 +1,4 @@
-"""Worker-span shipping: thread and process backends feed one timeline."""
+"""Worker-span shipping: the worker processes feed the parent's timeline."""
 
 from __future__ import annotations
 
@@ -16,14 +16,13 @@ from repro.workload import (
 WORKLOAD_CONFIG = SmallBankConfig(account_count=200, skew=0.5, seed=11)
 
 
-def traced_executor(backend: str, workers: int):
+def traced_executor(workers: int):
     state = StateDB()
     state.seed(initial_state(WORKLOAD_CONFIG))
     tracer = Tracer()
     executor = ConcurrentExecutor(
         registry=default_registry(),
         workers=workers,
-        backend=backend,
         state_provider=lambda: dict(state.items()),
         tracer=tracer,
     )
@@ -35,26 +34,9 @@ def epoch_batch():
     return flatten_blocks(workload.generate_blocks(2, 30))
 
 
-class TestThreadSpans:
-    def test_chunk_spans_on_thread_tracks(self):
-        executor, tracer, state = traced_executor("thread", 2)
-        with executor:
-            executor.execute_batch(epoch_batch(), state.get)
-        chunks = [s for s in tracer.spans() if s.name == "execute.chunk"]
-        assert chunks
-        assert all(span.track.startswith("repro-exec") for span in chunks)
-        assert sum(span.attrs["txns"] for span in chunks) == len(epoch_batch())
-
-    def test_untraced_executor_records_nothing(self):
-        executor, _, state = traced_executor("thread", 2)
-        executor.tracer = None
-        with executor:
-            executor.execute_batch(epoch_batch(), state.get)
-
-
 class TestProcessSpans:
     def test_worker_spans_ship_back_and_merge(self):
-        executor, tracer, state = traced_executor("process", 2)
+        executor, tracer, state = traced_executor(2)
         with executor:
             batch = executor.execute_batch(epoch_batch(), state.get)
             if executor.resolved_backend != "process":
@@ -70,7 +52,7 @@ class TestProcessSpans:
             assert span.end >= span.start
 
     def test_merged_timeline_validates_as_chrome_trace(self):
-        executor, tracer, state = traced_executor("process", 2)
+        executor, tracer, state = traced_executor(2)
         with executor:
             with tracer.span("pipeline.simulate"):
                 executor.execute_batch(epoch_batch(), state.get)
@@ -81,7 +63,7 @@ class TestProcessSpans:
         assert len(tracks) >= 3  # main + two worker tracks
 
     def test_untraced_process_run_ships_no_spans(self):
-        executor, tracer, state = traced_executor("process", 2)
+        executor, tracer, state = traced_executor(2)
         executor.tracer = None
         with executor:
             executor.execute_batch(epoch_batch(), state.get)

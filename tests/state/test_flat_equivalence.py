@@ -208,13 +208,6 @@ class TestClusterEquivalenceSweep:
         oracle = _epoch_roots(False, skew=0.9, delta_cc=delta_cc, seed=3)
         assert flat == oracle
 
-    def test_roots_identical_with_thread_backend(self):
-        flat = _epoch_roots(True, skew=0.6, workers=2, exec_backend="thread", seed=5)
-        oracle = _epoch_roots(
-            False, skew=0.6, workers=2, exec_backend="thread", seed=5
-        )
-        assert flat == oracle
-
 
 def _paired_dbs():
     store = MemStore()
