@@ -13,7 +13,7 @@ import time
 
 from repro.baselines import build_conflict_graph
 from repro.bench import render_table, scaled, smallbank_epoch
-from repro.core import build_acg
+from repro.core import dense_acg_from_transactions
 
 BATCH_SIZES = (100, 200, 400, 800, 1600)
 SKEW = 0.4
@@ -30,7 +30,10 @@ def sweep():
     ratios = []
     for size in BATCH_SIZES:
         transactions = smallbank_epoch(1, scaled(size), skew=SKEW, seed=size)
-        acg_seconds = min(time_once(lambda: build_acg(transactions)) for _ in range(3))
+        acg_seconds = min(
+            time_once(lambda: dense_acg_from_transactions(transactions))
+            for _ in range(3)
+        )
         cg_seconds = min(
             time_once(lambda: build_conflict_graph(transactions)) for _ in range(3)
         )
@@ -64,7 +67,7 @@ def test_ablation_detection_cost(benchmark, report_table):
 
 def test_acg_construction_point(benchmark):
     transactions = smallbank_epoch(4, scaled(200), skew=0.4, seed=9)
-    benchmark(lambda: build_acg(transactions))
+    benchmark(lambda: dense_acg_from_transactions(transactions))
 
 
 def test_cg_construction_point(benchmark):

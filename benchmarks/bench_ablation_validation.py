@@ -69,15 +69,19 @@ def test_ablation_validation_pass(benchmark, report_table):
 
 
 def test_validation_latency_point(benchmark):
-    from repro.core import build_acg, divide_ranks, sort_transactions, validate_sort
+    from repro.core import (
+        dense_acg_from_transactions,
+        divide_ranks_dense,
+        sort_transactions_dense,
+        validate_sort_dense,
+    )
 
     transactions = smallbank_epoch(OMEGA, scaled(BLOCK_SIZE), skew=1.0, seed=502)
-    acg = build_acg(transactions)
-    order = divide_ranks(acg)
-    by_id = {t.txid: t for t in transactions}
+    dense = dense_acg_from_transactions(transactions)
+    order = divide_ranks_dense(dense)
 
     def run_validation():
-        state = sort_transactions(acg, order, by_id)
-        return validate_sort(acg, state, transactions=by_id, enable_reorder=True)
+        state = sort_transactions_dense(dense, order)
+        return validate_sort_dense(dense, state, enable_reorder=True)
 
     benchmark(run_validation)

@@ -67,8 +67,8 @@ def test_fig10_subphase_latency(benchmark, report_table):
 
 def test_nezha_rank_division_point(benchmark):
     """Micro-benchmark: rank division alone on a contended epoch."""
-    from repro.core import build_acg, divide_ranks
+    from repro.core import dense_acg_from_transactions, divide_ranks_dense
 
     transactions = smallbank_epoch(OMEGA, scaled(BLOCK_SIZE), skew=0.6, seed=10)
-    acg = build_acg(transactions)
-    benchmark(lambda: divide_ranks(acg))
+    dense = dense_acg_from_transactions(transactions)
+    benchmark(lambda: divide_ranks_dense(dense))

@@ -1,14 +1,10 @@
 #!/usr/bin/env python
 """Perf smoke gate for the repo's perf-critical paths (< 60 s).
 
-Five gates.  Ratio gates are compared against committed baselines by
+Four gates.  Ratio gates are compared against committed baselines by
 *speedup ratio* (stable across machines) rather than absolute
 milliseconds:
 
-* **CC fast path** — the dense path's rank+sort speedup over the
-  string-keyed reference on the standard contended epoch (skew 0.6,
-  ω=12) must stay within 20% of
-  ``benchmarks/results/BENCH_cc_fastpath.json``.
 * **Flight-recorder overhead** — tracing-on and flight-ledger-on must
   each add < 5% to the p50 epoch-processing latency.  These are
   absolute ceilings, no baseline drift: a relative gap between
@@ -50,12 +46,6 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from bench_cc_fastpath import (  # noqa: E402
-    RESULTS_PATH as CC_RESULTS_PATH,
-    SPEEDUP_FLOOR as CC_SPEEDUP_FLOOR,
-    measure_fastpath,
-    write_results as write_cc_results,
-)
 from bench_obs_overhead import (  # noqa: E402
     OVERHEAD_CEILING as OBS_OVERHEAD_CEILING,
     RESULTS_PATH as OBS_RESULTS_PATH,
@@ -85,14 +75,13 @@ from bench_state_scale import (  # noqa: E402
 )
 
 REGRESSION_TOLERANCE = 0.20
-SMOKE_ROUNDS = 5
 OBS_SMOKE_ROUNDS = 4
 CERTIFY_SMOKE_ROUNDS = 4
 DELTA_SMOKE_EPOCHS = 1
 STATE_SMOKE_ROUNDS = 3
 
 
-def load_baseline(path: Path = CC_RESULTS_PATH) -> dict | None:
+def load_baseline(path: Path) -> dict | None:
     """The committed benchmark artifact, or ``None`` when absent."""
     try:
         return json.loads(path.read_text())
@@ -134,19 +123,6 @@ def main(argv: list[str]) -> int:
     update_only = "--update" in argv
     started = time.perf_counter()
     failed = False
-
-    cc_baseline = load_baseline(CC_RESULTS_PATH) or {}
-    cc_payload = measure_fastpath(rounds=SMOKE_ROUNDS)
-    cc_speedup = cc_payload["speedup_rank_plus_sort_p50"]
-    print(f"cc fast-path rank+sort speedup: {cc_speedup:.2f}x")
-    failed |= _gate(
-        "cc_fastpath",
-        cc_speedup,
-        CC_SPEEDUP_FLOOR,
-        float(cc_baseline.get("speedup_rank_plus_sort_p50", 0.0)),
-        REGRESSION_TOLERANCE,
-        update_only,
-    )
 
     obs_payload = measure_obs_overhead(rounds=OBS_SMOKE_ROUNDS)
     obs_overhead = obs_payload["overhead_frac_p50"]
@@ -228,12 +204,10 @@ def main(argv: list[str]) -> int:
     elapsed = time.perf_counter() - started
     print(f"smoke wall-clock: {elapsed:.1f}s")
     if update_only:
-        write_cc_results(cc_payload)
         write_obs_results(obs_payload)
         write_certify_results(certify_payload)
         write_delta_results(delta_payload)
         write_state_results(state_payload)
-        print(f"wrote {CC_RESULTS_PATH}")
         print(f"wrote {OBS_RESULTS_PATH}")
         print(f"wrote {CERTIFY_RESULTS_PATH}")
         print(f"wrote {DELTA_RESULTS_PATH}")

@@ -261,7 +261,7 @@ class DenseACG:
 
         Bit-identical to ``build_acg`` on the same batch (unit order,
         adjacency, multiplicities); used when a caller wants the rich
-        reference object after a fast-path scheduling run.
+        reference object after a scheduling run (``NezhaResult.acg``).
         """
         batch = self.batch
         addresses = batch.addresses

@@ -1,30 +1,11 @@
-"""Incremental ACG construction for the streaming epoch engine.
+"""Per-epoch transaction accumulator for the streaming epoch engine.
 
-The barrier pipeline builds the dense conflict graph in one shot at
-``process_epoch`` time (:func:`~repro.core.acg.build_dense_acg` over an
-interned batch).  The streaming engine instead *accumulates* the graph
-while epoch ``e+1``'s blocks are speculatively executing — one
-:meth:`IncrementalACG.add_block` call per block's simulated results —
-and seals the CSR structures once at epoch close, after reconciliation
-replaced the few transactions whose speculation was invalidated.
-
-Bit-identity contract: :meth:`IncrementalACG.seal` returns a
-:class:`~repro.core.acg.DenseACG` **bit-identical** to
-``build_dense_acg(intern_batch(transactions))`` over the same final
-transaction set (swept by ``tests/core/test_incremental_acg.py``).  The
-two properties that make this cheap to guarantee:
-
-* per-address unit lists in the batch construction are appended in
-  ascending txid order, so they equal the *sorted* dense indices of the
-  accumulated (arrival-ordered) txid lists;
-* the deduplicated adjacency rows are sorted in both constructions, so
-  deriving them from the accumulated edge-multiplicity map at seal time
-  reproduces them exactly.
-
-The incremental unit-of-work per block is the per-transaction rwset walk
-(the ``O(u * N)`` part of graph construction); the seal pays only the
-sorts and the CSR flattening.  ``build_seconds`` accumulates both, so
-the scheduler's ``graph_construction`` timing stays honest.
+The streaming engine hands the scheduler a pre-built dense graph
+(:meth:`~repro.core.scheduler.NezhaScheduler.schedule_dense`).  It
+collects the epoch's reconciled transactions here and :meth:`seal`
+builds the graph with ``build_dense_acg(intern_batch(...))`` — the very
+call the barrier scheduler makes — so streamed and barrier graphs are
+identical by construction, whatever order the blocks arrived in.
 """
 
 from __future__ import annotations
@@ -33,205 +14,45 @@ import time
 from array import array
 from typing import Iterable
 
-from repro.core.acg import DenseACG, _csr
-from repro.core.interner import InternedBatch
+from repro.core.acg import DenseACG, build_dense_acg
+from repro.core.interner import intern_batch
 from repro.errors import SchedulingError
-from repro.txn.rwset import Address
 from repro.txn.transaction import Transaction
 
 
 class IncrementalACG:
-    """Accumulates one epoch's conflict graph block by block.
+    """Accumulates one epoch's transactions block by block.
 
     Feed **successful simulated transactions** (rwsets attached) with
-    :meth:`add_block`; retract or swap individual transactions with
-    :meth:`replace` when reconciliation re-executes them; then
-    :meth:`seal` the dense CSR graph for rank division and sorting.
+    :meth:`add_block`, then :meth:`seal` the dense CSR graph for rank
+    division and sorting.
     """
 
     def __init__(self) -> None:
         self._txns: dict[int, Transaction] = {}
-        self._reads: dict[Address, list[int]] = {}
-        self._writes: dict[Address, list[int]] = {}
-        self._deltas: dict[Address, list[int]] = {}
-        self._edges: dict[tuple[Address, Address], int] = {}
         self.build_seconds = 0.0
-        self.blocks_fed = 0
-
-    @property
-    def txn_count(self) -> int:
-        """Transactions currently contributing units to the graph."""
-        return len(self._txns)
-
-    def __contains__(self, txid: int) -> bool:
-        return txid in self._txns
-
-    # ------------------------------------------------------------- growing
 
     def add_block(self, transactions: Iterable[Transaction]) -> None:
-        """Extend the graph with one block's simulated transactions.
+        """Add one block's simulated transactions to the epoch.
 
         Rejects duplicate txids exactly like
         :func:`~repro.core.interner.intern_batch`, so a block replayed
-        twice fails loudly instead of double-counting units.
+        twice fails loudly instead of silently overwriting itself.
         """
-        start = time.perf_counter()
+        txns = self._txns
         for txn in transactions:
-            self._add_txn(txn)
-        self.blocks_fed += 1
-        self.build_seconds += time.perf_counter() - start
-
-    def replace(self, txid: int, txn: Transaction | None) -> None:
-        """Swap (or retract, when ``txn`` is ``None``) one transaction.
-
-        Used by reconciliation: a re-executed transaction's new rwset
-        replaces its speculated one; a re-execution that failed retracts
-        the transaction entirely (failed simulations never enter CC).
-        """
-        start = time.perf_counter()
-        old = self._txns.pop(txid, None)
-        if old is not None:
-            self._remove_units(old)
-        if txn is not None:
-            self._add_txn(txn)
-        self.build_seconds += time.perf_counter() - start
-
-    def _add_txn(self, txn: Transaction) -> None:
-        if txn.txid in self._txns:
-            raise SchedulingError(f"duplicate txid {txn.txid} in batch")
-        self._txns[txn.txid] = txn
-        txid = txn.txid
-        reads = list(txn.rwset.reads)
-        for address in reads:
-            self._reads.setdefault(address, []).append(txid)
-        mutated: list[Address] = []
-        for address in txn.rwset.writes:
-            self._writes.setdefault(address, []).append(txid)
-            mutated.append(address)
-        for address in txn.rwset.deltas:
-            self._deltas.setdefault(address, []).append(txid)
-            mutated.append(address)
-        edges = self._edges
-        for write_addr in mutated:
-            for read_addr in reads:
-                if write_addr == read_addr:
-                    continue
-                key = (write_addr, read_addr)
-                edges[key] = edges.get(key, 0) + 1
-
-    def _remove_units(self, txn: Transaction) -> None:
-        txid = txn.txid
-        reads = list(txn.rwset.reads)
-        for address in reads:
-            self._reads[address].remove(txid)
-        mutated: list[Address] = []
-        for address in txn.rwset.writes:
-            self._writes[address].remove(txid)
-            mutated.append(address)
-        for address in txn.rwset.deltas:
-            self._deltas[address].remove(txid)
-            mutated.append(address)
-        edges = self._edges
-        for write_addr in mutated:
-            for read_addr in reads:
-                if write_addr == read_addr:
-                    continue
-                key = (write_addr, read_addr)
-                count = edges[key] - 1
-                if count:
-                    edges[key] = count
-                else:
-                    del edges[key]
-
-    # -------------------------------------------------------------- sealing
+            if txn.txid in txns:
+                raise SchedulingError(f"duplicate txid {txn.txid} in batch")
+            txns[txn.txid] = txn
 
     def seal(self) -> DenseACG:
-        """Freeze the accumulated graph into dense CSR form.
+        """Build the dense graph over everything added so far.
 
-        Bit-identical to ``build_dense_acg(intern_batch(txns))`` over the
-        current transaction set; the accumulator itself stays usable (a
-        later :meth:`replace` + re-seal reflects the change).
+        ``build_seconds`` accumulates the construction time so the
+        scheduler's ``graph_construction`` timing stays honest.
         """
         start = time.perf_counter()
-        ordered = sorted(self._txns.values(), key=lambda t: t.txid)
-        txids = [t.txid for t in ordered]
-        txn_index = {txid: i for i, txid in enumerate(txids)}
-        universe: set[Address] = set()
-        for units in (self._reads, self._writes, self._deltas):
-            for address, txn_list in units.items():
-                if txn_list:
-                    universe.add(address)
-        addresses = sorted(universe)
-        addr_ids = {address: i for i, address in enumerate(addresses)}
-        batch = InternedBatch(
-            transactions=ordered,
-            txids=txids,
-            txn_index=txn_index,
-            addresses=addresses,
-            addr_ids=addr_ids,
-        )
-        addr_count = len(addresses)
-
-        def unit_rows(units: dict[Address, list[int]]) -> list[list[int]]:
-            rows: list[list[int]] = [[] for _ in range(addr_count)]
-            for address, txn_list in units.items():
-                if txn_list:
-                    rows[addr_ids[address]] = sorted(
-                        txn_index[txid] for txid in txn_list
-                    )
-            return rows
-
-        read_indptr, read_txns = _csr(unit_rows(self._reads))
-        write_indptr, write_txns = _csr(unit_rows(self._writes))
-        delta_indptr, delta_txns = _csr(unit_rows(self._deltas))
-
-        out_lists: list[list[int]] = [[] for _ in range(addr_count)]
-        in_lists: list[list[int]] = [[] for _ in range(addr_count)]
-        edge_mult: dict[int, int] = {}
-        for (write_addr, read_addr), count in self._edges.items():
-            write_id = addr_ids[write_addr]
-            read_id = addr_ids[read_addr]
-            edge_mult[write_id * addr_count + read_id] = count
-            out_lists[write_id].append(read_id)
-            in_lists[read_id].append(write_id)
-        for row in out_lists:
-            row.sort()
-        for row in in_lists:
-            row.sort()
-        out_indptr, out_ids = _csr(out_lists)
-        in_indptr, in_ids = _csr(in_lists)
-
-        txn_reads: list[list[int]] = []
-        txn_writes: list[list[int]] = []
-        txn_deltas: list[list[int]] = []
-        for txn in ordered:
-            txn_reads.append([addr_ids[a] for a in txn.rwset.reads])
-            txn_writes.append([addr_ids[a] for a in txn.rwset.writes])
-            txn_deltas.append([addr_ids[a] for a in txn.rwset.deltas])
-        txn_read_indptr, txn_read_addrs = _csr(txn_reads)
-        txn_write_indptr, txn_write_addrs = _csr(txn_writes)
-        txn_delta_indptr, txn_delta_addrs = _csr(txn_deltas)
-
-        dense = DenseACG(
-            batch=batch,
-            read_indptr=read_indptr,
-            read_txns=read_txns,
-            write_indptr=write_indptr,
-            write_txns=write_txns,
-            delta_indptr=delta_indptr,
-            delta_txns=delta_txns,
-            out_indptr=out_indptr,
-            out_ids=out_ids,
-            in_indptr=in_indptr,
-            in_ids=in_ids,
-            txn_read_indptr=txn_read_indptr,
-            txn_read_addrs=txn_read_addrs,
-            txn_write_indptr=txn_write_indptr,
-            txn_write_addrs=txn_write_addrs,
-            txn_delta_indptr=txn_delta_indptr,
-            txn_delta_addrs=txn_delta_addrs,
-            edge_mult=edge_mult,
-        )
+        dense = build_dense_acg(intern_batch(self._txns.values()))
         self.build_seconds += time.perf_counter() - start
         return dense
 

@@ -12,17 +12,13 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.acg import ACG, DenseACG, build_acg, build_dense_acg
+from repro.core.acg import ACG, DenseACG, build_dense_acg
 from repro.core.interner import intern_batch
-from repro.core.rank import RankPolicy, divide_ranks, divide_ranks_dense
+from repro.core.rank import RankPolicy, divide_ranks_dense
 from repro.core.schedule import Schedule, SchemeResult, schedule_from_sequences
-from repro.core.sorting import (
-    INITIAL_SEQUENCE,
-    UNASSIGNED,
-    sort_transactions,
-    sort_transactions_dense,
-)
-from repro.core.validate import validate_sort, validate_sort_dense
+from repro.core.sorting import INITIAL_SEQUENCE, UNASSIGNED, sort_transactions_dense
+from repro.core.validate import validate_sort_dense
+from repro.errors import SchedulingError
 from repro.obs.tracer import Tracer, maybe_span
 from repro.txn.transaction import Transaction
 
@@ -40,22 +36,23 @@ class NezhaConfig:
         Run the final safety pass (see DESIGN.md).  Kept switchable for
         ablation benchmarks; production use should leave it on.
     initial_seq:
-        First sequence number assigned (must be positive).
+        First sequence number assigned; must be positive (``0`` is the
+        sorter's "no reads" sentinel).
     rank_policy:
         Cycle-breaking rule of Algorithm 1 (ablation knob; the default is
         the paper's most-dependencies-first choice).
-    fast_path:
-        Run concurrency control on interned dense ids and flat arrays
-        (default on).  ``False`` selects the string-keyed reference
-        implementation; both produce bit-identical schedules (see
-        ``tests/core/test_fastpath.py``).
     """
 
     enable_reorder: bool = True
     enable_validation: bool = True
     initial_seq: int = INITIAL_SEQUENCE
     rank_policy: RankPolicy = RankPolicy.MAX_OUT_DEGREE
-    fast_path: bool = True
+
+    def __post_init__(self) -> None:
+        if self.initial_seq < 1:
+            raise SchedulingError(
+                f"initial_seq must be positive, got {self.initial_seq}"
+            )
 
 
 @dataclass
@@ -90,18 +87,17 @@ class PhaseTimings:
 class NezhaResult(SchemeResult):
     """Everything produced by one scheduling run.
 
-    ``acg`` is materialised lazily on fast-path runs: the dense pipeline
-    never builds the string-keyed graph, so the first attribute access
-    converts the CSR structures (outside the timed phases).
+    ``acg`` is materialised lazily: the pipeline never builds the
+    string-keyed graph, so the first attribute access converts the CSR
+    structures (outside the timed phases).
     """
 
     def __init__(
         self,
         schedule: Schedule,
         timings: PhaseTimings,
-        acg: ACG | None = None,
+        dense_acg: DenseACG,
         rank_order: list[str] | None = None,
-        dense_acg: DenseACG | None = None,
         abort_reasons: dict[int, str] | None = None,
         revived: int = 0,
         delta_commuted: int = 0,
@@ -121,14 +117,12 @@ class NezhaResult(SchemeResult):
         # txid -> attributed conflict edges (peer txid, address, kind);
         # covers every abort the sorter/validator convicted with a peer.
         self.abort_edges = abort_edges if abort_edges is not None else {}
-        self._acg = acg
+        self._acg: ACG | None = None
 
     @property
     def acg(self) -> ACG:
-        """The address-based conflict graph (built on demand on the fast path)."""
+        """The string-keyed view of ``dense_acg`` (built on first access)."""
         if self._acg is None:
-            if self.dense_acg is None:
-                raise ValueError("result carries no conflict graph")
             self._acg = self.dense_acg.to_acg()
         return self._acg
 
@@ -178,15 +172,8 @@ class NezhaScheduler:
         """Produce a commit schedule for a batch of transactions.
 
         The input order is irrelevant; ids provide the deterministic order.
-        Dispatches to the dense fast path unless the config selects the
-        string-keyed reference implementation.
+        Interns the batch once, then every phase runs on flat arrays.
         """
-        if self.config.fast_path:
-            return self._schedule_fast(transactions)
-        return self._schedule_reference(transactions)
-
-    def _schedule_fast(self, transactions: Sequence[Transaction]) -> NezhaResult:
-        """Dense-id pipeline: intern once, then flat-array phases."""
         timings = PhaseTimings()
 
         start = time.perf_counter()
@@ -202,14 +189,13 @@ class NezhaScheduler:
     ) -> NezhaResult:
         """Schedule a pre-built dense graph (streaming engine entry point).
 
-        The streaming epoch engine accumulates the ACG incrementally
-        (:class:`~repro.core.incremental.IncrementalACG`) while blocks
-        execute, then seals and hands the dense graph here —
-        ``graph_seconds`` carries the accumulated construction time so
-        the ``graph_construction`` sub-phase timing stays comparable to
-        a barrier run.  Everything after construction is the exact
-        fast-path pipeline, so results are bit-identical to
-        :meth:`schedule` over the same transaction set.
+        The streaming epoch engine seals the reconciled epoch's graph
+        (:class:`~repro.core.incremental.IncrementalACG`) and hands it
+        here — ``graph_seconds`` carries the construction time so the
+        ``graph_construction`` sub-phase timing stays comparable to a
+        barrier run.  Graph builder and everything after it are the ones
+        :meth:`schedule` runs, so results are bit-identical to it over
+        the same transaction set.
         """
         timings = PhaseTimings(graph_construction=graph_seconds)
         return self._finish_dense(dense, timings)
@@ -284,75 +270,4 @@ class NezhaScheduler:
                 for i, (peer, addr, kind) in sorted(state.edges.items())
             },
             revived_txids=tuple(sorted(txids[i] for i in state.revived)),
-        )
-
-    def _schedule_reference(
-        self, transactions: Sequence[Transaction]
-    ) -> NezhaResult:
-        """String-keyed reference pipeline (``fast_path=False``)."""
-        timings = PhaseTimings()
-        txn_by_id = {t.txid: t for t in transactions}
-
-        start = time.perf_counter()
-        with maybe_span(self.tracer, "cc.acg_build") as span:
-            acg = build_acg(transactions)
-            span.set(txns=len(txn_by_id), addresses=len(acg.addresses))
-        timings.graph_construction = time.perf_counter() - start
-
-        start = time.perf_counter()
-        with maybe_span(self.tracer, "cc.rank_division"):
-            rank_order = divide_ranks(acg, policy=self.config.rank_policy)
-        timings.rank_division = time.perf_counter() - start
-
-        start = time.perf_counter()
-        with maybe_span(self.tracer, "cc.sorting") as span:
-            state = sort_transactions(
-                acg,
-                rank_order,
-                txn_by_id,
-                enable_reorder=self.config.enable_reorder,
-                initial_seq=self.config.initial_seq,
-            )
-            span.set(reordered=len(state.reordered), aborted=len(state.reasons))
-        timings.transaction_sorting = time.perf_counter() - start
-
-        if self.config.enable_validation:
-            start = time.perf_counter()
-            with maybe_span(self.tracer, "cc.validate") as span:
-                validate_sort(
-                    acg,
-                    state,
-                    transactions=txn_by_id,
-                    enable_reorder=self.config.enable_reorder,
-                )
-                span.set(
-                    aborted=len(state.reasons),
-                    reordered=len(state.reordered),
-                    revived=len(state.revived),
-                )
-            timings.validation = time.perf_counter() - start
-
-        schedule = schedule_from_sequences(
-            sequences=state.sequences,
-            aborted=state.aborted,
-            reordered=state.reordered,
-        )
-        delta_commuted = 0
-        for rw in acg.rw_lists.values():
-            if rw.deltas:
-                committed = sum(1 for t in rw.deltas if state.is_live(t))
-                if committed >= 2:
-                    delta_commuted += committed
-        return NezhaResult(
-            schedule=schedule,
-            timings=timings,
-            acg=acg,
-            rank_order=rank_order,
-            abort_reasons=dict(sorted(state.reasons.items())),
-            revived=len(state.revived),
-            delta_commuted=delta_commuted,
-            abort_edges={
-                txid: [edge] for txid, edge in sorted(state.edges.items())
-            },
-            revived_txids=tuple(sorted(state.revived)),
         )

@@ -355,7 +355,7 @@ def _resolve_unserializable(
         and reads_are_writer_free(acg, txn, state)
     )
     if rescuable:
-        new_seq = _max_sequence_on_addresses(acg, txn, state) + 1
+        new_seq = max_sequence_on_addresses(acg, txn, state) + 1
         state.sequences[txid] = new_seq
         state.reordered.add(txid)
     else:
@@ -377,7 +377,7 @@ def reads_are_writer_free(acg: ACG, txn: Transaction, state: SortState) -> bool:
     return True
 
 
-def _max_sequence_on_addresses(acg: ACG, txn: Transaction, state: SortState) -> int:
+def max_sequence_on_addresses(acg: ACG, txn: Transaction, state: SortState) -> int:
     """Maximum sequence currently assigned on any address ``txn`` touches."""
     best = 0
     for address in txn.rwset.addresses:
@@ -406,9 +406,7 @@ class DenseSortState:
     ``i`` (``UNASSIGNED`` until sorted), ``alive[i]`` is 1 until the
     transaction aborts, and ``reordered`` holds the dense indices rescued
     by the Section IV-D enhancement.  ``reasons``/``revived`` mirror
-    :class:`SortState` (keyed by dense index).  Requires
-    ``initial_seq >= 0`` (the scheduler's config mandates a positive
-    value).
+    :class:`SortState` (keyed by dense index).
     """
 
     seq: list[int]
@@ -461,10 +459,6 @@ def sort_transactions_dense(
       owner gets ``initial_seq``; an assigned owner is left untouched
       (``max_read`` is 0 or its own number, so neither the bump, the
       unserializability test, nor the duplicate test can fire).
-
-    The single-owner shortcut assumes ``initial_seq >= 1`` (the config
-    invariant) so an assigned number can never be ``<= 0 == max_read``;
-    with a nonpositive ``initial_seq`` every address takes the full pass.
     """
     txn_count = dense.txn_count
     state = DenseSortState(
@@ -475,7 +469,6 @@ def sort_transactions_dense(
     read_indptr, read_txns = dense.read_indptr, dense.read_txns
     write_indptr, write_txns = dense.write_indptr, dense.write_txns
     delta_indptr, delta_txns = dense.delta_indptr, dense.delta_txns
-    allow_trivial = initial_seq >= 1
     for addr_id in rank_order:
         read_lo, read_hi = read_indptr[addr_id], read_indptr[addr_id + 1]
         write_lo, write_hi = write_indptr[addr_id], write_indptr[addr_id + 1]
@@ -506,10 +499,8 @@ def sort_transactions_dense(
                 if seq[txn_idx] == UNASSIGNED:
                     seq[txn_idx] = fill
             continue
-        if (
-            allow_trivial
-            and len(writes) == 1
-            and (not reads or (len(reads) == 1 and reads[0] == writes[0]))
+        if len(writes) == 1 and (
+            not reads or (len(reads) == 1 and reads[0] == writes[0])
         ):
             # Single-owner address: at most one transaction holds units.
             owner = writes[0]

@@ -45,6 +45,7 @@ from repro.core.sorting import (
     DenseSortState,
     Edge,
     SortState,
+    max_sequence_on_addresses,
     max_sequence_on_addresses_dense,
     reads_are_writer_free,
     reads_are_writer_free_dense,
@@ -104,7 +105,7 @@ def validate_sort(
             )
             if rescuable:
                 attempted.add(txid)
-                new_seq = 1 + _max_sequence_on_addresses(acg, txn, state)
+                new_seq = 1 + max_sequence_on_addresses(acg, txn, state)
                 state.sequences[txid] = new_seq
                 state.reordered.add(txid)
             else:
@@ -144,25 +145,9 @@ def _resurrect(
         state.reasons.pop(txid, None)
         state.edges.pop(txid, None)
         state.revived.add(txid)
-        state.sequences[txid] = 1 + _max_sequence_on_addresses(acg, txn, state)
+        state.sequences[txid] = 1 + max_sequence_on_addresses(acg, txn, state)
         revived.add(txid)
     return revived
-
-
-def _max_sequence_on_addresses(acg: ACG, txn: Transaction, state: SortState) -> int:
-    """Maximum sequence currently assigned on any address ``txn`` touches."""
-    best = 0
-    for address in txn.rwset.addresses:
-        rw = acg.rw_lists.get(address)
-        if rw is None:
-            continue
-        for other in (*rw.reads, *rw.writes, *rw.deltas):
-            if not state.is_live(other):
-                continue
-            sequence = state.sequence_of(other)
-            if sequence is not None and sequence > best:
-                best = sequence
-    return best
 
 
 def _find_violations(

@@ -6,10 +6,10 @@ neighbour runs.  This engine splits one epoch across two stages
 connected by a single-slot queue:
 
 * **front stage (main thread)** — speculative execution of the *next*
-  epoch's blocks on the executor pool, feeding an
-  :class:`~repro.core.incremental.IncrementalACG` per block;
-* **back stage (background thread)** — seal the incremental graph, run
-  Nezha concurrency control, and commit the *current* epoch.
+  epoch's blocks on the executor pool, in one dispatch; after the join,
+  reconciliation and the reconciled epoch's conflict graph;
+* **back stage (background thread)** — run Nezha concurrency control on
+  that graph and commit the *current* epoch.
 
 Steady state: while epoch ``e`` runs CC + commit in the background,
 epoch ``e+1`` speculates on the executor — per-epoch wall time
@@ -21,8 +21,8 @@ approaches ``max(execution, cc+commit)`` instead of their sum.
 replicas still at epoch ``e-1``'s values).  At join, every speculated
 transaction whose recorded read set intersects ``e``'s committed write
 delta is re-executed against the sealed post-``e`` snapshot — exactly
-the read the barrier pipeline would have performed — and swapped into
-the incremental graph.  Transactions whose reads are disjoint from the
+the read the barrier pipeline would have performed — and replaces its
+speculated result.  Transactions whose reads are disjoint from the
 delta observed values the commit could not have changed, so their
 speculated results are bit-identical to a barrier execution.  Delta
 units and blind writes carry no state-dependence, so they never force a
@@ -57,6 +57,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from repro.analysis import race
+from repro.core.acg import DenseACG
 from repro.core.incremental import IncrementalACG
 from repro.dag.block import Block
 from repro.dag.epochs import Epoch
@@ -95,7 +96,6 @@ class _Speculation:
     guess: Epoch
     transactions: list[Transaction]
     results: list[SimulationResult]
-    acg: IncrementalACG
     seconds: float
 
     def matches(self, epoch: Epoch) -> bool:
@@ -165,11 +165,11 @@ class StreamingEpochEngine:
         admit_seconds = time.perf_counter() - admit_start
         if spec is not None and spec.matches(epoch):
             self.node._register_epoch(epoch)
-            batch, acg, spec_seconds = self._reconcile(spec)
+            batch, spec_seconds = self._reconcile(spec)
             phases = PhaseLatencies(
                 validation=admit_seconds, execution=spec_seconds
             )
-            self._launch(epoch, spec.transactions, batch, acg, phases)
+            self._launch(epoch, spec.transactions, batch, phases)
             self.stats.epochs_streamed += 1
         else:
             # The admitted epoch is not the one speculated (a discarded
@@ -220,7 +220,6 @@ class StreamingEpochEngine:
         fresh: set[int] = set()
         read_fn = self._spec_read_fn()
         executor = self.pipeline.executor
-        acg = IncrementalACG()
         transactions: list[Transaction] = []
         results: list[SimulationResult] = []
         start = time.perf_counter()
@@ -228,35 +227,21 @@ class StreamingEpochEngine:
             with maybe_span(
                 self.tracer, "engine.speculate", epoch=index
             ) as span:
-                groups: list[list[Transaction]] = []
                 for block in ordered:
-                    group = []
                     for txn in block.transactions:
                         if txn.txid in seen or txn.txid in fresh:
                             continue
                         fresh.add(txn.txid)
-                        group.append(txn)
-                    if group:
-                        groups.append(group)
-                        transactions.extend(group)
+                        transactions.append(txn)
                 if transactions:
                     # One pool dispatch for the whole epoch — per-block
                     # dispatches would multiply chunk boundaries.
-                    # Execution is per-transaction pure, so results
-                    # regroup into blocks losslessly.
                     batch = executor.execute_batch(
                         transactions,
                         read_fn,
                         snapshot_root=self.node.state.root,
                     )
                     results = list(batch.results)
-                    by_txid = {r.txid: r for r in results}
-                    for group in groups:
-                        acg.add_block(
-                            by_txid[txn.txid].as_transaction()
-                            for txn in group
-                            if by_txid[txn.txid].ok
-                        )
                 span.set(
                     blocks=len(ordered),
                     txns=len(transactions),
@@ -282,7 +267,6 @@ class StreamingEpochEngine:
             guess=guess,
             transactions=transactions,
             results=results,
-            acg=acg,
             seconds=time.perf_counter() - start,
         )
 
@@ -304,9 +288,7 @@ class StreamingEpochEngine:
             return lambda address: base.get(address, 0)
         return state.get
 
-    def _reconcile(
-        self, spec: _Speculation
-    ) -> tuple[SimulationBatch, IncrementalACG, float]:
+    def _reconcile(self, spec: _Speculation) -> tuple[SimulationBatch, float]:
         """Keep delta-disjoint speculations; re-execute the touched rest.
 
         Called after the previous epoch fully committed (so the state —
@@ -338,11 +320,6 @@ class StreamingEpochEngine:
                 rebatch = executor.execute_batch(
                     touched, snapshot.get, snapshot_root=state.root
                 )
-                for result in rebatch.results:
-                    spec.acg.replace(
-                        result.txid,
-                        result.as_transaction() if result.ok else None,
-                    )
                 merged = kept + list(rebatch.results)
             span.set(kept=len(kept), reexecuted=len(touched))
         self.stats.kept += len(kept)
@@ -373,7 +350,7 @@ class StreamingEpochEngine:
             results=tuple(sorted(merged, key=lambda r: r.txid)),
             snapshot_root=state.root,
         )
-        return batch, spec.acg, spec.seconds + time.perf_counter() - start
+        return batch, spec.seconds + time.perf_counter() - start
 
     def _export_metrics(self) -> None:
         """Publish speculation accounting into the node's registry."""
@@ -400,20 +377,34 @@ class StreamingEpochEngine:
         epoch: Epoch,
         transactions: list[Transaction],
         batch: SimulationBatch,
-        acg: IncrementalACG,
         phases: PhaseLatencies,
     ) -> None:
-        """Hand a reconciled epoch to the background CC + commit stage."""
+        """Build the reconciled epoch's graph and hand both to the
+        background CC + commit stage."""
         if not isinstance(self.node.state, FlatStateDB):
             # Freeze the pre-commit values for the *next* speculation:
             # the live trie cannot be read while the background commit
             # rewrites it.
             self._spec_base = dict(self.node.state.items())
+        # Built here, while the back stage is idle, not on its thread:
+        # graph construction allocates tens of thousands of containers,
+        # and two threads allocating at once trip the cyclic collector
+        # at points that differ from run to run (a full collection is
+        # tens of milliseconds, so epoch times stop repeating).
+        acg = IncrementalACG()
+        acg.add_block(batch.transactions())
+        dense = acg.seal()
         # Fork edge: everything the main thread wrote before the submit
         # happens-before the back stage's first access.
         race.hb_release(("engine-stage", id(self)))
         future = self._stage.submit(
-            self._run_back_stage, epoch, transactions, batch, acg, phases
+            self._run_back_stage,
+            epoch,
+            transactions,
+            batch,
+            dense,
+            acg.build_seconds,
+            phases,
         )
         self._inflight = _Inflight(epoch=epoch, future=future)
 
@@ -422,11 +413,13 @@ class StreamingEpochEngine:
         epoch: Epoch,
         transactions: list[Transaction],
         batch: SimulationBatch,
-        acg: IncrementalACG,
+        dense: DenseACG,
+        graph_seconds: float,
         phases: PhaseLatencies,
     ) -> tuple[EpochReport, CommitReport]:
-        """Background thread: seal the graph, schedule, then the
-        pipeline's shared finish (apply, report, ledger, certificate).
+        """Background thread: schedule the graph the front stage built,
+        then the pipeline's shared finish (apply, report, ledger,
+        certificate).
 
         Touches no executor pipes (replica sync is deferred to the join
         on the main thread) — its only shared mutation is the state
@@ -437,12 +430,11 @@ class StreamingEpochEngine:
         with maybe_span(
             self.tracer, "pipeline.concurrency_control", epoch=epoch.index
         ) as span:
-            dense = acg.seal()
-            result = self.node.scheduler.schedule_dense(
-                dense, acg.build_seconds
-            )
+            result = self.node.scheduler.schedule_dense(dense, graph_seconds)
             span.set(aborted=result.schedule.aborted_count)
-        phases.concurrency_control = time.perf_counter() - start
+        phases.concurrency_control = (
+            graph_seconds + time.perf_counter() - start
+        )
         outcome = self.pipeline._finish_epoch(
             epoch, transactions, batch, result, phases, sync_replicas=False
         )

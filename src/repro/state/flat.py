@@ -126,7 +126,8 @@ class FlatStateDB(StateDB):
         return self._flat.get(address, 0)
 
     def peek(self, address: Address) -> int:
-        """Race-tolerant read for cross-epoch speculation.
+        """Race-tolerant read of the last *folded* value, for cross-epoch
+        speculation.
 
         The streaming engine speculates epoch ``e+1`` on the main thread
         while epoch ``e``'s commit mutates this state on a background
@@ -135,9 +136,15 @@ class FlatStateDB(StateDB):
         delta — so a ``peek`` of any *other* address is exact, and a
         peek of a written address returns either its old or new value
         (the engine re-executes every transaction that read one of
-        those, so a torn value can never reach a committed result).  No
-        stats counters are bumped: ``flat_reads`` is reset by the
-        concurrent commit and a racing increment would corrupt it.
+        those, so a torn value can never reach a committed result).
+        Staged writes are not consulted: the committer stages them as
+        soon as CC ends, which can fall inside the overlapping
+        speculation, and then what a speculated transaction saw — and
+        whether it reverted — would depend on thread timing; ``commit``
+        folds them in one ``dict.update`` only after the trie seal,
+        well after that speculation is over.  No stats counters are
+        bumped: ``flat_reads`` is reset by the concurrent commit and a
+        racing increment would corrupt it.
 
         The sanitizer hook is *relaxed* — this read races with the
         committing thread's relaxed per-address writes by design (the
@@ -146,10 +153,7 @@ class FlatStateDB(StateDB):
         """
         if race.active():
             race.trace_read(("flat", id(self), address), relaxed=True)
-        try:
-            return self._dirty[address]
-        except KeyError:
-            return self._flat.get(address, 0)
+        return self._flat.get(address, 0)
 
     def commit(self) -> bytes:
         """Fold staged writes into flat state, journal the old values,

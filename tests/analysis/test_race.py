@@ -38,11 +38,15 @@ def run_threads(*targets):
 
 
 @pytest.fixture(autouse=True)
-def no_global_detector():
-    """Each test controls the global detector explicitly."""
+def race_detector():
+    """Each test controls the global detector explicitly (this overrides
+    the suite-wide sanitizer fixture) and leaves it as it found it."""
+    found = race.active()
     race.disable()
     yield
     race.disable()
+    if found is not None:
+        race.enable(found)
 
 
 class TestDetectorSemantics:

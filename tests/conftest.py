@@ -4,7 +4,29 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis import race
 from repro.txn import Transaction, make_transaction
+
+# ``REPRO_SANITIZE=1`` (CI's sanitizer job) makes ``repro.analysis.race``
+# install a process-global detector at import.
+_SANITIZING = race.active() is not None
+
+
+@pytest.fixture(autouse=True)
+def race_detector():
+    """Under ``REPRO_SANITIZE=1``: a fresh detector per test, and any race
+    it reports fails the test.  Yields the detector (``None`` when off).
+
+    ``tests/analysis/test_race.py`` manages the global detector itself and
+    overrides this fixture.
+    """
+    if not _SANITIZING:
+        yield None
+        return
+    detector = race.enable()
+    yield detector
+    findings = detector.report()
+    assert not findings, "\n".join(finding.render() for finding in findings)
 
 
 @pytest.fixture

@@ -1,12 +1,12 @@
 """Differential equivalence for operation-level (delta) concurrency control.
 
 Delta-CC changes *which* transactions commit, never what committing
-means: for every skew, block concurrency, execution placement, and
-scheduler path, the state the pipeline commits under ``delta_cc`` must
-be bit-identical to a serial native replay of exactly the committed
-transactions in schedule order.  The dense fast path must also stay
-bit-identical to the string-keyed reference path on delta-carrying
-batches, and both execution placements must produce the same report —
+means: for every skew, block concurrency and execution placement, the
+state the pipeline commits under ``delta_cc`` must be bit-identical to
+a serial native replay of exactly the committed transactions in
+schedule order.  The dense pipeline must also stay bit-identical to the
+string-keyed reference stages on delta-carrying batches, and both
+execution placements must produce the same report —
 the delta analogues of ``tests/core/test_fastpath.py`` and
 ``tests/node/test_exec_backends.py``.
 """
@@ -15,13 +15,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import NezhaConfig, NezhaScheduler
+from repro.core import NezhaScheduler
 from repro.dag import EpochCoordinator, Mempool, ParallelChains, PoWParams
 from repro.node import ConcurrentExecutor, FullNode, PipelineConfig
 from repro.state import StateDB
 from repro.vm.contracts.smallbank import NATIVE_SMALLBANK, default_registry
 from repro.vm.logger import LoggedStorage
 from repro.workload import SmallBankConfig, SmallBankWorkload, initial_state
+
+from tests.reference import schedule_reference
 
 SKEWS = (0.0, 0.6, 0.9, 0.99)
 OMEGAS = (2, 8)
@@ -41,12 +43,12 @@ def fresh_state(config):
     return state
 
 
-def build_node(skew, workers=0, fast_path=True):
+def build_node(skew, workers=0):
     config = workload_config(skew)
     return FullNode(
         chains=ParallelChains(chain_count=CHAINS, pow_params=PoWParams(6)),
         state=fresh_state(config),
-        scheduler=NezhaScheduler(NezhaConfig(fast_path=fast_path)),
+        scheduler=NezhaScheduler(),
         # The static delta classifier reads the assembled bytecode even
         # when execution itself is native.
         registry=default_registry(include_bytecode=True),
@@ -66,7 +68,7 @@ def _stash_genesis_root(monkeypatch):
     monkeypatch.setattr(FullNode, "__post_init__", patched)
 
 
-def committed_order(node, epoch_txns, fast_path):
+def committed_order(node, epoch_txns):
     """Recover the last epoch's committed transactions in commit order.
 
     Re-runs the delta-promoting executor and the scheduler over the same
@@ -81,9 +83,7 @@ def committed_order(node, epoch_txns, fast_path):
     )
     snapshot = node.state.snapshot(previous_root)
     batch = executor.execute_batch(list(epoch_txns.values()), snapshot.get)
-    result = NezhaScheduler(NezhaConfig(fast_path=fast_path)).schedule(
-        batch.transactions()
-    )
+    result = NezhaScheduler().schedule(batch.transactions())
     order = result.schedule.committed
     # SmallBank amounts are small positives against 10k balances, so the
     # commit-time overflow guard never fires and the schedule's commit
@@ -96,12 +96,11 @@ def committed_order(node, epoch_txns, fast_path):
 class TestSerialReplayEquivalence:
     """Pipeline state under delta-CC == serial native replay, everywhere."""
 
-    @pytest.mark.parametrize("fast_path", [True, False], ids=["fast", "ref"])
     @pytest.mark.parametrize("workers", WORKERS, ids=["in-process", "process"])
     @pytest.mark.parametrize("skew", SKEWS)
-    def test_state_root_matches_serial_replay(self, skew, workers, fast_path):
+    def test_state_root_matches_serial_replay(self, skew, workers):
         config = workload_config(skew)
-        node = build_node(skew, workers=workers, fast_path=fast_path)
+        node = build_node(skew, workers=workers)
         chains = ParallelChains(chain_count=CHAINS, pow_params=node.chains.pow_params)
         coordinator = EpochCoordinator(
             chains=chains, miners=["m0"], block_size=BLOCK_SIZE
@@ -120,7 +119,7 @@ class TestSerialReplayEquivalence:
                 }
                 report = node.receive_epoch(blocks)
                 assert report.committed > 0
-                for txn in committed_order(node, epoch_txns, fast_path):
+                for txn in committed_order(node, epoch_txns):
                     storage = LoggedStorage(replay_state.get)
                     receipt = NATIVE_SMALLBANK.call(
                         txn.function, storage, tuple(txn.args)
@@ -131,7 +130,7 @@ class TestSerialReplayEquivalence:
                 replay_state.commit()
                 assert replay_state.root == report.state_root, (
                     f"delta-CC state diverged from serial replay at "
-                    f"skew={skew} workers={workers} fast_path={fast_path}"
+                    f"skew={skew} workers={workers}"
                 )
 
     def test_hot_keys_actually_commute(self):
@@ -150,7 +149,7 @@ class TestSerialReplayEquivalence:
 
 
 class TestPathAgreementOnDeltaBatches:
-    """Fast path == reference path, now with delta units in the batch."""
+    """Dense pipeline == reference stages, now with delta units in the batch."""
 
     @staticmethod
     def assert_identical(fast, ref):
@@ -171,8 +170,8 @@ class TestPathAgreementOnDeltaBatches:
         )
         txns = workload.generate(omega * BLOCK_SIZE)
         assert any(txn.rwset.deltas for txn in txns)
-        fast = NezhaScheduler(NezhaConfig(fast_path=True)).schedule(txns)
-        ref = NezhaScheduler(NezhaConfig(fast_path=False)).schedule(txns)
+        fast = NezhaScheduler().schedule(txns)
+        ref = schedule_reference(txns)
         self.assert_identical(fast, ref)
 
     @pytest.mark.parametrize("skew", SKEWS)
@@ -187,8 +186,8 @@ class TestPathAgreementOnDeltaBatches:
         batch = executor.execute_batch(txns, state.snapshot().get)
         simulated = batch.transactions()
         assert any(txn.rwset.deltas for txn in simulated)
-        fast = NezhaScheduler(NezhaConfig(fast_path=True)).schedule(simulated)
-        ref = NezhaScheduler(NezhaConfig(fast_path=False)).schedule(simulated)
+        fast = NezhaScheduler().schedule(simulated)
+        ref = schedule_reference(simulated)
         self.assert_identical(fast, ref)
 
 

@@ -1,10 +1,10 @@
-"""Fast-path <-> reference-path equivalence for the Nezha CC pipeline.
+"""Dense <-> reference equivalence for the Nezha CC pipeline.
 
-The dense-id fast path (``NezhaConfig(fast_path=True)``, the default)
-must be *bit-identical* to the string-keyed reference implementation:
-same sequence numbers, same aborts, same reorder decisions and the same
-rank order after id -> address translation, on every workload and under
-any input permutation.
+The dense-id pipeline ``NezhaScheduler`` runs must be *bit-identical* to
+the string-keyed reference stage functions (chained by
+``tests.reference.schedule_reference``): same sequence numbers, same
+aborts, same reorder decisions and the same rank order after id ->
+address translation, on every workload and under any input permutation.
 """
 
 from __future__ import annotations
@@ -26,15 +26,16 @@ from repro.core import (
 from repro.errors import SchedulingError
 from repro.txn import make_transaction
 
+from tests.reference import schedule_reference
+
 SKEWS = (0.2, 0.6, 0.99)
 OMEGAS = (2, 8, 12)
 BLOCK_SIZE = 25
 
 
-def both_paths(txns, **config):
-    fast = NezhaScheduler(NezhaConfig(fast_path=True, **config)).schedule(txns)
-    ref = NezhaScheduler(NezhaConfig(fast_path=False, **config)).schedule(txns)
-    return fast, ref
+def both_paths(txns, **knobs):
+    config = NezhaConfig(**knobs)
+    return NezhaScheduler(config).schedule(txns), schedule_reference(txns, config)
 
 
 def assert_identical(fast, ref):
@@ -43,6 +44,8 @@ def assert_identical(fast, ref):
     assert fast.schedule.reordered == ref.schedule.reordered
     assert fast.rank_order == ref.rank_order
     assert fast.schedule.sequences() == ref.schedule.sequences()
+    assert fast.abort_edges == ref.abort_edges
+    assert fast.revived_txids == ref.revived_txids
 
 
 def random_batch(rng, max_txns=60, max_addrs=12):
@@ -164,7 +167,7 @@ class TestScheduleEquivalence:
             assert again.schedule == baseline.schedule
             assert again.rank_order == baseline.rank_order
 
-    def test_fast_path_result_materialises_acg(self, paper_transactions):
+    def test_result_materialises_acg(self, paper_transactions):
         fast = NezhaScheduler().schedule(paper_transactions)
         reference = build_acg(paper_transactions)
         assert fast.acg.rw_lists == reference.rw_lists

@@ -1,11 +1,11 @@
-"""Incremental ACG construction: bit-identity with the one-shot builder.
+"""``IncrementalACG``: the streaming engine's per-epoch accumulator.
 
-The streaming engine accumulates the conflict graph block by block and
-seals it at epoch close; the barrier pipeline builds it in one shot.
-Nezha's CC is deterministic over the dense graph, so the seal must be
-*bit*-identical to ``build_dense_acg(intern_batch(...))`` over the same
-final transaction set — including after reconciliation swapped or
-retracted transactions mid-flight.
+The streaming engine collects the reconciled epoch's transactions and
+seals them into the dense graph it hands ``schedule_dense``; the barrier
+pipeline builds the graph inside ``schedule``.  Nezha's CC is
+deterministic over the dense graph, so the seal must be *bit*-identical
+to ``build_dense_acg(intern_batch(...))`` over the same transaction set,
+however the blocks were split or ordered on arrival.
 """
 
 from __future__ import annotations
@@ -95,60 +95,6 @@ class TestSealBitIdentity:
         acg.add_block([make_transaction(1, reads=["a"])])
         with pytest.raises(SchedulingError):
             acg.add_block([make_transaction(1, writes=["b"])])
-
-
-class TestReplace:
-    @pytest.mark.parametrize("seed", range(15))
-    def test_replace_equals_building_with_final_set(self, seed):
-        """Reconciliation swaps rwsets in place; the sealed graph must
-        equal one built directly from the post-swap transaction set."""
-        rng = random.Random(seed)
-        txns = random_batch(rng, with_deltas=True)
-        acg = IncrementalACG()
-        for block in chunked(txns, rng):
-            acg.add_block(block)
-        final = {t.txid: t for t in txns}
-        swapped = rng.sample(txns, k=rng.randint(1, max(1, len(txns) // 4)))
-        for old in swapped:
-            if rng.random() < 0.25:
-                acg.replace(old.txid, None)  # re-execution failed: retract
-                del final[old.txid]
-                continue
-            new = make_transaction(
-                old.txid,
-                reads=[f"a{rng.randint(0, 11)}"],
-                writes=[f"a{rng.randint(0, 11)}"],
-            )
-            acg.replace(old.txid, new)
-            final[old.txid] = new
-        reference = build_dense_acg(intern_batch(list(final.values())))
-        assert dense_acg_equal(acg.seal(), reference)
-
-    def test_replace_then_reseal_reflects_change(self):
-        acg = IncrementalACG()
-        acg.add_block(
-            [
-                make_transaction(1, reads=["a"], writes=["b"]),
-                make_transaction(2, reads=["b"], writes=["c"]),
-            ]
-        )
-        first = acg.seal()
-        assert len(first.batch.txids) == 2
-        acg.replace(2, None)
-        second = acg.seal()
-        reference = build_dense_acg(
-            intern_batch([make_transaction(1, reads=["a"], writes=["b"])])
-        )
-        assert dense_acg_equal(second, reference)
-
-    def test_replace_unknown_txid_adds(self):
-        """Replacing a txid never seen just inserts the transaction."""
-        acg = IncrementalACG()
-        acg.replace(7, make_transaction(7, reads=["a"], writes=["b"]))
-        reference = build_dense_acg(
-            intern_batch([make_transaction(7, reads=["a"], writes=["b"])])
-        )
-        assert dense_acg_equal(acg.seal(), reference)
 
 
 class TestSchedulerEquivalence:

@@ -2,7 +2,15 @@
 
 from __future__ import annotations
 
+import ast
+import dataclasses
+from pathlib import Path
+
+import pytest
+
+import repro
 from repro.core import NezhaConfig, NezhaScheduler, check_invariants
+from repro.errors import SchedulingError
 from repro.txn import make_transaction
 from repro.workload import SmallBankConfig, SmallBankWorkload, flatten_blocks
 
@@ -47,6 +55,59 @@ class TestSchedulerBasics:
     def test_aborted_property_mirrors_schedule(self, paper_transactions):
         result = NezhaScheduler().schedule(paper_transactions)
         assert result.aborted == result.schedule.aborted
+
+
+class TestConfig:
+    def test_fields_are_the_four_anything_reads(self):
+        """A fifth field is a second code path: justify it before adding."""
+        assert {f.name for f in dataclasses.fields(NezhaConfig)} == {
+            "enable_reorder",
+            "enable_validation",
+            "initial_seq",
+            "rank_policy",
+        }
+
+    @pytest.mark.parametrize("initial_seq", [0, -1])
+    def test_nonpositive_initial_seq_rejected(self, initial_seq):
+        """0 is the sorter's "no reads" sentinel — it would mis-sort."""
+        with pytest.raises(SchedulingError):
+            NezhaConfig(initial_seq=initial_seq)
+
+
+class TestReferenceIsNotADependency:
+    """The string-keyed stage functions are the test oracle; nothing an
+    epoch runs through may import them (cf. the certifier's independence
+    test)."""
+
+    REFERENCE_NAMES = {
+        "build_acg",
+        "divide_ranks",
+        "sort_transactions",
+        "validate_sort",
+        "SortState",
+    }
+
+    def production_files(self):
+        root = Path(repro.__file__).parent
+        files = [root / "core" / "scheduler.py", root / "core" / "incremental.py"]
+        for package in ("node", "net", "bench"):
+            files.extend(sorted((root / package).rglob("*.py")))
+        return files
+
+    def test_epoch_path_never_names_a_reference_stage(self):
+        files = self.production_files()
+        assert len(files) > 10
+        for path in files:
+            named: set[str] = set()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    named.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.Name):
+                    named.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+            used = named & self.REFERENCE_NAMES
+            assert not used, f"{path.name} uses {sorted(used)}"
 
 
 class TestSchedulerSerializability:

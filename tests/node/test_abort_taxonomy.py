@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import CGScheduler, OCCScheduler
-from repro.core import NezhaConfig, NezhaScheduler
+from repro.core import NezhaScheduler
 from repro.dag import EpochCoordinator, Mempool, ParallelChains, PoWParams
 from repro.node import FullNode, PipelineConfig
 from repro.node.metrics import MetricsRegistry
@@ -34,6 +34,7 @@ from repro.workload import (
 )
 
 from tests.node.test_pipeline import build_node, mine_epochs
+from tests.reference import schedule_reference
 
 CONTENDED = SmallBankConfig(account_count=40, skew=1.1, seed=7)
 
@@ -66,8 +67,8 @@ class TestTaxonomyCounts:
 class TestSchedulerReasons:
     def test_fast_and_reference_paths_agree(self):
         batch = contended_batch()
-        fast = NezhaScheduler(NezhaConfig(fast_path=True)).schedule(batch)
-        reference = NezhaScheduler(NezhaConfig(fast_path=False)).schedule(batch)
+        fast = NezhaScheduler().schedule(batch)
+        reference = schedule_reference(batch)
         assert fast.abort_reasons == reference.abort_reasons
         assert fast.revived == reference.revived
 

@@ -17,11 +17,14 @@ import dataclasses
 
 import pytest
 
+from repro.analysis import race
 from repro.core import NezhaScheduler
 from repro.dag import EpochCoordinator, Mempool, ParallelChains, PoWParams
 from repro.errors import BlockValidationError
 from repro.node import FullNode, PipelineConfig
+from repro.obs import FlightLedger
 from repro.state.flat import make_statedb
+from repro.txn import Transaction
 from repro.vm.contracts import default_registry
 from repro.workload import SmallBankConfig, SmallBankWorkload, initial_state
 
@@ -49,6 +52,7 @@ def _make_node(
     delta_cc: bool = False,
     skew: float = 0.6,
     flat: bool = True,
+    ledger: FlightLedger | None = None,
 ) -> FullNode:
     return FullNode(
         chains=ParallelChains(chain_count=CHAINS, pow_params=POW),
@@ -60,6 +64,7 @@ def _make_node(
             streaming=streaming,
             delta_cc=delta_cc,
         ),
+        ledger=ledger,
     )
 
 
@@ -173,6 +178,59 @@ class TestBitIdentity:
         assert _fingerprint(reports) == expected
 
 
+class TestReconcile:
+    def test_speculated_success_that_reverts_on_reexecution_skips_cc(self):
+        """Epoch 0 drains an account, epoch 1 spends from it.  Speculated
+        against the frozen pre-epoch-0 copy the spend succeeds; re-executed
+        at reconcile against the committed state it reverts, so — exactly
+        as on a barrier node — it is a failed simulation that never
+        reaches concurrency control."""
+
+        def payment(txid, src, dst, amount):
+            return Transaction(
+                txid=txid,
+                sender=f"user:{src:06d}",
+                contract="smallbank",
+                function="sendPayment",
+                args=(src, dst, amount),
+            )
+
+        balance = _fresh_state().get("chk:000001")
+        coordinator = EpochCoordinator(
+            chains=ParallelChains(chain_count=CHAINS, pow_params=POW),
+            miners=["m0"],
+            block_size=BLOCK_SIZE,
+        )
+        mempool = Mempool()
+        epochs = []
+        with _make_node(False, flat=False) as barrier:
+            for txns in (
+                [payment(1, 1, 2, balance)],
+                [payment(2, 1, 3, 1), payment(3, 4, 5, 1)],
+            ):
+                mempool.submit_many(txns)
+                epochs.append(
+                    coordinator.mine_epoch(mempool, state_root=barrier.state_root)
+                )
+                barrier.receive_epoch(epochs[-1])
+            expected = _fingerprint(barrier.reports)
+        assert barrier.reports[1].failed_simulation == 1
+        assert barrier.reports[1].committed == 1
+
+        with _make_node(True, flat=False, ledger=FlightLedger()) as replay:
+            for blocks in epochs:
+                replay.submit_epoch(blocks)
+            replay.drain()
+            stats = replay.engine.stats
+        assert _fingerprint(replay.reports) == expected
+        assert stats.epochs_streamed == 2
+        assert (stats.speculated, stats.kept, stats.reexecuted) == (3, 2, 1)
+        spend = {e["kind"]: e for e in replay.ledger.events_for(2)}
+        assert spend["speculate"]["ok"] is True
+        assert spend["reconcile"]["outcome"] == "reexecuted"
+        assert "schedule" not in spend
+
+
 class TestQueueDiscipline:
     def test_flood_keeps_one_epoch_in_flight(self):
         """A flood of submits degrades to barrier pacing: one in-flight
@@ -245,3 +303,19 @@ class TestFallback:
             # new but the node still holds its report.
             node.drain()
             assert len(node.reports) == 1
+
+
+class TestSanitizedSession:
+    def test_detector_watches_the_back_stage(self, race_detector):
+        """CI's sanitizer job runs this file under ``REPRO_SANITIZE=1``.
+        The per-test detector must then be the installed one and see the
+        engine's cross-thread accesses — a fixture elsewhere that quietly
+        removed it would leave the whole job checking nothing."""
+        if race_detector is None:
+            pytest.skip("REPRO_SANITIZE is off")
+        with _make_node(True) as node:
+            for blocks in _mine(False)[:2]:
+                node.submit_epoch(blocks)
+            node.drain()
+            assert race.active() is race_detector
+        assert race_detector.summary()["accesses"] > 0

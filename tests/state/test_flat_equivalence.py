@@ -319,6 +319,21 @@ class TestJournalFeatures:
         first.set("k3", 999)
         assert reopened.commit() == first.commit()
 
+    def test_peek_ignores_staged_writes_until_the_fold(self):
+        # Speculation must not see a concurrent commit's staged writes:
+        # when they land relative to it is thread timing.
+        flat = FlatStateDB(store=MemStore())
+        flat.seed({"a": 1})
+        flat.set("a", 2)
+        flat.set("b", 7)
+        assert (flat.get("a"), flat.get("b")) == (2, 7)
+        assert (flat.peek("a"), flat.peek("b")) == (1, 0)
+        reads = flat.flat_reads
+        flat.peek("a")
+        assert flat.flat_reads == reads
+        flat.commit()
+        assert (flat.peek("a"), flat.peek("b")) == (2, 7)
+
 
 class TestKVNodeMappingCount:
     def test_count_scans_once_then_tracks(self):
