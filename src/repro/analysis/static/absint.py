@@ -4,13 +4,13 @@ Explores every path reachable from pc 0 with an abstract stack of
 :mod:`~repro.analysis.static.absdomain` terms, proving:
 
 * **stack safety** — no underflow, no ``DUP``/``SWAP`` beyond the stack,
-  no overflow past the interpreter's ``MAX_STACK_DEPTH``, and a single
+  no overflow past the machine's ``MAX_STACK_DEPTH``, and a single
   consistent stack depth at every join point (the classic JVM/Wasm
   verification discipline);
 * **jump safety** — every ``JUMP``/``JUMPI`` target is a statically
   constant pc that lands on an instruction boundary inside the code
   (mid-immediate and out-of-range targets are rejected with the same
-  wording the interpreter uses at runtime);
+  wording the machine uses at runtime);
 * **static RW keys** — every ``SLOAD``/``SSTORE`` key operand is
   captured as a symbolic term, giving a per-method over-approximate
   read/write key set.
@@ -27,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.vm.decoder import BytecodeLayout, truncation_message
-from repro.vm.machine import MAX_STACK_DEPTH
+from repro.vm.compiler import MAX_STACK_DEPTH
 from repro.vm.opcodes import Op
 
 from repro.analysis.static.absdomain import (

@@ -63,7 +63,7 @@ class InvalidJump(ExecutionError):
     """A jump targeted a pc outside the code or inside an immediate.
 
     Landing inside a ``PUSH``/``ARG``/``DUP``/``SWAP`` immediate would
-    execute operand bytes as opcodes; both the interpreter and the static
+    execute operand bytes as opcodes; both the machine and the static
     verifier reject such targets against the same instruction-boundary set.
     """
 

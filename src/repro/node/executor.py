@@ -402,9 +402,21 @@ class ConcurrentExecutor:
         """Speculatively execute a single transaction (always in-process)."""
         if txn.contract is None or self.registry is None:
             return self._passthrough(txn, read_fn)
+        # Transactions are untrusted: arguments that are not integers
+        # revert the call, on both paths, instead of raising out of the
+        # epoch (a wrong argument *count* reverts inside the contract).
+        try:
+            args = tuple(map(int, txn.args))
+        except (TypeError, ValueError):
+            return SimulationResult(
+                transaction=txn,
+                rwset=RWSet(),
+                status=SimulationStatus.REVERTED,
+                error="malformed call: arguments must be integers",
+            )
         if self.use_vm:
-            return self._execute_vm(txn, read_fn)
-        return self._execute_native(txn, read_fn)
+            return self._execute_vm(txn, args, read_fn)
+        return self._execute_native(txn, args, read_fn)
 
     def _passthrough(self, txn: Transaction, read_fn: ReadFn) -> SimulationResult:
         """Synthetic transaction: rwset provided up front, reads resolved.
@@ -440,7 +452,9 @@ class ConcurrentExecutor:
         self._delta_classes[key] = classification
         return classification
 
-    def _delta_sites(self, txn: Transaction) -> tuple[tuple[Address, int], ...]:
+    def _delta_sites(
+        self, txn: Transaction, args: tuple[int, ...]
+    ) -> tuple[tuple[Address, int], ...]:
         """Resolve a call's statically classified delta sites, if any."""
         if not self.delta_cc or txn.contract is None or self.registry is None:
             return ()
@@ -450,29 +464,28 @@ class ConcurrentExecutor:
         renderer = self.registry.key_renderer(txn.contract)
         if renderer is None:
             return ()
-        return resolve_sites(
-            classification,
-            (int(a) for a in txn.args),
-            caller_id(txn.sender),
-            renderer,
-        )
+        return resolve_sites(classification, args, caller_id(txn.sender), renderer)
 
-    def _execute_native(self, txn: Transaction, read_fn: ReadFn) -> SimulationResult:
+    def _execute_native(
+        self, txn: Transaction, args: tuple[int, ...], read_fn: ReadFn
+    ) -> SimulationResult:
         contract = self.registry.native(txn.contract)
         if contract is None:
             raise ExecutionError(f"contract {txn.contract!r} is not deployed")
         storage = LoggedStorage(read_fn)
         receipt = contract.call(
-            txn.function, storage, tuple(txn.args), caller=caller_id(txn.sender)
+            txn.function, storage, args, caller=caller_id(txn.sender)
         )
         if receipt.success:
-            sites = self._delta_sites(txn)
+            sites = self._delta_sites(txn, args)
             if sites:
                 storage.promote_deltas(sites)
                 receipt.rwset = storage.rwset()
         return self._result_from_receipt(txn, receipt)
 
-    def _execute_vm(self, txn: Transaction, read_fn: ReadFn) -> SimulationResult:
+    def _execute_vm(
+        self, txn: Transaction, args: tuple[int, ...], read_fn: ReadFn
+    ) -> SimulationResult:
         code = self.registry.bytecode(txn.contract, txn.function)
         renderer = self.registry.key_renderer(txn.contract)
         if code is None or renderer is None:
@@ -482,11 +495,11 @@ class ConcurrentExecutor:
         storage = LoggedStorage(read_fn)
         context = ExecutionContext(
             storage=storage,
-            args=tuple(int(a) for a in txn.args),
+            args=args,
             caller=caller_id(txn.sender),
             gas_limit=self.gas_limit,
             key_renderer=renderer,
-            delta_sites=self._delta_sites(txn),
+            delta_sites=self._delta_sites(txn, args),
         )
         receipt = self._svm.execute(code, context)
         return self._result_from_receipt(txn, receipt)

@@ -16,8 +16,9 @@ writes on the same address.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping
+from typing import Any
 
 from repro.errors import TransactionError
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Mapping
 
 from repro.txn.rwset import Address, RWSet
@@ -68,32 +69,40 @@ class SimulationResult:
 
 @dataclass(frozen=True)
 class SimulationBatch:
-    """All simulation results for one epoch, in transaction-id order."""
+    """All simulation results for one epoch, in transaction-id order.
+
+    Whoever builds a batch passes ``results`` already sorted by txid
+    (``execute_batch``, the streaming reconciliation and
+    ``batch_from_transactions`` all do); nothing here re-sorts.
+    """
 
     results: tuple[SimulationResult, ...] = ()
     snapshot_root: bytes = b""
 
-    def successful(self) -> list[SimulationResult]:
-        """Results whose speculative execution succeeded."""
-        return [r for r in self.results if r.ok]
+    @cached_property
+    def _successful(self) -> tuple[SimulationResult, ...]:
+        return tuple(r for r in self.results if r.ok)
+
+    def successful(self) -> tuple[SimulationResult, ...]:
+        """Results whose speculative execution succeeded, in id order."""
+        return self._successful
 
     def transactions(self) -> list[Transaction]:
         """Successful transactions with rwsets attached, in id order."""
-        txns = [r.as_transaction() for r in self.successful()]
-        return sorted(txns, key=lambda t: t.txid)
+        return [r.as_transaction() for r in self._successful]
 
     def write_values(self) -> dict[int, Mapping[Address, Any]]:
         """Map txid -> write values, for the commitment phase."""
-        return {r.txid: r.rwset.writes for r in self.successful()}
+        return {r.txid: r.rwset.writes for r in self._successful}
 
     def delta_values(self) -> dict[int, Mapping[Address, int]]:
         """Map txid -> commutative delta amounts, for the commitment fold."""
-        return {r.txid: r.rwset.deltas for r in self.successful()}
+        return {r.txid: r.rwset.deltas for r in self._successful}
 
     @property
     def failed_count(self) -> int:
         """Number of reverted or failed speculative executions."""
-        return sum(1 for r in self.results if not r.ok)
+        return len(self.results) - len(self._successful)
 
 
 def batch_from_transactions(

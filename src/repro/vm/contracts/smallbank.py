@@ -96,6 +96,18 @@ def _get_balance(storage: LoggedStorage, args: tuple[int, ...], caller: int = 0)
     return storage.load(_savings(customer)) + storage.load(_checking(customer))
 
 
+SMALLBANK_ARITIES: dict[str, int] = {
+    "updateSavings": 2,
+    "updateBalance": 2,
+    "sendPayment": 3,
+    "writeCheck": 2,
+    "almagate": 2,
+    "getBalance": 1,
+}
+"""Declared argument count per method; the static verifier bounds
+``ARG`` indices against these, mirroring the machine's runtime
+range check."""
+
 NATIVE_SMALLBANK = NativeContract(
     name=CONTRACT_NAME,
     functions={
@@ -106,6 +118,7 @@ NATIVE_SMALLBANK = NativeContract(
         "almagate": _amalgamate,
         "getBalance": _get_balance,
     },
+    arities=SMALLBANK_ARITIES,
 )
 
 
@@ -250,18 +263,6 @@ SMALLBANK_ASSEMBLY: dict[str, str] = {
     "almagate": _AMALGAMATE_ASM,
     "getBalance": _GET_BALANCE_ASM,
 }
-
-SMALLBANK_ARITIES: dict[str, int] = {
-    "updateSavings": 2,
-    "updateBalance": 2,
-    "sendPayment": 3,
-    "writeCheck": 2,
-    "almagate": 2,
-    "getBalance": 1,
-}
-"""Declared argument count per method; the static verifier bounds
-``ARG`` indices against these, mirroring the interpreter's runtime
-range check."""
 
 
 def compile_smallbank() -> dict[str, bytes]:

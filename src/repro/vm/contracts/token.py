@@ -101,6 +101,18 @@ def _total_supply(storage: LoggedStorage, args: tuple[int, ...], caller: int = 0
     return storage.load(SUPPLY_ADDRESS)
 
 
+TOKEN_ARITIES: dict[str, int] = {
+    "mint": 2,
+    "transfer": 2,
+    "approve": 2,
+    "transferFrom": 3,
+    "balanceOf": 1,
+    "totalSupply": 0,
+}
+"""Declared argument count per method; the static verifier bounds
+``ARG`` indices against these, mirroring the machine's runtime
+range check."""
+
 NATIVE_TOKEN = NativeContract(
     name=CONTRACT_NAME,
     functions={
@@ -111,6 +123,7 @@ NATIVE_TOKEN = NativeContract(
         "balanceOf": _balance_of,
         "totalSupply": _total_supply,
     },
+    arities=TOKEN_ARITIES,
 )
 
 
@@ -252,18 +265,6 @@ TOKEN_ASSEMBLY: dict[str, str] = {
     "balanceOf": _BALANCE_OF_ASM,
     "totalSupply": _TOTAL_SUPPLY_ASM,
 }
-
-TOKEN_ARITIES: dict[str, int] = {
-    "mint": 2,
-    "transfer": 2,
-    "approve": 2,
-    "transferFrom": 3,
-    "balanceOf": 1,
-    "totalSupply": 0,
-}
-"""Declared argument count per method; the static verifier bounds
-``ARG`` indices against these, mirroring the interpreter's runtime
-range check."""
 
 
 def compile_token() -> dict[str, bytes]:

@@ -1,16 +1,16 @@
-"""Bytecode decoding shared by the interpreter and the static verifier.
+"""Bytecode decoding shared by the segment compiler and the static verifier.
 
 One linear scan turns raw bytes into a :class:`BytecodeLayout`: the
 decoded instruction stream, the set of valid *instruction boundaries*
 (the only legal jump targets), and structural defects (immediates that
-run past the end of the code).  The interpreter consults the layout to
+run past the end of the code).  The compiler consults the layout to
 reject jumps that land inside an immediate and to report truncated
 instructions with a structured error instead of ``struct.error``; the
 static verifier starts from the same layout so both sides report
 identical diagnostics for identical malformations.
 
 Unknown opcode bytes decode as one-byte pseudo-instructions: they are
-boundaries (mirroring the interpreter, which only faults on an unknown
+boundaries (mirroring the machine, which only faults on an unknown
 byte when the program counter actually reaches it), and executing or
 analyzing them raises/reports ``InvalidOpcode``.
 """

@@ -1,36 +1,27 @@
-"""The SVM interpreter.
+"""The SVM: execution context, receipts and the machine's entry point.
 
 Executes assembled bytecode against a :class:`~repro.vm.logger.LoggedStorage`
 accessor.  Storage opcodes address 64-bit integer keys; a per-contract
 *key renderer* maps them to the string state addresses the rest of the
 system uses (SmallBank renders ``sav:...``/``chk:...``), keeping VM
 execution and analytic workloads conflict-identical.
+
+There is no interpreter loop: :mod:`repro.vm.compiler` translates each
+bytecode into one Python function per straight-line segment, and
+:meth:`SVM.execute` turns what they return or raise into a :class:`Receipt`.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.errors import (
-    ExecutionError,
-    InvalidJump,
-    InvalidOpcode,
-    OutOfGas,
-    TruncatedBytecode,
-    VMRevert,
-)
+from repro.errors import ExecutionError, VMRevert
 from repro.txn.rwset import Address, RWSet
-from repro.vm.decoder import BytecodeLayout, decode, truncation_message
+from repro.vm.compiler import compile_code
 from repro.vm.logger import LoggedStorage
-from repro.vm.opcodes import WORD_MASK, Op, op_info
-
-_PUSH_IMM = struct.Struct("<Q")
 
 DEFAULT_GAS_LIMIT = 1_000_000
-MAX_STACK_DEPTH = 1_024
-MAX_STEPS = 1_000_000
 
 KeyRenderer = Callable[[int], Address]
 
@@ -72,7 +63,7 @@ class Receipt:
 
 
 class SVM:
-    """Stack-machine interpreter (one instance is reusable and stateless)."""
+    """The stack machine (one instance is reusable and stateless)."""
 
     def execute(self, code: bytes, context: ExecutionContext) -> Receipt:
         """Run ``code`` to completion; revert errors produce a failed receipt.
@@ -82,7 +73,7 @@ class SVM:
         blockchain node must never crash on untrusted bytecode.
         """
         try:
-            value, gas_used, logs = self._run(code, context)
+            value, gas_used, logs = compile_code(code).run(context)
         except VMRevert as exc:
             context.storage.discard()
             return Receipt(
@@ -92,7 +83,7 @@ class SVM:
                 rwset=context.storage.rwset(),
                 error="reverted",
             )
-        except (InvalidOpcode, OutOfGas, ExecutionError) as exc:
+        except ExecutionError as exc:
             context.storage.discard()
             return Receipt(
                 success=False,
@@ -110,135 +101,3 @@ class SVM:
             rwset=context.storage.rwset(),
             logs=tuple(logs),
         )
-
-    def _run(
-        self, code: bytes, context: ExecutionContext
-    ) -> tuple[int | None, int, list[tuple[int, int]]]:
-        stack: list[int] = []
-        logs: list[tuple[int, int]] = []
-        pc = 0
-        gas_used = 0
-        steps = 0
-        size = len(code)
-        # One cached structural scan per bytecode unit: yields the set of
-        # valid instruction boundaries (the only legal jump targets) and
-        # the location of any truncated trailing immediate.
-        layout = decode(code)
-        truncated_pc = layout.truncated_pc
-        while pc < size:
-            steps += 1
-            if steps > MAX_STEPS:
-                raise ExecutionError("step limit exceeded (infinite loop?)")
-            opcode = code[pc]
-            info = op_info(opcode)
-            if info is None:
-                raise InvalidOpcode(f"unknown opcode 0x{opcode:02x} at pc {pc}")
-            if pc == truncated_pc:
-                instruction = layout.instruction_at(pc)
-                assert instruction is not None
-                raise TruncatedBytecode(truncation_message(instruction, size))
-            gas_used += info.gas
-            if gas_used > context.gas_limit:
-                raise OutOfGas(f"gas limit {context.gas_limit} exceeded at pc {pc}")
-            if len(stack) < info.stack_in:
-                raise ExecutionError(f"stack underflow at pc {pc} ({info.op.name})")
-            op = info.op
-            next_pc = pc + 1 + info.immediate_size
-
-            if op is Op.STOP:
-                return None, gas_used, logs
-            if op is Op.PUSH:
-                (value,) = _PUSH_IMM.unpack_from(code, pc + 1)
-                stack.append(value)
-            elif op is Op.POP:
-                stack.pop()
-            elif op is Op.DUP:
-                depth = code[pc + 1]
-                if depth < 1 or depth > len(stack):
-                    raise ExecutionError(f"DUP {depth} beyond stack at pc {pc}")
-                stack.append(stack[-depth])
-            elif op is Op.SWAP:
-                depth = code[pc + 1]
-                if depth < 1 or depth + 1 > len(stack):
-                    raise ExecutionError(f"SWAP {depth} beyond stack at pc {pc}")
-                stack[-1], stack[-depth - 1] = stack[-depth - 1], stack[-1]
-            elif op is Op.ARG:
-                index = code[pc + 1]
-                if index >= len(context.args):
-                    raise ExecutionError(f"ARG {index} out of range at pc {pc}")
-                stack.append(context.args[index] & WORD_MASK)
-            elif op is Op.CALLER:
-                stack.append(context.caller & WORD_MASK)
-            elif op is Op.ADD:
-                b, a = stack.pop(), stack.pop()
-                stack.append((a + b) & WORD_MASK)
-            elif op is Op.SUB:
-                b, a = stack.pop(), stack.pop()
-                stack.append((a - b) & WORD_MASK)
-            elif op is Op.MUL:
-                b, a = stack.pop(), stack.pop()
-                stack.append((a * b) & WORD_MASK)
-            elif op is Op.DIV:
-                b, a = stack.pop(), stack.pop()
-                stack.append(0 if b == 0 else a // b)
-            elif op is Op.MOD:
-                b, a = stack.pop(), stack.pop()
-                stack.append(0 if b == 0 else a % b)
-            elif op is Op.LT:
-                b, a = stack.pop(), stack.pop()
-                stack.append(1 if a < b else 0)
-            elif op is Op.GT:
-                b, a = stack.pop(), stack.pop()
-                stack.append(1 if a > b else 0)
-            elif op is Op.EQ:
-                b, a = stack.pop(), stack.pop()
-                stack.append(1 if a == b else 0)
-            elif op is Op.ISZERO:
-                stack.append(1 if stack.pop() == 0 else 0)
-            elif op is Op.AND:
-                b, a = stack.pop(), stack.pop()
-                stack.append(a & b)
-            elif op is Op.OR:
-                b, a = stack.pop(), stack.pop()
-                stack.append(a | b)
-            elif op is Op.NOT:
-                stack.append(stack.pop() ^ WORD_MASK)
-            elif op is Op.JUMP:
-                next_pc = self._jump_target(stack.pop(), layout, pc)
-            elif op is Op.JUMPI:
-                condition, target = stack.pop(), stack.pop()
-                if condition:
-                    next_pc = self._jump_target(target, layout, pc)
-            elif op is Op.SLOAD:
-                key = stack.pop()
-                address = context.key_renderer(key)
-                stack.append(context.storage.load(address) & WORD_MASK)
-            elif op is Op.SSTORE:
-                value, key = stack.pop(), stack.pop()
-                address = context.key_renderer(key)
-                context.storage.store(address, value)
-            elif op is Op.LOG:
-                value, topic = stack.pop(), stack.pop()
-                logs.append((topic, value))
-            elif op is Op.RETURN:
-                return stack.pop(), gas_used, logs
-            elif op is Op.REVERT:
-                raise VMRevert(gas_used)
-            else:  # pragma: no cover - table and dispatch are in sync
-                raise InvalidOpcode(f"unhandled opcode {op.name}")
-
-            if len(stack) > MAX_STACK_DEPTH:
-                raise ExecutionError(f"stack overflow at pc {pc}")
-            pc = next_pc
-        return None, gas_used, logs
-
-    @staticmethod
-    def _jump_target(target: int, layout: BytecodeLayout, pc: int) -> int:
-        size = len(layout.code)
-        if target >= size:
-            raise InvalidJump(f"jump to {target} beyond code size {size} (pc {pc})")
-        if target not in layout.boundaries:
-            raise InvalidJump(
-                f"jump to {target} lands inside an instruction immediate (pc {pc})"
-            )
-        return target

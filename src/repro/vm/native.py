@@ -33,6 +33,10 @@ class NativeContract:
 
     name: str
     functions: Mapping[str, NativeFn] = field(default_factory=dict)
+    arities: Mapping[str, int] = field(default_factory=dict)
+    """Declared argument count per function.  A call with fewer reverts
+    and extra arguments are dropped, as the bytecode twin's ``ARG`` range
+    check has it; a function with no entry receives ``args`` untouched."""
 
     def call(
         self,
@@ -48,16 +52,19 @@ class NativeContract:
             raise ExecutionError(
                 f"contract {self.name!r} has no function {function!r}"
             ) from None
+        arity = self.arities.get(function, len(args))
         try:
-            value = fn(storage, args, caller)
-        except VMRevert:
+            if len(args) < arity:
+                raise VMRevert(f"{function} takes {arity} arguments, got {len(args)}")
+            value = fn(storage, args[:arity], caller)
+        except VMRevert as exc:
             storage.discard()
             return Receipt(
                 success=False,
                 return_value=None,
                 gas_used=0,
                 rwset=storage.rwset(),
-                error="reverted",
+                error=str(exc) or "reverted",
             )
         return Receipt(
             success=True,

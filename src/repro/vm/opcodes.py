@@ -99,9 +99,11 @@ _register(Op.RETURN, 0, 1, 0, 0)
 _register(Op.REVERT, 0, 0, 0, 0)
 
 
+_BY_BYTE: tuple[OpInfo | None, ...] = tuple(
+    map({int(op): info for op, info in _TABLE.items()}.get, range(256))
+)
+
+
 def op_info(op: int | Op) -> OpInfo | None:
     """Metadata for an opcode byte, or ``None`` when unknown."""
-    try:
-        return _TABLE[Op(op)]
-    except ValueError:
-        return None
+    return _BY_BYTE[op] if 0 <= op < 256 else None

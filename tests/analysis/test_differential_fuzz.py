@@ -1,6 +1,15 @@
-"""Differential fuzzing: static verifier versus the concrete interpreter.
+"""Differential fuzzing: verifier vs. machine, compiled SVM vs. reference.
 
-Two invariants, checked over hundreds of seeded programs:
+The shipped ``SVM`` runs compiled segments (``repro.vm.compiler``); the
+per-instruction interpreter it replaced lives on as
+``tests/reference.py::ReferenceSVM``.  Over every generated and mutated
+program, several gas limits and several argument tuples, both must
+return **equal** ``Receipt``s — success, return value, ``gas_used``,
+error text, logs and the RWSet of failed runs included (the last block
+of this file).
+
+Against the static verifier, two invariants, checked over hundreds of
+seeded programs:
 
 1. **Acceptance soundness** — if the verifier accepts a program, running
    it never produces a *structural* failure (unknown opcode, truncated
@@ -26,7 +35,9 @@ import random
 
 from repro.analysis.static import classify_bytecode, resolve_sites, verify_bytecode
 from repro.vm import ExecutionContext, LoggedStorage, SVM, assemble
+from repro.vm.compiler import MAX_SEGMENT_STEPS, CompiledCode, compile_code
 from repro.vm.machine import default_key_renderer
+from tests.reference import ReferenceSVM
 
 PROGRAM_COUNT = 420
 MUTANT_COUNT = 180
@@ -373,3 +384,139 @@ def test_delta_promotion_preserves_static_containment():
 
 def test_total_program_budget():
     assert PROGRAM_COUNT + MUTANT_COUNT + DELTA_PROGRAM_COUNT >= 500
+
+
+# ------------------------------------------- compiled SVM == reference loop
+
+
+def slot_value(address: str) -> int:
+    """A snapshot whose values differ by slot (operand swaps show up)."""
+    return int(address.rpartition(":")[2], 16) % 1000 + 3
+
+
+def receipts(code: bytes, gas_limit: int, args: tuple[int, ...]):
+    """``(compiled, reference)`` receipts of one call on fresh storage."""
+    out = []
+    for machine in (SVM(), ReferenceSVM()):
+        context = ExecutionContext(
+            storage=LoggedStorage(slot_value),
+            args=args,
+            caller=CALLER,
+            gas_limit=gas_limit,
+        )
+        out.append(machine.execute(code, context))
+    return out
+
+
+def fuzz_corpus() -> tuple[list[bytes], list[bytes]]:
+    """The generated and the mutated programs of the two sweeps above."""
+    rng = random.Random(0xD1FF)
+    generated = [assemble(generate_program(rng)) for _ in range(PROGRAM_COUNT)]
+    rng = random.Random(0xBEEF)
+    mutants = [
+        mutate(assemble(generate_program(rng)), rng) for _ in range(MUTANT_COUNT)
+    ]
+    return generated, mutants
+
+
+def test_compiled_receipts_equal_reference_receipts():
+    rng = random.Random(0xC0DE)
+    generated, mutants = fuzz_corpus()
+    failures = set()
+    for code in generated + mutants:
+        gas_limits = (1_000_000, 10_000_000, rng.randrange(12_000), rng.randrange(300), 5)
+        arg_tuples = (
+            (1, 2, 3),
+            (),
+            (12,),
+            tuple(rng.randrange(2**64) for _ in range(rng.randrange(5))),
+        )
+        for gas_limit in gas_limits:
+            for args in arg_tuples:
+                compiled, reference = receipts(code, gas_limit, args)
+                assert compiled == reference, (
+                    f"code={code.hex()} gas_limit={gas_limit} args={args}"
+                )
+                failures.add((reference.error or "ok").split(" ")[0])
+    # The sweep must reach every way a run can end.
+    assert failures >= {
+        "ok", "reverted", "gas", "stack", "ARG", "DUP", "SWAP", "unknown",
+        "truncated", "jump",
+    }, failures
+
+
+LOOPS = {
+    # 250 000 iterations x 16 gas fit in 10 M: the step limit ends it.
+    "step limit": ("top:\nPUSH 1\nPOP\nPUSH @top\nJUMP", 10_000_000, ()),
+    # One item deeper per iteration: overflow at depth 1 025.
+    "stack overflow": ("top:\nPUSH 1\nPUSH @top\nJUMP", 1_000_000, ()),
+    "gas limit": ("top:\nPUSH 1\nPOP\nPUSH @top\nJUMP", 100_000, ()),
+}
+
+
+def test_loops_end_the_same_way():
+    for marker, (source, gas_limit, args) in LOOPS.items():
+        compiled, reference = receipts(assemble(source), gas_limit, args)
+        assert compiled == reference
+        assert marker in reference.error
+
+
+def test_long_straight_line_code_is_cut_into_segments():
+    """1 000 instructions, no jump: several segments, one receipt."""
+    source = "PUSH 0\n" + "ARG 0\nADD\nDUP 1\nDUP 1\nSSTORE\n" * 200 + "RETURN"
+    code = assemble(source)
+    for gas_limit in (10_000_000, 700_000, 2_000):
+        compiled, reference = receipts(code, gas_limit, (3,))
+        assert compiled == reference
+    assert compiled.error.startswith("gas limit 2000 exceeded")
+    assert len(compile_code(code)._segments[False]) == 1_002 // MAX_SEGMENT_STEPS + 1
+
+
+def test_computed_jump_targets():
+    """``PUSH 5  ARG 0  ADD  JUMP``: the target is known only at run time."""
+    code = assemble("PUSH 5\nARG 0\nADD\nJUMP\nPUSH 42\nRETURN\nARG 1\nRETURN")
+    expected = {
+        8: None,  # pc 13, ``PUSH 42``: returns 42
+        9: "lands inside an instruction immediate",
+        17: "stack underflow at pc 22 (RETURN)",
+        18: "ARG 1 out of range at pc 23",  # a boundary no static jump names
+        19: "lands inside an instruction immediate",  # ``ARG 1``'s operand byte
+        21: "beyond code size",
+        2**64 - 5: "gas limit",  # wraps to pc 0 and spins
+    }
+    for arg, marker in expected.items():
+        compiled, reference = receipts(code, 1_000_000, (arg,))
+        assert compiled == reference, arg
+        if marker is None:
+            assert reference.return_value == 42
+        else:
+            assert marker in reference.error, (arg, reference.error)
+
+
+def test_compiling_never_raises():
+    """No byte string can break (or inject into) the generated source.
+
+    Both variants of the entry segment of every string of length <= 1,
+    of every two-byte string that starts with a known opcode (the second
+    byte is its immediate, its successor or a truncated tail) and of an
+    unknown opcode followed by each quoting / escape / newline byte;
+    then every fuzz mutant, at every instruction boundary.
+    """
+    from repro.vm import Op
+
+    strings = [b""] + [bytes([first]) for first in range(256)]
+    for first in range(256):
+        seconds = range(256) if first in set(Op) else b"\n\r\"'\\{}#\x00\xff"
+        strings += [bytes([first, second]) for second in seconds]
+    for code in strings:
+        unit = CompiledCode(code)
+        unit.segment(0, checked=False)
+        unit.segment(0, checked=True)
+    segments = 0
+    for code in fuzz_corpus()[1]:
+        unit = CompiledCode(code)
+        unit.segment(0, checked=True)
+        for pc in unit.layout.boundaries:
+            unit.segment(pc, checked=False)
+            segments += 1
+    assert segments > 3_000

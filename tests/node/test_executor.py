@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ExecutionError
 from repro.node import ConcurrentExecutor, caller_id
-from repro.txn import Transaction, make_transaction
+from repro.txn import SimulationStatus, Transaction, make_transaction
 from repro.vm.contracts import default_registry
 
 
@@ -47,6 +47,8 @@ class TestPassthrough:
         txns = [make_transaction(i, writes=[f"w{i}"]) for i in (3, 1, 2)]
         batch = executor.execute_batch(txns, read_fn)
         assert [r.txid for r in batch.results] == [1, 2, 3]
+        # ``SimulationBatch`` relies on that order instead of re-sorting.
+        assert [t.txid for t in batch.transactions()] == [1, 2, 3]
 
 
 class TestContractExecution:
@@ -92,3 +94,42 @@ class TestContractExecution:
         txn = smallbank_txn(4, "updateSavings", (2, 50))
         batch = executor.execute_batch([txn], read_fn)
         assert batch.write_values() == {4: {"sav:000002": 100}}
+
+
+class TestMalformedCalls:
+    """An untrusted argument list reverts its call; it never ends the epoch."""
+
+    @staticmethod
+    def statuses(args, function="updateSavings"):
+        registry = default_registry()
+        batch = [smallbank_txn(1, function, args), smallbank_txn(2, "getBalance", (2,))]
+        out = []
+        for use_vm in (True, False):
+            executor = ConcurrentExecutor(registry=registry, use_vm=use_vm)
+            results = executor.execute_batch(batch, read_fn).results
+            assert results[1].ok, "the well-formed neighbour still executes"
+            out.append(results[0])
+        return out
+
+    @pytest.mark.parametrize("args", [(), (1,), ("abc", 1), (1, None)])
+    def test_short_or_non_integer_arguments_revert_on_both_paths(self, args):
+        vm, native = self.statuses(args)
+        assert vm.status is native.status is SimulationStatus.REVERTED
+        assert vm.error and native.error
+        assert not vm.rwset.writes and not native.rwset.writes
+
+    def test_extra_arguments_are_ignored_on_both_paths(self):
+        vm, native = self.statuses((1, 10, 99, 98))
+        assert vm.ok and native.ok
+        assert dict(vm.rwset.writes) == dict(native.rwset.writes) == {"sav:000001": 110}
+
+    def test_numeric_strings_are_integers(self):
+        vm, native = self.statuses(("1", "10"))
+        assert dict(vm.rwset.writes) == dict(native.rwset.writes) == {"sav:000001": 110}
+
+    def test_undeclared_arity_leaves_arguments_untouched(self):
+        from repro.vm import LoggedStorage, NativeContract
+
+        contract = NativeContract("adhoc", {"count": lambda storage, args, caller: len(args)})
+        receipt = contract.call("count", LoggedStorage(read_fn), (1, 2, 3))
+        assert receipt.success and receipt.return_value == 3

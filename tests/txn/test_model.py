@@ -92,6 +92,9 @@ class TestSimulationBatch:
         assert [r.txid for r in batch.successful()] == [1]
         assert batch.failed_count == 1
         assert batch.write_values() == {1: {"x": 1}}
+        assert batch.delta_values() == {1: {}}
+        assert batch.successful() is batch.successful(), "filtered once per batch"
+        assert [t.txid for t in batch.transactions()] == [1]
 
     def test_batch_from_transactions_sorted(self):
         txns = [make_transaction(3), make_transaction(1)]

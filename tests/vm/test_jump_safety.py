@@ -13,6 +13,7 @@ import pytest
 
 from repro.errors import InvalidJump, TruncatedBytecode
 from repro.vm import ExecutionContext, LoggedStorage, Op, SVM, assemble, decode
+from repro.vm.compiler import jump_target
 
 
 def execute(code, args=(), gas_limit=100_000):
@@ -74,7 +75,7 @@ class TestMidImmediateJumps:
 
         assert issubclass(InvalidJump, ExecutionError)
         with pytest.raises(InvalidJump):
-            SVM._jump_target(4, decode(assemble("PUSH 1\nRETURN")), pc=0)
+            jump_target(4, decode(assemble("PUSH 1\nRETURN")), pc=0)
 
 
 class TestTruncatedBytecode:
