@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from repro.core import NezhaScheduler
 from repro.dag import EpochCoordinator, Mempool, ParallelChains, PoWParams
-from repro.node import FullNode, PipelineConfig
+from repro.node import FullNode
 from repro.state import StateDB
 from repro.storage import MemStore
 from repro.vm.contracts import default_registry
@@ -39,7 +39,6 @@ def main() -> None:
         state=state,
         scheduler=NezhaScheduler(),
         registry=default_registry(),
-        config=PipelineConfig(workers=0),
     )
     print(f"genesis state root: {genesis_root.hex()[:16]}...")
 

@@ -10,10 +10,6 @@ every such import, creating a cycle.
 from typing import Any
 
 _EXPORTS: dict[str, str] = {
-    "AddressHeat": "repro.analysis.contention",
-    "ContentionReport": "repro.analysis.contention",
-    "analyze_contention": "repro.analysis.contention",
-    "gini_coefficient": "repro.analysis.contention",
     "ConflictMeasurement": "repro.analysis.conflicts",
     "conflicts_per_address": "repro.analysis.conflicts",
     "expected_distinct_addresses": "repro.analysis.conflicts",

@@ -10,7 +10,7 @@ reach the scheduler:
   every runtime :class:`~repro.vm.logger.LoggedStorage` observation is
   Nezha's soundness obligation;
 * the **determinism linter** (:mod:`lint`) walks consensus-critical
-  Python ASTs for nondeterminism and process-pool pickling hazards.
+  Python ASTs for nondeterminism and thread-safety hazards.
 
 See ``docs/static-analysis.md`` for the abstract domain, the soundness
 claim, and the lint rule catalog.

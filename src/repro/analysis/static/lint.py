@@ -2,8 +2,8 @@
 
 Every replica must derive bit-identical state roots from the same DAG,
 so the Python that builds blocks, orders transactions, and commits state
-(``src/repro/core``, ``dag``, ``state``, ``node``) must be deterministic
-and process-pool safe.  This AST pass flags the failure modes that have
+(``src/repro/core``, ``dag``, ``state``, ``node``) must be
+deterministic.  This AST pass flags the failure modes that have
 actually bitten DAG-ledger reproductions:
 
 * ``ND101`` — iterating an *unordered* ``set``/``frozenset`` into
@@ -17,9 +17,6 @@ actually bitten DAG-ledger reproductions:
   ``random.Random()``): different replicas draw different values.
 * ``ND104`` — mutable default arguments: cross-call shared state that
   makes outcomes depend on call history.
-* ``ND105`` — lambdas or nested functions shipped to a *process* pool:
-  they cannot pickle, so the process execution backend would crash at
-  dispatch time (thread pools are exempt — nothing pickles).
 
 The ``ND2xx`` family covers *thread safety*.  Starting from every
 thread-spawn/pool-dispatch site in a module (``Thread(target=...)``,
@@ -59,7 +56,6 @@ RULES: dict[str, str] = {
     "ND102": "wall-clock read in a consensus path",
     "ND103": "process-global or unseeded random number generator",
     "ND104": "mutable default argument",
-    "ND105": "unpicklable callable shipped to a process pool",
     "ND201": "unsynchronized read-modify-write in thread-reachable code",
     "ND202": "shared attribute written in thread-reachable code without a lock",
     "ND203": "shared container mutated in thread-reachable code without a lock",
@@ -116,10 +112,6 @@ _GLOBAL_RANDOM_FNS = frozenset(
     }
 )
 
-_POOL_CONSTRUCTORS = frozenset({"ProcessPoolExecutor", "Pool"})
-_POOL_DISPATCH = frozenset(
-    {"submit", "map", "apply", "apply_async", "imap", "imap_unordered", "starmap"}
-)
 _ORDERING_SINKS = frozenset({"tuple", "list", "iter", "enumerate", "next"})
 
 
@@ -168,10 +160,7 @@ class _Linter(ast.NodeVisitor):
         self.path = path
         self.select = select
         self.findings: list[LintFinding] = []
-        self._function_depth = 0
-        self._nested_function_names: set[str] = set()
         self._random_imports: set[str] = set()
-        self._process_pools: set[str] = set()
 
     # ------------------------------------------------------------- helpers
 
@@ -239,8 +228,6 @@ class _Linter(ast.NodeVisitor):
     # ----------------------------------------------------------- functions
 
     def _visit_function(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
-        if self._function_depth > 0:
-            self._nested_function_names.add(node.name)
         for default in [*node.args.defaults, *node.args.kw_defaults]:
             if default is None:
                 continue
@@ -265,44 +252,13 @@ class _Linter(ast.NodeVisitor):
                     f"mutable default argument in {node.name}(); "
                     "default to None and allocate inside the function",
                 )
-        self._function_depth += 1
         self.generic_visit(node)
-        self._function_depth -= 1
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._visit_function(node)
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
         self._visit_function(node)
-
-    # ------------------------------------------------------- pool tracking
-
-    def _is_process_pool_constructor(self, node: ast.AST) -> bool:
-        if not isinstance(node, ast.Call):
-            return False
-        name = _dotted_name(node.func)
-        if name is None:
-            # e.g. multiprocessing.get_context("fork").Pool(...)
-            return (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr in _POOL_CONSTRUCTORS
-            )
-        return name.rsplit(".", 1)[-1] in _POOL_CONSTRUCTORS
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        if self._is_process_pool_constructor(node.value):
-            for target in node.targets:
-                dotted = _dotted_name(target)
-                if dotted is not None:
-                    self._process_pools.add(dotted)
-        self.generic_visit(node)
-
-    def _is_unpicklable_callable(self, node: ast.AST) -> bool:
-        if isinstance(node, ast.Lambda):
-            return True
-        if isinstance(node, ast.Name) and node.id in self._nested_function_names:
-            return True
-        return False
 
     # ---------------------------------------------------------- call sites
 
@@ -355,31 +311,6 @@ class _Linter(ast.NodeVisitor):
                 "the process-global RNG; use a seeded random.Random(seed)",
             )
 
-        # ND105: unpicklable callables crossing the process boundary.
-        if (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr in _POOL_DISPATCH
-            and _dotted_name(node.func.value) in self._process_pools
-        ):
-            for argument in node.args:
-                if self._is_unpicklable_callable(argument):
-                    self._flag(
-                        "ND105",
-                        argument,
-                        "lambda/nested function cannot pickle into a "
-                        "process pool; pass a module-level function",
-                    )
-        if callee is not None and callee.rsplit(".", 1)[-1] == "Process":
-            for keyword in node.keywords:
-                if keyword.arg == "target" and self._is_unpicklable_callable(
-                    keyword.value
-                ):
-                    self._flag(
-                        "ND105",
-                        keyword.value,
-                        "lambda/nested function cannot pickle as a Process "
-                        "target; pass a module-level function",
-                    )
         self.generic_visit(node)
 
 

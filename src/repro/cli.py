@@ -62,13 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="charge execution at the paper-calibrated EVM rate",
     )
     simulate.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="execution-phase placement: 0-1 = in-process, N > 1 = N worker "
-        "processes with delta-synced state replicas",
-    )
-    simulate.add_argument(
         "--delta-cc",
         action="store_true",
         help="operation-level CC: promote provably commutative writes to "
@@ -136,15 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     conflicts = sub.add_parser("conflicts", help="conflict analysis (Table I)")
     _add_workload_args(conflicts)
-
-    hotspots = sub.add_parser(
-        "hotspots",
-        help="contention analysis of a workload (static access counts; "
-        "see 'analyze contention' for observed abort attribution from a "
-        "recorded flight ledger)",
-    )
-    _add_workload_args(hotspots)
-    hotspots.add_argument("--top", type=int, default=10, help="hot addresses to list")
 
     analyze = sub.add_parser(
         "analyze",
@@ -475,7 +459,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             skew=args.skew,
             account_count=args.accounts,
             seed=args.seed,
-            workers=args.workers,
             delta_cc=args.delta_cc,
             flat_state=not args.trie_state,
             state_cache=args.state_cache,
@@ -664,25 +647,6 @@ def cmd_conflicts(args: argparse.Namespace) -> int:
         render_table(
             f"conflicts: {args.workload}, omega={args.omega}, skew={args.skew}",
             ["metric", "value"],
-            rows,
-        )
-    )
-    return 0
-
-
-def cmd_hotspots(args: argparse.Namespace) -> int:
-    from repro.analysis import analyze_contention
-
-    transactions = generate_batch(args)
-    report = analyze_contention(transactions, top=args.top)
-    rows = [
-        [heat.address, heat.reads, heat.writes, heat.total]
-        for heat in report.hottest
-    ]
-    print(
-        render_table(
-            f"hotspots: {args.workload}, skew={args.skew} — {report.describe()}",
-            ["address", "reads", "writes", "total"],
             rows,
         )
     )
@@ -1059,7 +1023,6 @@ COMMANDS = {
     "simulate": cmd_simulate,
     "multinode": cmd_multinode,
     "conflicts": cmd_conflicts,
-    "hotspots": cmd_hotspots,
     "analyze": cmd_analyze,
     "trace": cmd_trace,
     "top": cmd_top,

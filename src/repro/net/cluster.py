@@ -51,7 +51,6 @@ class ClusterConfig:
     account_count: int = 10_000
     skew: float = 0.0
     seed: int = 0
-    workers: int = 0
     use_vm: bool = False
     delta_cc: bool = False
     flat_state: bool = True
@@ -168,7 +167,6 @@ class Cluster:
                 include_bytecode=self.config.use_vm or self.config.delta_cc
             ),
             config=PipelineConfig(
-                workers=self.config.workers,
                 use_vm=self.config.use_vm,
                 delta_cc=self.config.delta_cc,
                 streaming=self.config.streaming,
@@ -180,7 +178,7 @@ class Cluster:
         )
 
     def close(self) -> None:
-        """Release the measuring node's worker pools (idempotent)."""
+        """Close the measuring node (idempotent)."""
         self.node.close()
 
     def __enter__(self) -> "Cluster":

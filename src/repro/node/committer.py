@@ -32,13 +32,12 @@ class CommitReport:
 
     ``write_delta`` is the epoch's net effect on flat state — every
     address written, with its final committed value (last writer in
-    group order wins).  The pipeline ships exactly this delta to the
-    executor's worker-process replicas, so replica sync cost
-    tracks the epoch's write set rather than the world state.  Paths
-    that execute against live state (serial execute-and-commit, lock
-    waves) leave it ``None`` — replicas must then resync from state —
-    and list in ``reverted`` the transactions whose live execution
-    reverted (no effects; they count as failed simulations).
+    group order wins).  It is the streaming engine's reconciliation
+    set: a speculated transaction that read one of these addresses is
+    re-executed.  Paths that execute against live state (serial
+    execute-and-commit, lock waves) leave it ``None`` and list in
+    ``reverted`` the transactions whose live execution reverted (no
+    effects; they count as failed simulations).
 
     ``guard_aborted`` lists scheduled transactions the commit-time
     over/underflow guard rejected: folding their commutative deltas
@@ -243,10 +242,6 @@ class SerialExecutorCommitter:
     def __init__(self, registry: ContractRegistry | None = None, use_vm: bool = False) -> None:
         self.registry = registry
         self.executor = ConcurrentExecutor(registry=registry, use_vm=use_vm)
-
-    def close(self) -> None:
-        """Release the inner executor's resources (idempotent)."""
-        self.executor.close()
 
     def execute_and_apply(self, txn: Transaction, state: StateDB) -> bool:
         """Run one transaction on live state; ``False`` when it reverted.

@@ -6,19 +6,18 @@ neighbour runs.  This engine splits one epoch across two stages
 connected by a single-slot queue:
 
 * **front stage (main thread)** — speculative execution of the *next*
-  epoch's blocks on the executor pool, in one dispatch; after the join,
-  reconciliation and the reconciled epoch's conflict graph;
+  epoch's blocks, as one batch; after the join, reconciliation and the
+  reconciled epoch's conflict graph;
 * **back stage (background thread)** — run Nezha concurrency control on
   that graph and commit the *current* epoch.
 
 Steady state: while epoch ``e`` runs CC + commit in the background,
-epoch ``e+1`` speculates on the executor — per-epoch wall time
+epoch ``e+1`` speculates on the main thread — per-epoch wall time
 approaches ``max(execution, cc+commit)`` instead of their sum.
 
 **Reconciliation rule.**  Speculation of ``e+1`` reads state that epoch
 ``e`` is still committing (the flat state's race-tolerant
-:meth:`~repro.state.flat.FlatStateDB.peek`, or the process backend's
-replicas still at epoch ``e-1``'s values).  At join, every speculated
+:meth:`~repro.state.flat.FlatStateDB.peek`).  At join, every speculated
 transaction whose recorded read set intersects ``e``'s committed write
 delta is re-executed against the sealed post-``e`` snapshot — exactly
 the read the barrier pipeline would have performed — and replaces its
@@ -41,12 +40,10 @@ discarded at admission, a duplicate txid, an executor failure — falls
 back to the synchronous barrier pipeline for that epoch, which is
 bit-identical by construction.
 
-Threading contract: *all* executor traffic (speculation, replica delta
-sync, reconciliation re-execution) stays on the main thread; the
-background stage only runs pure CC and the committer (which mutates
-state — the main thread reads it only through ``peek`` while a commit
-is in flight).  Worker-replica sync for a background-committed epoch is
-deferred to join time on the main thread.
+Threading contract: execution (speculation, reconciliation
+re-execution) stays on the main thread; the background stage only runs
+pure CC and the committer (which mutates state — the main thread reads
+it only through ``peek`` while a commit is in flight).
 """
 
 from __future__ import annotations
@@ -234,8 +231,6 @@ class StreamingEpochEngine:
                         fresh.add(txn.txid)
                         transactions.append(txn)
                 if transactions:
-                    # One pool dispatch for the whole epoch — per-block
-                    # dispatches would multiply chunk boundaries.
                     batch = executor.execute_batch(
                         transactions,
                         read_fn,
@@ -273,12 +268,10 @@ class StreamingEpochEngine:
     def _spec_read_fn(self) -> Callable[[Address], int]:
         """Snapshot-tolerant read path for speculative execution.
 
-        Flat states expose a race-tolerant ``peek`` (the process backend
-        ignores the read function entirely and serves reads from its
-        replicas); trie-backed states get the frozen copy captured when
-        the in-flight epoch launched.  With nothing in flight the live
-        state is quiescent and committed, so reading it directly is
-        exact.
+        Flat states expose a race-tolerant ``peek``; trie-backed states
+        get the frozen copy captured when the in-flight epoch launched.
+        With nothing in flight the live state is quiescent and
+        committed, so reading it directly is exact.
         """
         state = self.node.state
         if isinstance(state, FlatStateDB):
@@ -291,9 +284,8 @@ class StreamingEpochEngine:
     def _reconcile(self, spec: _Speculation) -> tuple[SimulationBatch, float]:
         """Keep delta-disjoint speculations; re-execute the touched rest.
 
-        Called after the previous epoch fully committed (so the state —
-        and the process backend's replicas, delta-synced at join — serve
-        exactly the snapshot the barrier pipeline would execute
+        Called after the previous epoch fully committed (so the state
+        serves exactly the snapshot the barrier pipeline would execute
         against).  Returns the merged batch, bit-identical to a barrier
         ``execute_batch`` over the same transactions.
         """
@@ -421,9 +413,8 @@ class StreamingEpochEngine:
         then the pipeline's shared finish (apply, report, ledger,
         certificate).
 
-        Touches no executor pipes (replica sync is deferred to the join
-        on the main thread) — its only shared mutation is the state
-        commit, which the front stage reads through ``peek`` only.
+        Its only shared mutation is the state commit, which the front
+        stage reads through ``peek`` only.
         """
         race.hb_acquire(("engine-stage", id(self)))
         start = time.perf_counter()
@@ -436,7 +427,7 @@ class StreamingEpochEngine:
             graph_seconds + time.perf_counter() - start
         )
         outcome = self.pipeline._finish_epoch(
-            epoch, transactions, batch, result, phases, sync_replicas=False
+            epoch, transactions, batch, result, phases
         )
         # Join edge: pairs with the ``hb_acquire`` after
         # ``future.result()`` in :meth:`_join`.
@@ -444,7 +435,7 @@ class StreamingEpochEngine:
         return outcome
 
     def _join(self) -> EpochReport | None:
-        """Wait out the in-flight epoch; sync replicas; finish its report."""
+        """Wait out the in-flight epoch and book its report."""
         inflight, self._inflight = self._inflight, None
         if inflight is None:
             return None
@@ -457,9 +448,5 @@ class StreamingEpochEngine:
             report, commit_report = inflight.future.result()
         race.hb_acquire(("engine-join", id(self)))
         self._last_delta = commit_report.write_delta
-        if self._last_delta:
-            # Deferred replica sync: all executor traffic stays on the
-            # main thread.
-            self.pipeline.executor.apply_delta(self._last_delta)
         self.node._record_report(report)
         return report

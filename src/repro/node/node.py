@@ -223,19 +223,14 @@ class FullNode:
             self.blockstore.set_state_root(report.state_root)
 
     def close(self) -> None:
-        """Release the engine's stage and the pipeline's worker pools
-        (idempotent).
+        """Stop the streaming engine's back-stage thread (idempotent).
 
-        Nodes configured with ``workers > 1`` own worker processes;
-        closing guarantees none outlive the node — also when the
-        streaming engine, which drains first so no epoch is lost in
-        flight, re-raises what its in-flight epoch raised.
+        The engine drains first, so no epoch is lost in flight, and
+        re-raises what its in-flight epoch raised.  A barrier node owns
+        nothing to release.
         """
-        try:
-            if self.engine is not None:
-                self.engine.close()
-        finally:
-            self.pipeline.close()
+        if self.engine is not None:
+            self.engine.close()
 
     def __enter__(self) -> "FullNode":
         return self

@@ -87,11 +87,8 @@ class Scheduler(Protocol):
 class PipelineConfig:
     """Pipeline tunables.
 
-    ``workers`` sizes the execution phase: 0-1 runs it in-process, N > 1
-    on N persistent worker processes (see
-    :class:`~repro.node.executor.ConcurrentExecutor`).  ``use_vm``
-    executes contract bytecode on the SVM instead of the native
-    contracts.  ``delta_cc`` turns on operation-level concurrency
+    ``use_vm`` executes contract bytecode on the SVM instead of the
+    native contracts.  ``delta_cc`` turns on operation-level concurrency
     control: the executor promotes statically classified commutative
     writes to delta units and the committer folds them at commit time —
     effective only for schedulers declaring ``supports_deltas`` (Nezha);
@@ -111,7 +108,6 @@ class PipelineConfig:
     for offline re-checking via ``repro analyze certify``.
     """
 
-    workers: int = 0
     use_vm: bool = False
     delta_cc: bool = False
     streaming: bool = False
@@ -119,12 +115,7 @@ class PipelineConfig:
 
 
 class TransactionPipeline:
-    """Drives one node's transaction processing across epochs.
-
-    Owns the executor's worker processes, so call :meth:`close` — or use
-    the pipeline as a context manager — when done; worker processes must
-    never outlive the node.
-    """
+    """Drives one node's transaction processing across epochs."""
 
     def __init__(
         self,
@@ -170,12 +161,7 @@ class TransactionPipeline:
         self._delta_cc = self.config.delta_cc and scheduler.supports_deltas
         self.executor = ConcurrentExecutor(
             registry=registry,
-            workers=self.config.workers,
             use_vm=self.config.use_vm,
-            # Worker replicas bootstrap from the committed flat state;
-            # steady-state sync then ships only commit deltas.
-            state_provider=lambda: dict(self.state.items()),
-            tracer=tracer,
             delta_cc=self._delta_cc,
         )
         self.committer = Committer(tracer=tracer)
@@ -188,17 +174,6 @@ class TransactionPipeline:
         # thread; ``list.append`` is atomic and callers read the list
         # only after joining the epoch.
         self.artifacts: list[dict] = []
-
-    def close(self) -> None:
-        """Release the worker processes the pipeline owns (idempotent)."""
-        self.executor.close()
-        self._serial.close()
-
-    def __enter__(self) -> "TransactionPipeline":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     def process_epoch(
         self, epoch: Epoch, exclude_txids: frozenset[int] | set[int] = frozenset()
@@ -318,19 +293,15 @@ class TransactionPipeline:
         batch: SimulationBatch | None,
         result: SchemeResult,
         phases: PhaseLatencies,
-        sync_replicas: bool = True,
     ) -> tuple[EpochReport, CommitReport]:
         """Apply a scheduled epoch and assemble everything reported on it.
 
         The one tail of every epoch — barrier pipeline and the streaming
         engine's background stage alike: commit through the scheme's
         apply discipline, then taxonomy, abort-edge merge, ledger
-        narration, certification and the :class:`EpochReport`.
-        ``sync_replicas=False`` skips the worker-replica delta sync —
-        the engine runs this method off the main thread and applies the
-        returned report's ``write_delta`` itself at join time, because
-        all executor pipe traffic stays on the main thread (the same
-        thread that runs speculation).
+        narration, certification and the :class:`EpochReport`.  The
+        :class:`CommitReport` rides along for the engine, whose next
+        reconciliation reads its ``write_delta``.
         """
         schedule = result.schedule
         start = time.perf_counter()
@@ -345,14 +316,6 @@ class TransactionPipeline:
                 )
             else:
                 commit_report = self._apply(transactions, batch, schedule)
-            if commit_report.write_delta is None:
-                # Live-state disciplines leave no delta to ship: worker
-                # replicas must resync from state before executing again.
-                self.executor.mark_stale()
-            elif sync_replicas:
-                # Keep the worker replicas in lockstep with the committed
-                # state before the next epoch executes.
-                self.executor.apply_delta(commit_report.write_delta)
             span.set(
                 committed=commit_report.committed_count,
                 groups=commit_report.group_count,

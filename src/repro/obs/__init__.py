@@ -54,8 +54,6 @@ from repro.obs.tracer import (
     SpanLike,
     Tracer,
     maybe_span,
-    span_from_wire,
-    span_to_wire,
 )
 
 __all__ = [
@@ -91,8 +89,6 @@ __all__ = [
     "render_prometheus",
     "render_top",
     "render_tracer_aggregates",
-    "span_from_wire",
-    "span_to_wire",
     "summarize_events",
     "taxonomy_counts",
     "timeline_digest",

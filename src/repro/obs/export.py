@@ -3,9 +3,9 @@
 The Chrome trace-event format is the lingua franca of timeline viewers —
 ``chrome://tracing``, Perfetto (https://ui.perfetto.dev), and Speedscope
 all load it.  Every finished span becomes one complete ("ph": "X") event;
-tracks (main thread, executor threads, worker processes) map to ``tid``
-rows with ``thread_name`` metadata so worker occupancy and stragglers are
-visible at a glance.
+tracks (the main thread, the streaming engine's back stage) map to
+``tid`` rows with ``thread_name`` metadata so the overlap between them
+is visible at a glance.
 
 ``validate_chrome_trace`` is the schema check used by tests, by the
 ``repro-nezha top`` command, and by CI (the workflow validates the trace

@@ -2,18 +2,12 @@
 
 The paper's whole evaluation is phase-level latency accounting (Table IV,
 Figures 9-12), so the repro needs to *see* where an epoch's time goes —
-down to the concurrency-control sub-phases and the per-worker execution
-chunks.  A :class:`Tracer` records :class:`Span` objects: named intervals
-measured with ``time.perf_counter`` (monotonic — the determinism linter's
-ND102 rule explicitly allows it because span timings never feed committed
-state), nested through per-thread stacks, and retained in a bounded
-in-memory ring so long runs cannot grow without bound.
-
-Worker processes build their own ``Tracer`` and ship finished spans back
-to the parent as primitive wire tuples (see :mod:`repro.txn.codec`);
-``Tracer.extend`` merges them into one timeline.  ``perf_counter`` reads
-``CLOCK_MONOTONIC``, which is system-wide on Linux, so parent and worker
-timestamps share one time base and the merged timeline lines up.
+down to the concurrency-control sub-phases.  A :class:`Tracer` records
+:class:`Span` objects: named intervals measured with
+``time.perf_counter`` (monotonic — the determinism linter's ND102 rule
+explicitly allows it because span timings never feed committed state),
+nested through per-thread stacks, and retained in a bounded in-memory
+ring so long runs cannot grow without bound.
 
 This module must stay importable from every layer (core, node, net)
 without cycles: it imports nothing from ``repro`` except
@@ -29,7 +23,7 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Iterator, Union
 
 from repro.analysis import race
 
@@ -45,8 +39,8 @@ class Span:
     """One finished (or in-flight) named interval.
 
     ``start``/``end`` are monotonic-clock seconds; ``track`` names the
-    logical timeline the span belongs to ("main", a worker thread name,
-    or "worker-N" for a process-backend worker).
+    logical timeline the span belongs to ("main", or the name of the
+    thread that opened it).
     """
 
     name: str
@@ -87,8 +81,7 @@ class SpanAggregate:
 
     The finished-span ring is bounded, so a long run silently evicts its
     oldest spans — but the aggregates keep counting: they are updated
-    when a span finishes (or arrives via :meth:`Tracer.extend`), never
-    recomputed from the ring.
+    when a span finishes, never recomputed from the ring.
     """
 
     count: int = 0
@@ -104,15 +97,14 @@ class Tracer:
     """Records nested spans into a bounded in-memory ring.
 
     Thread-safe: every thread keeps its own nesting stack (so spans
-    opened by pool workers nest correctly and land on their own track)
-    while the finished ring is shared.  The ring is guarded by
-    ``_ring_lock``: ``deque.append`` alone *is* atomic under the GIL,
-    but the compound operations around it are not — ``drain()`` used to
-    snapshot and then clear in two steps, silently dropping any span a
-    worker thread finished in between (found by the concurrency
-    sanitizer, pinned by ``tests/obs/test_tracer_threads.py``).  Spans
-    are coarse (one per phase or executor chunk), so the per-finish lock
-    acquisition stays invisible to the <5% tracing-overhead gate.
+    opened on the streaming engine's back-stage thread nest correctly
+    and land on their own track) while the finished ring is shared.  The
+    ring is guarded by ``_ring_lock``: ``deque.append`` alone *is*
+    atomic under the GIL, but the compound operations around it are not
+    — the eviction count and the append must move together
+    (``tests/obs/test_tracer_threads.py``).  Spans are coarse (one per
+    phase), so the per-finish lock acquisition stays invisible to the
+    <5% tracing-overhead gate.
     """
 
     def __init__(
@@ -181,12 +173,6 @@ class Tracer:
             self._record_finished(opened)
             self._aggregate(opened)
 
-    def extend(self, spans: Iterable[Span]) -> None:
-        """Merge externally-recorded spans (e.g. from worker processes)."""
-        for span in spans:
-            self._record_finished(span)
-            self._aggregate(span)
-
     def _aggregate(self, span: Span) -> None:
         with self._aggregate_lock:
             race.lock_acquired(("tracer-agg", id(self)))
@@ -209,26 +195,11 @@ class Tracer:
             race.lock_released(("tracer-ring", id(self)))
         return sorted(snapshot, key=lambda s: (s.start, s.span_id))
 
-    def drain(self) -> list[Span]:
-        """Atomically snapshot and clear the ring (used by workers).
-
-        Snapshot and clear happen under one lock acquisition: a span
-        finishing concurrently lands either in the returned list or in
-        the ring for the next drain — never in neither.
-        """
-        with self._ring_lock:
-            race.lock_acquired(("tracer-ring", id(self)))
-            race.trace_write(("tracer", id(self), "ring"))
-            snapshot = list(self._finished)
-            self._finished.clear()
-            race.lock_released(("tracer-ring", id(self)))
-        return sorted(snapshot, key=lambda s: (s.start, s.span_id))
-
     def aggregates(self) -> dict[str, SpanAggregate]:
         """Per-name cumulative (count, total duration), sorted by name.
 
         Lifetime totals: unlike :meth:`spans`, these are unaffected by
-        ring eviction, :meth:`drain`, and :meth:`clear`.
+        ring eviction and :meth:`clear`.
         """
         with self._aggregate_lock:
             race.lock_acquired(("tracer-agg", id(self)))
@@ -244,7 +215,7 @@ class Tracer:
     def evicted(self) -> int:
         """Spans silently dropped by the bounded ring since construction.
 
-        Lifetime counter (never reset by :meth:`drain` / :meth:`clear`):
+        Lifetime counter (never reset by :meth:`clear`):
         a nonzero value means exported traces are truncated — exactly
         what ``tracer_spans_evicted_total`` surfaces on ``/metrics``.
         """
@@ -289,34 +260,3 @@ def maybe_span(
         with tracer.span(name, **attrs) as span:
             yield span
 
-
-# ------------------------------------------------------------- wire format
-
-SpanWire = tuple  # (name, span_id, parent_id, track, start, end, attrs-items)
-
-
-def span_to_wire(span: Span) -> tuple:
-    """Flatten a span to a primitive tuple for worker IPC."""
-    return (
-        span.name,
-        span.span_id,
-        span.parent_id,
-        span.track,
-        span.start,
-        span.end,
-        tuple(span.attrs.items()),
-    )
-
-
-def span_from_wire(wire: tuple) -> Span:
-    """Rebuild a span from its wire tuple."""
-    name, span_id, parent_id, track, start, end, attrs = wire
-    return Span(
-        name=name,
-        span_id=span_id,
-        parent_id=parent_id,
-        track=track,
-        start=start,
-        end=end,
-        attrs=dict(attrs),
-    )

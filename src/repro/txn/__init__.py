@@ -1,13 +1,6 @@
 """Transaction model: read/write sets and speculative execution results."""
 
-from repro.txn.codec import (
-    decode_transaction,
-    encode_transaction,
-    simulation_result_from_wire,
-    simulation_result_to_wire,
-    transaction_from_wire,
-    transaction_to_wire,
-)
+from repro.txn.codec import decode_transaction, encode_transaction
 from repro.txn.rwset import Address, RWSet
 from repro.txn.simulation import (
     SimulationBatch,
@@ -28,8 +21,4 @@ __all__ = [
     "decode_transaction",
     "encode_transaction",
     "make_transaction",
-    "simulation_result_from_wire",
-    "simulation_result_to_wire",
-    "transaction_from_wire",
-    "transaction_to_wire",
 ]

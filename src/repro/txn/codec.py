@@ -1,4 +1,4 @@
-"""Binary serialisation of transactions (RLP-based) and IPC wire tuples.
+"""Binary serialisation of transactions (RLP-based).
 
 Blocks must be persisted and (in a real deployment) shipped over the
 wire, so transactions need a canonical byte encoding.  Layout::
@@ -14,22 +14,6 @@ list is omitted when empty, so delta-free transactions keep their
 legacy 7-item encoding and old blobs still decode.
 ``decode_transaction`` is the exact inverse of ``encode_transaction``
 (property-tested).
-
-The module also carries the *wire-tuple* codec used by the process
-execution backend: transactions and simulation results are flattened to
-tuples of primitives (ints/strings/None) before crossing the worker
-pipe.  Primitive tuples serialise at C speed and stay compact — no
-class-instance overhead per object — which matters because the parent
-encodes one epoch's whole batch on the critical path.  A
-``SimulationResult`` travels *without* its transaction: the parent
-already holds the ``Transaction`` objects and re-attaches them by txid
-(``simulation_result_from_wire`` refuses a mismatch).
-
-Tracer spans ride the same pipe when tracing is on:
-``span_to_wire``/``span_from_wire`` (re-exported here from
-:mod:`repro.obs.tracer` so every IPC wire codec lives behind one module)
-flatten :class:`~repro.obs.tracer.Span` objects to primitive tuples for
-the worker→parent leg of the ``exec`` exchange.
 """
 
 from __future__ import annotations
@@ -37,22 +21,11 @@ from __future__ import annotations
 from typing import Any
 
 from repro.errors import TransactionError
-from repro.obs.tracer import span_from_wire, span_to_wire
 from repro.state.mpt.codec import rlp_decode, rlp_encode
 from repro.txn.rwset import RWSet
-from repro.txn.simulation import SimulationResult, SimulationStatus
 from repro.txn.transaction import Transaction
 
-__all__ = [
-    "decode_transaction",
-    "encode_transaction",
-    "simulation_result_from_wire",
-    "simulation_result_to_wire",
-    "span_from_wire",
-    "span_to_wire",
-    "transaction_from_wire",
-    "transaction_to_wire",
-]
+__all__ = ["decode_transaction", "encode_transaction"]
 
 _TAG_NONE = b"\x00"
 _TAG_INT = b"\x01"
@@ -171,74 +144,4 @@ def decode_transaction(data: bytes) -> Transaction:
                 for addr, val in deltas
             },
         ),
-    )
-
-
-# ------------------------------------------------------------- wire tuples
-
-_STATUS_TO_CODE = {
-    SimulationStatus.SUCCESS: 0,
-    SimulationStatus.REVERTED: 1,
-    SimulationStatus.FAILED: 2,
-}
-_CODE_TO_STATUS = {code: status for status, code in _STATUS_TO_CODE.items()}
-
-
-def transaction_to_wire(txn: Transaction) -> tuple:
-    """Flatten a transaction to a primitive tuple for worker IPC."""
-    return (
-        txn.txid,
-        txn.sender,
-        txn.contract,
-        txn.function,
-        tuple(txn.args),
-        tuple(txn.rwset.reads.items()),
-        tuple(txn.rwset.writes.items()),
-        tuple(txn.rwset.deltas.items()),
-    )
-
-
-def transaction_from_wire(wire: tuple) -> Transaction:
-    """Rebuild a transaction from its wire tuple."""
-    txid, sender, contract, function, args, reads, writes, deltas = wire
-    return Transaction(
-        txid=txid,
-        sender=sender,
-        contract=contract,
-        function=function,
-        args=tuple(args),
-        rwset=RWSet(reads=dict(reads), writes=dict(writes), deltas=dict(deltas)),
-    )
-
-
-def simulation_result_to_wire(result: SimulationResult) -> tuple:
-    """Flatten a simulation result (minus its transaction) for worker IPC."""
-    return (
-        result.txid,
-        _STATUS_TO_CODE[result.status],
-        result.gas_used,
-        result.return_value,
-        result.error,
-        tuple(result.rwset.reads.items()),
-        tuple(result.rwset.writes.items()),
-        tuple(result.rwset.deltas.items()),
-    )
-
-
-def simulation_result_from_wire(
-    wire: tuple, transaction: Transaction
-) -> SimulationResult:
-    """Re-attach the parent's transaction to a worker's wire result."""
-    txid, status_code, gas_used, return_value, error, reads, writes, deltas = wire
-    if txid != transaction.txid:
-        raise TransactionError(
-            f"wire result for T{txid} paired with transaction T{transaction.txid}"
-        )
-    return SimulationResult(
-        transaction=transaction,
-        rwset=RWSet(reads=dict(reads), writes=dict(writes), deltas=dict(deltas)),
-        status=_CODE_TO_STATUS[status_code],
-        gas_used=gas_used,
-        return_value=return_value,
-        error=error,
     )

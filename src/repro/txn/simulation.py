@@ -23,7 +23,6 @@ class SimulationStatus(enum.Enum):
 
     SUCCESS = "success"
     REVERTED = "reverted"
-    FAILED = "failed"
 
 
 @dataclass(frozen=True)
@@ -37,8 +36,8 @@ class SimulationResult:
     rwset:
         Observed reads and produced writes.
     status:
-        Whether the speculative run succeeded; reverted/failed transactions
-        are excluded from concurrency control and counted separately.
+        Whether the speculative run succeeded; reverted transactions are
+        excluded from concurrency control and counted separately.
     gas_used:
         Gas consumed by the VM (0 for synthetic workloads).
     return_value:

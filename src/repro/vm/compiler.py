@@ -23,8 +23,7 @@ receipts identical on every byte string, malformed ones included.
 Segments compile on first entry to their pc, so a computed jump to any
 instruction boundary needs no control-flow graph and no verifier
 verdict.  Compiled code lives in a bounded per-process cache keyed by
-the code bytes, never in :class:`~repro.vm.native.ContractRegistry`
-(which stays picklable; worker processes compile on their first call).
+the code bytes, never in :class:`~repro.vm.native.ContractRegistry`.
 The source is assembled from integers, this module's templates and
 ``repr`` of message strings — no text from the bytecode gets in.
 """

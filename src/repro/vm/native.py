@@ -11,7 +11,6 @@ SmallBank).  The node executor picks native when available.
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -116,22 +115,3 @@ class ContractRegistry:
         """All deployed contract names."""
         return sorted(set(self._native) | set(self._bytecode))
 
-
-def registry_is_picklable(registry: ContractRegistry | None) -> bool:
-    """Whether the registry can be reconstructed inside a worker process.
-
-    The executor's process pool bootstraps each persistent worker with
-    a pickled copy of the registry: bytecode is plain bytes, and native
-    functions / key renderers pickle by reference as long as they are
-    module-level (as every shipped contract's are).  Registries built
-    from closures or lambdas (common in tests) cannot cross the process
-    boundary — the executor detects that here and runs in-process
-    instead.
-    """
-    if registry is None:
-        return True
-    try:
-        pickle.dumps(registry)
-    except Exception:
-        return False
-    return True

@@ -5,7 +5,7 @@ of the form ``(peer, address, kind)``.  The epoch artifact carries the
 certifier's exact inputs (the per-transaction read/write/delta sets), so
 the conflict relation can be rebuilt independently of the scheduler that
 issued the conviction.  This property test checks, across skew ×
-execution placement × delta-CC:
+delta-CC:
 
 * every edge on an ``unserializable_write``/``doomed_reorder`` abort
   names a pair of transactions that genuinely touch the contended
@@ -40,10 +40,10 @@ from repro.obs.taxonomy import (
 EPOCHS = 2
 
 SWEEP = [
-    pytest.param(0.5, 0, False, id="mild"),
-    pytest.param(0.95, 0, False, id="hot"),
-    pytest.param(0.95, 0, True, id="hot-delta"),
-    pytest.param(0.9, 2, True, id="hot-process-delta"),
+    pytest.param(0.5, False, id="mild"),
+    pytest.param(0.95, False, id="hot"),
+    pytest.param(0.95, True, id="hot-delta"),
+    pytest.param(0.9, True, id="0.9-delta"),
 ]
 
 
@@ -115,8 +115,8 @@ def _address_holds(kind, address, victim_units, peer_units):
     return address in peer_touch
 
 
-@pytest.mark.parametrize("skew,workers,delta_cc", SWEEP)
-def test_ledger_edges_agree_with_rebuilt_conflict_graph(skew, workers, delta_cc):
+@pytest.mark.parametrize("skew,delta_cc", SWEEP)
+def test_ledger_edges_agree_with_rebuilt_conflict_graph(skew, delta_cc):
     ledger = FlightLedger()
     config = ClusterConfig(
         block_concurrency=3,
@@ -124,7 +124,6 @@ def test_ledger_edges_agree_with_rebuilt_conflict_graph(skew, workers, delta_cc)
         account_count=150,
         skew=skew,
         seed=7,
-        workers=workers,
         delta_cc=delta_cc,
         certify=True,
     )

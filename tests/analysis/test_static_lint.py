@@ -91,54 +91,6 @@ class TestND104MutableDefaults:
         assert rules_of("def f(x=(), y=None, z=0):\n    pass\n") == []
 
 
-class TestND105ProcessPoolClosures:
-    def test_lambda_into_process_pool(self):
-        source = (
-            "from concurrent.futures import ProcessPoolExecutor\n"
-            "pool = ProcessPoolExecutor(4)\n"
-            "pool.submit(lambda: 1)\n"
-        )
-        assert rules_of(source) == ["ND105"]
-
-    def test_nested_function_into_process_pool(self):
-        source = (
-            "from multiprocessing import Pool\n"
-            "def run():\n"
-            "    pool = Pool(2)\n"
-            "    def work(x):\n"
-            "        return x\n"
-            "    pool.map(work, range(3))\n"
-        )
-        assert rules_of(source) == ["ND105"]
-
-    def test_process_target_lambda(self):
-        source = (
-            "import multiprocessing\n"
-            "p = multiprocessing.Process(target=lambda: 1)\n"
-        )
-        assert rules_of(source) == ["ND105"]
-
-    def test_thread_pool_is_exempt(self):
-        # Threads never pickle, so a lambda handed to a thread pool is
-        # legitimate.
-        source = (
-            "from concurrent.futures import ThreadPoolExecutor\n"
-            "pool = ThreadPoolExecutor(4)\n"
-            "pool.map(lambda x: x, range(3))\n"
-        )
-        assert rules_of(source) == []
-
-    def test_module_level_function_is_clean(self):
-        source = (
-            "from concurrent.futures import ProcessPoolExecutor\n"
-            "def work(x):\n"
-            "    return x\n"
-            "pool = ProcessPoolExecutor(4)\n"
-            "pool.map(work, range(3))\n"
-        )
-        assert rules_of(source) == []
-
-
 THREADED_CLASS = '''
 from concurrent.futures import ThreadPoolExecutor
 
@@ -295,7 +247,6 @@ class TestHarness:
             "ND102",
             "ND103",
             "ND104",
-            "ND105",
             "ND201",
             "ND202",
             "ND203",

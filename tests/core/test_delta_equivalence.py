@@ -1,14 +1,12 @@
 """Differential equivalence for operation-level (delta) concurrency control.
 
 Delta-CC changes *which* transactions commit, never what committing
-means: for every skew, block concurrency and execution placement, the
-state the pipeline commits under ``delta_cc`` must be bit-identical to
-a serial native replay of exactly the committed transactions in
-schedule order.  The dense pipeline must also stay bit-identical to the
-string-keyed reference stages on delta-carrying batches, and both
-execution placements must produce the same report —
-the delta analogues of ``tests/core/test_fastpath.py`` and
-``tests/node/test_exec_backends.py``.
+means: for every skew and block concurrency, the state the pipeline
+commits under ``delta_cc`` must be bit-identical to a serial native
+replay of exactly the committed transactions in schedule order.  The
+dense pipeline must also stay bit-identical to the string-keyed
+reference stages on delta-carrying batches — the delta analogue of
+``tests/core/test_fastpath.py``.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from tests.reference import schedule_reference
 
 SKEWS = (0.0, 0.6, 0.9, 0.99)
 OMEGAS = (2, 8)
-WORKERS = (0, 2)  # in-process, worker-process pool
 CHAINS = 3
 BLOCK_SIZE = 25
 SEED = 17
@@ -43,7 +40,7 @@ def fresh_state(config):
     return state
 
 
-def build_node(skew, workers=0):
+def build_node(skew):
     config = workload_config(skew)
     return FullNode(
         chains=ParallelChains(chain_count=CHAINS, pow_params=PoWParams(6)),
@@ -52,7 +49,7 @@ def build_node(skew, workers=0):
         # The static delta classifier reads the assembled bytecode even
         # when execution itself is native.
         registry=default_registry(include_bytecode=True),
-        config=PipelineConfig(workers=workers, delta_cc=True),
+        config=PipelineConfig(delta_cc=True),
     )
 
 
@@ -96,11 +93,10 @@ def committed_order(node, epoch_txns):
 class TestSerialReplayEquivalence:
     """Pipeline state under delta-CC == serial native replay, everywhere."""
 
-    @pytest.mark.parametrize("workers", WORKERS, ids=["in-process", "process"])
     @pytest.mark.parametrize("skew", SKEWS)
-    def test_state_root_matches_serial_replay(self, skew, workers):
+    def test_state_root_matches_serial_replay(self, skew):
         config = workload_config(skew)
-        node = build_node(skew, workers=workers)
+        node = build_node(skew)
         chains = ParallelChains(chain_count=CHAINS, pow_params=node.chains.pow_params)
         coordinator = EpochCoordinator(
             chains=chains, miners=["m0"], block_size=BLOCK_SIZE
@@ -129,8 +125,7 @@ class TestSerialReplayEquivalence:
                         replay_state.set(address, value)
                 replay_state.commit()
                 assert replay_state.root == report.state_root, (
-                    f"delta-CC state diverged from serial replay at "
-                    f"skew={skew} workers={workers}"
+                    f"delta-CC state diverged from serial replay at skew={skew}"
                 )
 
     def test_hot_keys_actually_commute(self):
@@ -189,49 +184,3 @@ class TestPathAgreementOnDeltaBatches:
         fast = NezhaScheduler().schedule(simulated)
         ref = schedule_reference(simulated)
         self.assert_identical(fast, ref)
-
-
-class TestBackendAgreement:
-    """Both execution placements produce the same delta-CC reports."""
-
-    def test_reports_identical_across_placements(self):
-        config = workload_config(0.9)
-        pow_params = PoWParams(6)
-        chains = ParallelChains(chain_count=CHAINS, pow_params=pow_params)
-        coordinator = EpochCoordinator(
-            chains=chains, miners=["m0"], block_size=BLOCK_SIZE
-        )
-        pool = Mempool()
-        pool.submit_many(SmallBankWorkload(config).generate(400))
-        # Blocks carry the previous epoch's root; a probe node learns each
-        # epoch's root, then every placement replays identical blocks.
-        probe = build_node(0.9)
-        all_blocks = []
-        root = probe.state_root
-        with probe:
-            for _ in range(2):
-                blocks = coordinator.mine_epoch(pool, state_root=root)
-                all_blocks.append(blocks)
-                root = probe.receive_epoch(blocks).state_root
-
-        fingerprints = []
-        for workers in WORKERS:
-            node = build_node(0.9, workers=workers)
-            with node:
-                reports = [node.receive_epoch(blocks) for blocks in all_blocks]
-            fingerprints.append(
-                [
-                    (
-                        r.state_root,
-                        r.committed,
-                        r.aborted,
-                        r.failed_simulation,
-                        r.commit_group_count,
-                        r.delta_commuted,
-                        dict(r.abort_reasons),
-                    )
-                    for r in reports
-                ]
-            )
-        assert fingerprints[0] == fingerprints[-1]
-        assert all(fp == fingerprints[0] for fp in fingerprints)

@@ -110,6 +110,41 @@ class TestReferenceIsNotADependency:
             assert not used, f"{path.name} uses {sorted(used)}"
 
 
+class TestOneExecutionPlacement:
+    """A batch executes as one loop on the calling thread: nothing under
+    ``src/repro`` starts a process, serialises objects for one, or takes
+    a worker count (EXPERIMENTS.md, "Negative results (ISSUE 20)")."""
+
+    FORBIDDEN = (
+        "multiprocessing",
+        "pickle",
+        "concurrent.futures.process",
+        "ProcessPoolExecutor",
+    )
+
+    def test_no_process_machinery_and_no_workers_option(self):
+        files = sorted(Path(repro.__file__).parent.rglob("*.py"))
+        assert len(files) > 100
+        for path in files:
+            for node in ast.walk(ast.parse(path.read_text())):
+                imported: list[str] = []
+                declared: list[str] = []
+                if isinstance(node, ast.Import):
+                    imported = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    imported = [node.module or "", *(a.name for a in node.names)]
+                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    args = node.args
+                    declared = [
+                        a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)
+                    ]
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    declared = [node.target.id]  # dataclass fields
+                for name in imported:
+                    assert not name.startswith(self.FORBIDDEN), f"{path.name}: {name}"
+                assert "workers" not in declared, f"{path.name} declares 'workers'"
+
+
 class TestSchedulerSerializability:
     def test_smallbank_schedules_are_serializable(self):
         for skew in (0.0, 0.5, 0.9):

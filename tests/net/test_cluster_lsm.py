@@ -45,7 +45,7 @@ class TestClusterOverLSM:
         streaming_roots = _roots(
             Cluster(
                 NezhaScheduler(),
-                ClusterConfig(**SMALL, store=store, streaming=True, workers=2),
+                ClusterConfig(**SMALL, store=store, streaming=True),
             )
         )
         barrier_roots = _roots(

@@ -4,15 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ExecutionError
 from repro.node import ConcurrentExecutor, caller_id
 from repro.txn import SimulationStatus, Transaction, make_transaction
 from repro.vm.contracts import default_registry
 
 
-def smallbank_txn(txid, function, args, sender="user:000001"):
+def smallbank_txn(txid, function, args, sender="user:000001", contract="smallbank"):
     return Transaction(
-        txid=txid, sender=sender, contract="smallbank", function=function, args=args
+        txid=txid, sender=sender, contract=contract, function=function, args=args
     )
 
 
@@ -83,12 +82,6 @@ class TestContractExecution:
         assert batch.failed_count == 1
         assert [t.txid for t in batch.transactions()] == [2]
 
-    def test_unknown_contract_raises(self):
-        executor = ConcurrentExecutor(registry=default_registry())
-        txn = Transaction(txid=1, contract="missing", function="f", args=())
-        with pytest.raises(ExecutionError):
-            executor.execute_batch([txn], read_fn)
-
     def test_write_values_exposed_for_commit(self):
         executor = ConcurrentExecutor(registry=default_registry())
         txn = smallbank_txn(4, "updateSavings", (2, 50))
@@ -97,12 +90,15 @@ class TestContractExecution:
 
 
 class TestMalformedCalls:
-    """An untrusted argument list reverts its call; it never ends the epoch."""
+    """An untrusted call the node cannot run reverts; it never ends the epoch."""
 
     @staticmethod
-    def statuses(args, function="updateSavings"):
+    def statuses(args, function="updateSavings", contract="smallbank"):
         registry = default_registry()
-        batch = [smallbank_txn(1, function, args), smallbank_txn(2, "getBalance", (2,))]
+        batch = [
+            smallbank_txn(1, function, args, contract=contract),
+            smallbank_txn(2, "getBalance", (2,)),
+        ]
         out = []
         for use_vm in (True, False):
             executor = ConcurrentExecutor(registry=registry, use_vm=use_vm)
@@ -116,6 +112,18 @@ class TestMalformedCalls:
         vm, native = self.statuses(args)
         assert vm.status is native.status is SimulationStatus.REVERTED
         assert vm.error and native.error
+        assert not vm.rwset.writes and not native.rwset.writes
+
+    @pytest.mark.parametrize(
+        "target",
+        [{"contract": "nosuch"}, {"function": "nosuch"}],
+        ids=["contract", "function"],
+    )
+    def test_unknown_contract_or_function_reverts_on_both_paths(self, target):
+        vm, native = self.statuses((1, 10), **target)
+        assert vm.status is native.status is SimulationStatus.REVERTED
+        assert "nosuch" in vm.error and "nosuch" in native.error
+        assert not vm.rwset.reads and not native.rwset.reads
         assert not vm.rwset.writes and not native.rwset.writes
 
     def test_extra_arguments_are_ignored_on_both_paths(self):

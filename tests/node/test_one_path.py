@@ -12,6 +12,7 @@ and certificate witnesses are bit-identical.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 
 import pytest
 
@@ -19,7 +20,13 @@ from repro.bench import make_scheme
 from repro.core import NezhaScheduler
 from repro.dag import EpochCoordinator, Mempool, ParallelChains, PoWParams
 from repro.errors import CertificationError
-from repro.node import FullNode, PipelineConfig, TransactionPipeline
+from repro.node import (
+    ConcurrentExecutor,
+    FullNode,
+    PipelineConfig,
+    SerialExecutorCommitter,
+    TransactionPipeline,
+)
 from repro.obs import FlightLedger, timeline_digest, validate_ledger
 from repro.state import StateDB
 from repro.state.flat import make_statedb
@@ -204,14 +211,26 @@ def test_scheme_fingerprint_matches_pre_merge_golden(case, tmp_path):
 
 
 class TestDeclaredCapabilities:
-    def test_pipeline_config_is_the_five_fields_anything_reads(self):
+    def test_pipeline_config_is_the_four_fields_anything_reads(self):
         assert {f.name for f in dataclasses.fields(PipelineConfig)} == {
-            "workers",
             "use_vm",
             "delta_cc",
             "streaming",
             "certify",
         }
+        with pytest.raises(TypeError):
+            PipelineConfig(workers=2)
+
+    def test_executor_takes_no_placement_parameters(self):
+        assert list(inspect.signature(ConcurrentExecutor.__init__).parameters)[1:] == [
+            "registry",
+            "use_vm",
+            "gas_limit",
+            "delta_cc",
+        ]
+        # Nothing below the node owns a resource to release.
+        for owner in (ConcurrentExecutor, SerialExecutorCommitter, TransactionPipeline):
+            assert not hasattr(owner, "close")
 
     def test_undeclared_scheduler_rejected_at_construction(self):
         class Undeclared:
@@ -236,15 +255,14 @@ class TestDeclaredCapabilities:
             assert node.engine is None
 
 
-class TestCloseReleasesWorkers:
-    def test_raising_back_stage_still_closes_the_pool(self, monkeypatch):
+class TestCloseReraises:
+    def test_close_reraises_what_the_back_stage_raised(self, monkeypatch):
         """``close()`` re-raises what the in-flight epoch raised — after
-        the worker processes are gone, never instead of that."""
+        the back-stage thread is stopped, never instead of that."""
         _, _, mined = _run("nezha")
-        node = _node("nezha", {"streaming": True, "workers": 2}, FlightLedger())
+        node = _node("nezha", {"streaming": True}, FlightLedger())
         node.submit_epoch(mined[0])
         node.drain()
-        assert node.pipeline.executor.process_active
 
         def rejected(*args, **kwargs):
             raise CertificationError("back stage rejected the epoch")
@@ -253,5 +271,6 @@ class TestCloseReleasesWorkers:
         node.submit_epoch(mined[1])
         with pytest.raises(CertificationError):
             node.close()
-        assert not node.pipeline.executor.process_active
-        assert node.pipeline.executor._process_pool is None
+        with pytest.raises(RuntimeError, match="closed"):
+            node.submit_epoch(mined[2])
+        node.close()  # idempotent

@@ -185,19 +185,9 @@ class TestSerialScheme:
             assert report.committed + report.failed_simulation == report.input_transactions
 
 
-class TestPoolLifecycle:
-    def test_workers_wired_into_executor(self):
-        state = StateDB()
-        pipeline_node = FullNode(
-            chains=ParallelChains(chain_count=3, pow_params=PoWParams(6)),
-            state=state,
-            scheduler=NezhaScheduler(),
-            config=PipelineConfig(workers=4),
-        )
-        assert pipeline_node.pipeline.executor.workers == 4
-        pipeline_node.close()
-
-    def test_node_context_manager_closes_pools(self):
+class TestNodeLifecycle:
+    @pytest.mark.parametrize("streaming", [False, True])
+    def test_node_context_manager_closes_the_node(self, streaming):
         state = StateDB()
         state.seed(initial_state(WORKLOAD_CONFIG))
         node = FullNode(
@@ -205,32 +195,14 @@ class TestPoolLifecycle:
             state=state,
             scheduler=NezhaScheduler(),
             registry=default_registry(),
-            config=PipelineConfig(workers=2),
+            config=PipelineConfig(streaming=streaming),
         )
         with node:
             mine_epochs(node, epochs=1)
-            assert node.pipeline.executor.process_active
-        assert node.pipeline.executor._process_pool is None
+        if streaming:
+            with pytest.raises(RuntimeError, match="closed"):
+                node.receive_epoch([])
         node.close()  # idempotent
-
-    def test_pipeline_context_manager(self):
-        from repro.node import TransactionPipeline
-        from repro.txn import Transaction
-
-        state = StateDB()
-        state.seed(initial_state(WORKLOAD_CONFIG))
-        with TransactionPipeline(
-            state=state,
-            scheduler=NezhaScheduler(),
-            registry=default_registry(),
-            config=PipelineConfig(workers=2),
-        ) as pipeline:
-            txn = Transaction(
-                txid=1, contract="smallbank", function="getBalance", args=(1,)
-            )
-            pipeline.executor.execute_batch([txn], state.get)
-            assert pipeline.executor.process_active
-        assert pipeline.executor._process_pool is None
 
 
 class TestSchedulerFailureHandling:

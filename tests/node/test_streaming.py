@@ -3,7 +3,7 @@
 DESIGN.md invariant 11: a streaming node replaying the same block
 sequence as a barrier node produces bit-identical epoch reports —
 state roots, commit/abort counts, abort taxonomy, commit groups — for
-every execution placement and CC mode.  Speculation and reconciliation are pure
+every CC mode.  Speculation and reconciliation are pure
 optimisations of *when* work happens, never of *what* is computed.
 
 Blocks are pre-mined per CC mode with a config-matched probe node:
@@ -48,7 +48,6 @@ def _fresh_state(skew: float = 0.6, flat: bool = True):
 
 def _make_node(
     streaming: bool,
-    workers: int = 0,
     delta_cc: bool = False,
     skew: float = 0.6,
     flat: bool = True,
@@ -59,11 +58,7 @@ def _make_node(
         state=_fresh_state(skew, flat),
         scheduler=NezhaScheduler(),
         registry=default_registry(include_bytecode=delta_cc),
-        config=PipelineConfig(
-            workers=workers,
-            streaming=streaming,
-            delta_cc=delta_cc,
-        ),
+        config=PipelineConfig(streaming=streaming, delta_cc=delta_cc),
         ledger=ledger,
     )
 
@@ -84,7 +79,7 @@ def _mine(delta_cc: bool, skew: float = 0.6) -> list:
             EPOCHS * CHAINS * BLOCK_SIZE + 60
         )
     )
-    probe = _make_node(False, 0, delta_cc, skew)
+    probe = _make_node(False, delta_cc, skew)
     epochs = []
     root = probe.state_root
     with probe:
@@ -113,23 +108,20 @@ def _fingerprint(reports):
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize(
-        "workers,delta_cc",
-        [(0, False), (0, True), (2, False), (2, True)],
-    )
-    def test_streaming_matches_barrier(self, workers, delta_cc):
+    @pytest.mark.parametrize("delta_cc", [False, True])
+    def test_streaming_matches_barrier(self, delta_cc):
         epochs = _mine(delta_cc)
-        with _make_node(False, workers, delta_cc) as barrier:
+        with _make_node(False, delta_cc) as barrier:
             expected = _fingerprint(
                 [barrier.receive_epoch(b) for b in epochs]
             )
         # Live mode: submit + drain per call, report contract unchanged.
-        with _make_node(True, workers, delta_cc) as live:
+        with _make_node(True, delta_cc) as live:
             live_fp = _fingerprint([live.receive_epoch(b) for b in epochs])
             assert live.engine is not None
             assert live.engine.stats.epochs_fallback == 0
         # Replay mode: back-to-back submits realise the actual overlap.
-        with _make_node(True, workers, delta_cc) as replay:
+        with _make_node(True, delta_cc) as replay:
             reports = []
             for blocks in epochs:
                 previous = replay.submit_epoch(blocks)
@@ -229,6 +221,49 @@ class TestReconcile:
         assert spend["speculate"]["ok"] is True
         assert spend["reconcile"]["outcome"] == "reexecuted"
         assert "schedule" not in spend
+
+
+class TestUnrunnableCall:
+    def test_epoch_carrying_one_commits_the_rest(self):
+        """A call to an undeployed contract (epoch 0) or an unknown
+        function (epoch 1) is one failed simulation; the rest of its
+        epoch commits, on the barrier and the streaming path alike."""
+
+        def call(txid, contract, function, args=()):
+            return Transaction(
+                txid=txid,
+                sender="user:000001",
+                contract=contract,
+                function=function,
+                args=args,
+            )
+
+        coordinator = EpochCoordinator(
+            chains=ParallelChains(chain_count=CHAINS, pow_params=POW),
+            miners=["m0"],
+            block_size=BLOCK_SIZE,
+        )
+        mempool = Mempool()
+        epochs = []
+        with _make_node(False) as barrier:
+            for txns in (
+                [call(1, "nosuch", "f"), call(2, "smallbank", "updateSavings", (1, 5))],
+                [call(3, "smallbank", "nosuch"), call(4, "smallbank", "updateSavings", (2, 5))],
+            ):
+                mempool.submit_many(txns)
+                epochs.append(
+                    coordinator.mine_epoch(mempool, state_root=barrier.state_root)
+                )
+                barrier.receive_epoch(epochs[-1])
+        for report in barrier.reports:
+            assert (report.failed_simulation, report.committed) == (1, 1)
+
+        with _make_node(True) as replay:
+            for blocks in epochs:
+                replay.submit_epoch(blocks)
+            replay.drain()
+            assert replay.engine.stats.epochs_streamed == 2
+        assert _fingerprint(replay.reports) == _fingerprint(barrier.reports)
 
 
 class TestQueueDiscipline:

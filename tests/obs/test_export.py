@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
 from repro.obs import (
-    Span,
     Tracer,
     chrome_trace,
     render_top,
@@ -55,28 +55,24 @@ class TestChromeTrace:
         tracer = Tracer()
         with tracer.span("main_side"):
             pass
-        tracer.extend(
-            [
-                Span(
-                    name="worker_side",
-                    span_id=99,
-                    parent_id=None,
-                    track="worker-1",
-                    start=0.0,
-                    end=1.0,
-                )
-            ]
-        )
+
+        def back_stage() -> None:
+            with tracer.span("back_side"):
+                pass
+
+        thread = threading.Thread(target=back_stage, name="repro-engine_0")
+        thread.start()
+        thread.join()
         payload = chrome_trace(tracer.spans())
         metadata = [e for e in payload["traceEvents"] if e["ph"] == "M"]
         names = {e["args"]["name"]: e["tid"] for e in metadata}
         assert names["main"] == 0  # "main" always takes tid 0
-        assert "worker-1" in names
+        assert "repro-engine_0" in names
         by_name = {
             e["name"]: e["tid"] for e in payload["traceEvents"] if e["ph"] == "X"
         }
         assert by_name["main_side"] == names["main"]
-        assert by_name["worker_side"] == names["worker-1"]
+        assert by_name["back_side"] == names["repro-engine_0"]
 
     def test_write_round_trips_through_json(self, tmp_path):
         path = tmp_path / "trace.json"

@@ -1,10 +1,10 @@
-"""Tracer semantics: nesting, bounded retention, cross-process merging."""
+"""Tracer semantics: nesting, bounded retention, lifetime aggregates."""
 
 from __future__ import annotations
 
 import threading
 
-from repro.obs import NULL_SPAN, Tracer, maybe_span, span_from_wire, span_to_wire
+from repro.obs import NULL_SPAN, Tracer, maybe_span
 
 
 class FakeClock:
@@ -94,14 +94,6 @@ class TestRingEviction:
         assert len(tracer) == 3
         assert [span.name for span in tracer.spans()] == ["s7", "s8", "s9"]
 
-    def test_drain_empties_the_ring(self):
-        tracer = Tracer()
-        with tracer.span("only"):
-            pass
-        drained = tracer.drain()
-        assert [span.name for span in drained] == ["only"]
-        assert len(tracer) == 0
-
     def test_clear(self):
         tracer = Tracer()
         with tracer.span("gone"):
@@ -123,9 +115,8 @@ class TestRingEviction:
             with tracer.span("churn"):
                 pass
         assert tracer.evicted == 3
-        # drain() and clear() empty the ring but never reset the counter —
+        # clear() empties the ring but never resets the counter —
         # otherwise /metrics would undercount truncation between scrapes.
-        tracer.drain()
         tracer.clear()
         assert tracer.evicted == 3
         with tracer.span("more"):
@@ -133,47 +124,6 @@ class TestRingEviction:
         with tracer.span("more"):
             pass
         assert tracer.evicted == 4
-
-
-class TestCrossProcessMerge:
-    def test_wire_round_trip_preserves_every_field(self):
-        tracer = Tracer(track="worker-2")
-        with tracer.span("execute.worker_chunk", txns=40, worker=2) as span:
-            pass
-        rebuilt = span_from_wire(span_to_wire(span))
-        assert rebuilt.name == span.name
-        assert rebuilt.span_id == span.span_id
-        assert rebuilt.parent_id == span.parent_id
-        assert rebuilt.track == "worker-2"
-        assert rebuilt.start == span.start
-        assert rebuilt.end == span.end
-        assert rebuilt.attrs == {"txns": 40, "worker": 2}
-
-    def test_extend_merges_into_timeline_order(self):
-        parent_clock = FakeClock()
-        parent = Tracer(clock=parent_clock)
-        with parent.span("parent_late"):
-            pass  # start=1, end=2
-        parent_clock.now = 10.0
-        with parent.span("parent_later"):
-            pass  # start=11
-        worker = Tracer(track="worker-0", clock=FakeClock())
-        worker._clock.now = 4.0  # starts between the parent spans
-        with worker.span("worker_mid"):
-            pass  # start=5
-        parent.extend(span_from_wire(span_to_wire(s)) for s in worker.drain())
-        names = [span.name for span in parent.spans()]
-        assert names == ["parent_late", "worker_mid", "parent_later"]
-
-    def test_wire_tuples_are_primitives_only(self):
-        tracer = Tracer()
-        with tracer.span("x", a=1, b="s") as span:
-            pass
-        wire = span_to_wire(span)
-        assert isinstance(wire, tuple)
-        flat = [wire[0], wire[1], wire[2], wire[3], wire[4], wire[5], *wire[6]]
-        for item in flat:
-            assert isinstance(item, (str, int, float, tuple, type(None)))
 
 
 class TestMaybeSpan:
@@ -215,24 +165,12 @@ class TestAggregates:
         assert len(tracer) == 2
         assert tracer.aggregates()["evicted"].count == 10
 
-    def test_aggregates_survive_drain_and_clear(self):
+    def test_aggregates_survive_clear(self):
         tracer = Tracer()
         with tracer.span("kept"):
             pass
-        tracer.drain()
         tracer.clear()
         assert tracer.aggregates()["kept"].count == 1
-
-    def test_extend_feeds_aggregates(self):
-        worker = Tracer(track="worker-1", clock=FakeClock())
-        with worker.span("shipped"):
-            pass
-        parent = Tracer()
-        parent.extend(
-            span_from_wire(span_to_wire(span)) for span in worker.drain()
-        )
-        assert parent.aggregates()["shipped"].count == 1
-        assert parent.aggregates()["shipped"].total_seconds == 1.0
 
     def test_accessor_returns_a_copy(self):
         tracer = Tracer()

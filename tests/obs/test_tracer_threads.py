@@ -1,11 +1,6 @@
-"""Pinning tests for the tracer's ring lock.
-
-The concurrency sanitizer surfaced that ``Tracer.drain()`` used to
-snapshot and clear the finished-span ring in two separate steps: a span
-finishing between the two was silently lost.  These tests pin the fix —
-snapshot+clear under one lock — by hammering the ring from worker
-threads while the main thread drains concurrently and asserting span
-conservation.
+"""Pinning test for the tracer's ring lock: spans finishing on several
+threads at once all land in the ring, and ``len`` / ``spans`` read a
+consistent snapshot while they do.
 """
 
 from __future__ import annotations
@@ -18,38 +13,7 @@ WORKERS = 4
 SPANS_PER_WORKER = 400
 
 
-class TestConcurrentDrain:
-    def test_no_span_lost_under_concurrent_drain(self):
-        tracer = Tracer(max_spans=10 * WORKERS * SPANS_PER_WORKER)
-        stop = threading.Event()
-        drained: list = []
-
-        def worker():
-            for _ in range(SPANS_PER_WORKER):
-                with tracer.span("work"):
-                    pass
-
-        def drainer():
-            while not stop.is_set():
-                drained.extend(tracer.drain())
-
-        threads = [threading.Thread(target=worker) for _ in range(WORKERS)]
-        pump = threading.Thread(target=drainer)
-        pump.start()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        stop.set()
-        pump.join()
-        drained.extend(tracer.drain())
-        # Every finished span lands in exactly one drain — none lost,
-        # none duplicated.
-        assert len(drained) == WORKERS * SPANS_PER_WORKER
-        assert len({span.span_id for span in drained}) == len(drained)
-        # Aggregates are lifetime totals, unaffected by draining.
-        assert tracer.aggregates()["work"].count == WORKERS * SPANS_PER_WORKER
-
+class TestConcurrentAppend:
     def test_concurrent_append_and_len(self):
         tracer = Tracer()
 
@@ -65,14 +29,3 @@ class TestConcurrentDrain:
             thread.join()
         assert len(tracer) == WORKERS * SPANS_PER_WORKER
         assert len(tracer.spans()) == WORKERS * SPANS_PER_WORKER
-
-    def test_drain_then_clear_empty(self):
-        tracer = Tracer()
-        with tracer.span("once"):
-            pass
-        assert len(tracer.drain()) == 1
-        assert tracer.drain() == []
-        with tracer.span("again"):
-            pass
-        tracer.clear()
-        assert len(tracer) == 0

@@ -119,18 +119,6 @@ class TestTraceCommands:
             build_parser().parse_args(["trace"])
 
 
-class TestHotspots:
-    def test_hotspots_output(self, capsys):
-        code = main(
-            ["hotspots", "--skew", "1.0", "--omega", "1", "--block-size", "50",
-             "--accounts", "200", "--top", "3"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "gini=" in out
-        assert out.count("\n") >= 5
-
-
 class TestAnalyze:
     def run(self, argv, capsys):
         code = main(argv)

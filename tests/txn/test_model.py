@@ -15,10 +15,6 @@ from repro.txn import (
     decode_transaction,
     encode_transaction,
     make_transaction,
-    simulation_result_from_wire,
-    simulation_result_to_wire,
-    transaction_from_wire,
-    transaction_to_wire,
 )
 
 
@@ -178,69 +174,3 @@ class TestCodec:
             assert decoded.args == tuple(args)
 
         roundtrip_holds()
-
-
-class TestWireCodec:
-    """IPC wire tuples used by the process execution backend."""
-
-    def make_txn(self) -> Transaction:
-        return Transaction(
-            txid=12,
-            sender="user:000003",
-            contract="smallbank",
-            function="sendPayment",
-            args=(3, 4, 25),
-            rwset=RWSet(reads={"chk:000003": 50}, writes={"chk:000004": 75}),
-        )
-
-    def test_transaction_roundtrip(self):
-        txn = self.make_txn()
-        wire = transaction_to_wire(txn)
-        restored = transaction_from_wire(wire)
-        assert restored == txn
-        assert restored.sender == txn.sender
-        assert restored.args == txn.args
-        assert dict(restored.rwset.reads) == dict(txn.rwset.reads)
-        assert dict(restored.rwset.writes) == dict(txn.rwset.writes)
-
-    def test_wire_is_primitives_only(self):
-        wire = transaction_to_wire(self.make_txn())
-
-        def flat(value):
-            if isinstance(value, tuple):
-                for item in value:
-                    yield from flat(item)
-            else:
-                yield value
-
-        assert all(
-            isinstance(v, (int, str, bytes, type(None))) for v in flat(wire)
-        )
-
-    def test_simulation_result_roundtrip(self):
-        txn = self.make_txn()
-        result = SimulationResult(
-            transaction=txn,
-            rwset=RWSet(reads={"chk:000003": 50}, writes={"chk:000003": 25}),
-            status=SimulationStatus.REVERTED,
-            gas_used=42,
-            return_value=None,
-            error="reverted",
-        )
-        restored = simulation_result_from_wire(
-            simulation_result_to_wire(result), txn
-        )
-        assert restored.status is SimulationStatus.REVERTED
-        assert restored.gas_used == 42
-        assert restored.error == "reverted"
-        assert dict(restored.rwset.writes) == {"chk:000003": 25}
-        assert restored.transaction is txn
-
-    def test_txid_mismatch_rejected(self):
-        txn = self.make_txn()
-        wire = simulation_result_to_wire(
-            SimulationResult(transaction=txn, rwset=RWSet())
-        )
-        other = make_transaction(99)
-        with pytest.raises(TransactionError):
-            simulation_result_from_wire(wire, other)

@@ -14,18 +14,14 @@ import pytest
 
 import repro
 from repro.errors import ExecutionError, VMRevert
-from repro.node import ConcurrentExecutor
-from repro.txn import Transaction
 from repro.vm import ExecutionContext, LoggedStorage, SVM, assemble
 from repro.vm.compiler import HALT, MAX_STEPS, CompiledCode, compile_code
 from repro.vm.contracts import (
     compile_smallbank,
     compile_token,
-    default_registry,
     smallbank_key_renderer,
     token_key_renderer,
 )
-from repro.vm.native import registry_is_picklable
 
 STATE = {
     "sav:000001": 100,
@@ -188,16 +184,6 @@ class TestLaziness:
         code = assemble("PUSH 1\nRETURN")
         assert compile_code(code) is compile_code(bytes(code))
         assert compile_code.cache_info().maxsize == 512
-
-    def test_registry_stays_picklable_after_executing(self):
-        registry = default_registry(include_bytecode=True)
-        executor = ConcurrentExecutor(registry=registry, use_vm=True)
-        txn = Transaction(
-            txid=1, sender="user:1", contract="smallbank",
-            function="updateSavings", args=(1, 10),
-        )
-        assert executor.execute_batch([txn], lambda _a: 0).results[0].ok
-        assert registry_is_picklable(registry)
 
 
 class TestOneExecutionPath:
