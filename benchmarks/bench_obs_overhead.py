@@ -41,7 +41,7 @@ BLOCK_SIZE = 120
 ACCOUNTS = 2_000
 SEED = 29
 EPOCHS = 3
-ROUNDS = 6
+ROUNDS = 20  # ~0.1 s a replay: the time 6 rounds took on the trie-walking state
 POW_BITS = 4
 
 OVERHEAD_CEILING = 0.05

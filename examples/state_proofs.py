@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Authenticated state: Merkle proofs, light clients, and pruning.
+"""Authenticated state: Merkle proofs, light clients, and history.
 
 The state substrate is more than a map — it is *authenticated*: every
 epoch's state root commits to every account balance.  This demo shows
@@ -8,8 +8,8 @@ the three things that buys you:
 1. a full node hands a light client a balance plus a Merkle proof; the
    client verifies it against just the 32-byte state root;
 2. tampered proofs and forged values are rejected;
-3. a long-running node prunes historical trie nodes, keeping recent
-   snapshots readable while reclaiming the rest.
+3. every earlier epoch's root stays readable: the copy-on-write trie
+   answers historical reads.
 
 Run:  python examples/state_proofs.py
 """
@@ -17,10 +17,11 @@ Run:  python examples/state_proofs.py
 from __future__ import annotations
 
 from repro.core import NezhaScheduler
-from repro.errors import ProofError, TrieError
+from repro.errors import ProofError
 from repro.node import Committer, ConcurrentExecutor
-from repro.state import StateDB, decode_int, prune, verify_proof
+from repro.state import KVNodeMapping, NodeStore, StateDB, decode_int, verify_proof
 from repro.state.mpt import MerklePatriciaTrie
+from repro.storage import KVStore, MemStore
 from repro.vm.contracts import default_registry
 from repro.workload import SmallBankConfig, SmallBankWorkload, flatten_blocks, initial_state
 
@@ -41,9 +42,10 @@ def run_epochs(state: StateDB, epochs: int) -> list[bytes]:
     return roots
 
 
-def light_client_demo(state: StateDB, root: bytes) -> None:
+def light_client_demo(store: KVStore, root: bytes) -> None:
     print("=== Light-client balance verification ===")
-    trie = MerklePatriciaTrie(store=state._nodes, root=root)
+    # The full node opens the trie over the store its state seals into.
+    trie = MerklePatriciaTrie(store=NodeStore(KVNodeMapping(store)), root=root)
     address = b"chk:000007"
     proof = trie.prove(address)
     print(f"  full node: balance of {address.decode()} with a "
@@ -70,29 +72,21 @@ def light_client_demo(state: StateDB, root: bytes) -> None:
         print("  wrong root:     REJECTED")
 
 
-def pruning_demo(state: StateDB, roots: list[bytes]) -> None:
-    print("\n=== History pruning ===")
-    nodes_before = len(state._nodes)
-    report = prune(state._nodes, roots[-2:])  # keep the last two epochs
-    print(f"  node store: {nodes_before} -> {report.kept_nodes} nodes "
-          f"({report.removed_nodes} pruned, keeping 2 roots)")
-
-    recent = state.snapshot(roots[-1])
-    print(f"  recent snapshot still readable: chk:000007 = "
-          f"{recent.get('chk:000007')}")
-    try:
-        state.snapshot(roots[0]).get("chk:000007")
-    except TrieError:
-        print("  pruned snapshot correctly unreadable (nodes reclaimed)")
+def history_demo(state: StateDB, roots: list[bytes]) -> None:
+    print("\n=== Historical reads ===")
+    for epoch, root in enumerate(roots):
+        balance = state.snapshot(root).get("chk:000007")
+        print(f"  epoch {epoch} root {root.hex()[:12]}...: chk:000007 = {balance}")
 
 
 def main() -> None:
-    state = StateDB()
+    store = MemStore()
+    state = StateDB(store=store)
     state.seed(initial_state(CONFIG))
     roots = run_epochs(state, epochs=4)
     print(f"processed 4 epochs; roots: {[r.hex()[:10] for r in roots]}\n")
-    light_client_demo(state, roots[-1])
-    pruning_demo(state, roots)
+    light_client_demo(store, roots[-1])
+    history_demo(state, roots)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Analytical models and measurement helpers for the evaluation.
 
 Re-exports are **lazy** (PEP 562): low-level modules (``obs.tracer``,
-``state.flat``, ``storage.lsm``) import ``repro.analysis.race`` for their
+``state.statedb``, ``storage.lsm``) import ``repro.analysis.race`` for their
 sanitizer hooks, and an eager ``__init__`` would drag the whole analysis
 stack — and through ``serializability`` the ``repro.core`` package — into
 every such import, creating a cycle.

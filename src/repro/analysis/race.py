@@ -18,7 +18,7 @@ Memory model
 ------------
 CPython's GIL makes single bytecode-level container operations atomic
 (one ``dict.__setitem__``, one ``deque.append``).  Call sites that rely
-on exactly that — e.g. ``FlatStateDB.peek`` racing the background
+on exactly that — e.g. ``StateDB.peek`` racing the background
 committer by design, with reconciliation re-executing any speculation
 whose reads were touched — mark their accesses ``relaxed=True``.  Like
 C11 atomics, two relaxed accesses never race; a relaxed access against a
@@ -104,7 +104,7 @@ class RaceDetector:
     bookkeeping with one internal lock, which also keeps the reported
     interleavings coherent.  ``Hashable`` location and sync keys are
     chosen by the instrumentation sites (tuples naming the object and
-    field, e.g. ``("cache-stats", id(stats), "hits")``).
+    field, e.g. ``("flat", id(state), address)``).
     """
 
     def __init__(self) -> None:

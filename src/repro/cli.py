@@ -69,20 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(Nezha scheduler only; baselines ignore the flag)",
     )
     simulate.add_argument(
-        "--state-cache",
-        type=int,
-        default=0,
-        metavar="N",
-        help="trie-node LRU cache capacity in front of the state store "
-        "(0 = uncached; hit rate lands in the metrics snapshot)",
-    )
-    simulate.add_argument(
-        "--trie-state",
-        action="store_true",
-        help="disable the flat journaled state fast path and run the "
-        "trie-backed reference StateDB (same roots, slower commits)",
-    )
-    simulate.add_argument(
         "--streaming",
         action="store_true",
         help="streaming epoch engine: overlap the next epoch's speculative "
@@ -460,8 +446,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             account_count=args.accounts,
             seed=args.seed,
             delta_cc=args.delta_cc,
-            flat_state=not args.trie_state,
-            state_cache=args.state_cache,
             streaming=args.streaming,
             certify=args.certify,
             cost_model=ExecutionCostModel() if args.paper_costs else ZERO_COST,

@@ -32,7 +32,7 @@ from repro.node.phases import EpochReport
 from repro.node.pipeline import PipelineConfig, Scheduler
 from repro.obs.ledger import FlightLedger
 from repro.obs.tracer import Tracer, maybe_span
-from repro.state.flat import make_statedb
+from repro.state.statedb import StateDB
 from repro.storage.api import KVStore
 from repro.storage.memstore import MemStore
 from repro.vm.contracts.smallbank import default_registry
@@ -53,8 +53,6 @@ class ClusterConfig:
     seed: int = 0
     use_vm: bool = False
     delta_cc: bool = False
-    flat_state: bool = True
-    state_cache: int = 0
     streaming: bool = False
     certify: bool = False
     cost_model: ExecutionCostModel = ZERO_COST
@@ -145,13 +143,11 @@ class Cluster:
             miners=[f"miner-{i}" for i in range(self.config.miner_count)],
             block_size=self.config.block_size,
         )
-        state = make_statedb(
+        state = StateDB(
             # An explicit store (e.g. an LSM-backed node) replaces the
             # default in-memory trie-node store; roots are identical
             # either way.
             store=self.config.store if self.config.store is not None else MemStore(),
-            cache_size=self.config.state_cache,
-            flat=self.config.flat_state,
             tracer=tracer,
         )
         state.seed(initial_state(workload_config))

@@ -28,7 +28,7 @@ from repro.node.phases import EpochReport
 from repro.node.pipeline import Scheduler
 from repro.obs.ledger import FlightLedger
 from repro.obs.tracer import Tracer, maybe_span
-from repro.state.flat import make_statedb
+from repro.state.statedb import StateDB
 from repro.vm.contracts.smallbank import default_registry
 from repro.workload.smallbank import SmallBankConfig, SmallBankWorkload, initial_state
 
@@ -108,9 +108,7 @@ class ReplicaNetwork:
         # replica that aborts differently should show its own lifecycle.
         self.ledgers: list[FlightLedger | None] = []
         for _ in range(self.config.replica_count):
-            # Replicas run the flat fast path; the agreement check across
-            # replicas (and the flat/trie equivalence sweep) guards roots.
-            state = make_statedb()
+            state = StateDB()
             state.seed(initial_state(workload_config))
             registry = MetricsRegistry()
             self.metrics.append(registry)

@@ -16,8 +16,8 @@ epoch ``e+1`` speculates on the main thread — per-epoch wall time
 approaches ``max(execution, cc+commit)`` instead of their sum.
 
 **Reconciliation rule.**  Speculation of ``e+1`` reads state that epoch
-``e`` is still committing (the flat state's race-tolerant
-:meth:`~repro.state.flat.FlatStateDB.peek`).  At join, every speculated
+``e`` is still committing (the state's race-tolerant
+:meth:`~repro.state.statedb.StateDB.peek`).  At join, every speculated
 transaction whose recorded read set intersects ``e``'s committed write
 delta is re-executed against the sealed post-``e`` snapshot — exactly
 the read the barrier pipeline would have performed — and replaces its
@@ -51,7 +51,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.analysis import race
 from repro.core.acg import DenseACG
@@ -61,7 +61,6 @@ from repro.dag.epochs import Epoch
 from repro.node.committer import CommitReport
 from repro.node.phases import EpochReport, PhaseLatencies
 from repro.obs.tracer import maybe_span
-from repro.state.flat import FlatStateDB
 from repro.txn.rwset import Address
 from repro.txn.simulation import SimulationBatch, SimulationResult
 from repro.txn.transaction import Transaction
@@ -132,10 +131,6 @@ class StreamingEpochEngine:
         # Post-join write delta of the most recently committed epoch;
         # the reconciliation set for the speculation that overlapped it.
         self._last_delta: Mapping[Address, int] | None = None
-        # Trie-backed states cannot be read while a background commit
-        # mutates them, so speculation reads this frozen copy instead
-        # (captured at launch time, when the state is quiescent).
-        self._spec_base: dict[Address, int] | None = None
         self._stage = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-engine"
         )
@@ -215,7 +210,7 @@ class StreamingEpochEngine:
         # holds the in-flight epoch's txids (registered at admission).
         seen = self.node._seen_txids
         fresh: set[int] = set()
-        read_fn = self._spec_read_fn()
+        read_fn = self.node.state.peek
         executor = self.pipeline.executor
         transactions: list[Transaction] = []
         results: list[SimulationResult] = []
@@ -264,22 +259,6 @@ class StreamingEpochEngine:
             results=results,
             seconds=time.perf_counter() - start,
         )
-
-    def _spec_read_fn(self) -> Callable[[Address], int]:
-        """Snapshot-tolerant read path for speculative execution.
-
-        Flat states expose a race-tolerant ``peek``; trie-backed states
-        get the frozen copy captured when the in-flight epoch launched.
-        With nothing in flight the live state is quiescent and
-        committed, so reading it directly is exact.
-        """
-        state = self.node.state
-        if isinstance(state, FlatStateDB):
-            return state.peek
-        if self._inflight is not None and self._inflight.future is not None:
-            base = self._spec_base or {}
-            return lambda address: base.get(address, 0)
-        return state.get
 
     def _reconcile(self, spec: _Speculation) -> tuple[SimulationBatch, float]:
         """Keep delta-disjoint speculations; re-execute the touched rest.
@@ -373,11 +352,6 @@ class StreamingEpochEngine:
     ) -> None:
         """Build the reconciled epoch's graph and hand both to the
         background CC + commit stage."""
-        if not isinstance(self.node.state, FlatStateDB):
-            # Freeze the pre-commit values for the *next* speculation:
-            # the live trie cannot be read while the background commit
-            # rewrites it.
-            self._spec_base = dict(self.node.state.items())
         # Built here, while the back stage is idle, not on its thread:
         # graph construction allocates tens of thousands of containers,
         # and two threads allocating at once trip the cyclic collector

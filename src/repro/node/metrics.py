@@ -246,25 +246,3 @@ def record_epoch(metrics: MetricsRegistry, report: EpochReport) -> None:
     metrics.histogram("commit_group_count").observe(report.commit_group_count)
     if report.scheduler_failed:
         metrics.counter("scheduler_failures_total").inc()
-
-
-def record_state(metrics: MetricsRegistry, state: object) -> None:
-    """Fold the state backend's health into the registry.
-
-    Duck-typed so any ``StateDB``-compatible object works: the trie-node
-    cache (``state.cache.stats``), the flat fast path's journal depth and
-    trie fallbacks (``FlatStateDB``) — whichever the backend exposes.
-    """
-    cache = getattr(state, "cache", None)
-    stats = getattr(cache, "stats", None)
-    if stats is not None:
-        metrics.gauge("state_cache_hits").set(float(stats.hits))
-        metrics.gauge("state_cache_misses").set(float(stats.misses))
-        metrics.gauge("state_cache_evictions").set(float(stats.evictions))
-        metrics.gauge("state_cache_hit_rate").set(float(stats.hit_rate))
-    journal_depth = getattr(state, "journal_depth", None)
-    if journal_depth is not None:
-        metrics.gauge("state_journal_depth").set(float(journal_depth))
-        metrics.gauge("state_fallback_reads").set(
-            float(getattr(state, "fallback_reads", 0))
-        )

@@ -18,7 +18,7 @@ from repro.dag.blockstore import BlockStore
 from repro.dag.chain import ParallelChains
 from repro.dag.epochs import Epoch, extract_epoch
 from repro.errors import BlockValidationError
-from repro.node.metrics import MetricsRegistry, record_epoch, record_state
+from repro.node.metrics import MetricsRegistry, record_epoch
 from repro.node.phases import EpochReport
 from repro.node.pipeline import PipelineConfig, Scheduler, TransactionPipeline
 from repro.obs.ledger import FlightLedger
@@ -218,7 +218,6 @@ class FullNode:
         self.reports.append(report)
         if self.metrics is not None:
             record_epoch(self.metrics, report)
-            record_state(self.metrics, self.state)
         if self.blockstore is not None:
             self.blockstore.set_state_root(report.state_root)
 

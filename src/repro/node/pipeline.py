@@ -151,10 +151,9 @@ class TransactionPipeline:
         self.ledger = ledger
         if tracer is not None:
             scheduler.tracer = tracer
-        if tracer is not None and getattr(state, "tracer", "absent") is None:
-            # State backends that record seal/read spans (FlatStateDB)
-            # nest them under this pipeline's commit span.
-            state.tracer = tracer  # type: ignore[attr-defined]
+        if tracer is not None and state.tracer is None:
+            # The state's seal span nests under this pipeline's commit span.
+            state.tracer = tracer
         # Delta promotion changes the conflict structure the scheduler
         # sees, so it is only safe for schedulers that understand delta
         # units; everything else keeps plain read-modify-writes.

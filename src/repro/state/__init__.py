@@ -1,30 +1,22 @@
-"""Account state: MPT-authenticated world state with snapshots."""
+"""Account state: a flat dict sealed into an MPT once per epoch."""
 
 from repro.state.account import Account, decode_int, encode_int
-from repro.state.cache import CacheStats, LRUCacheMapping
-from repro.state.flat import FlatSnapshot, FlatStateDB, JournalLayer, make_statedb
 from repro.state.mpt import EMPTY_ROOT, MerklePatriciaTrie, NodeStore, verify_proof
-from repro.state.pruning import PruneReport, collect_reachable, prune
 from repro.state.statedb import KVNodeMapping, StateDB, StateSnapshot
+
+FlatStateDB = StateDB
+"""Former name of :class:`StateDB`, kept because ``benchmarks/e2e`` imports it."""
 
 __all__ = [
     "Account",
-    "CacheStats",
-    "FlatSnapshot",
     "FlatStateDB",
-    "JournalLayer",
-    "LRUCacheMapping",
-    "PruneReport",
     "EMPTY_ROOT",
     "KVNodeMapping",
     "MerklePatriciaTrie",
     "NodeStore",
     "StateDB",
     "StateSnapshot",
-    "collect_reachable",
     "decode_int",
     "encode_int",
-    "make_statedb",
-    "prune",
     "verify_proof",
 ]

@@ -49,14 +49,12 @@ live interior set, not the cap."""
 class NodeStore:
     """Content-addressed node storage (hash -> encoded node).
 
-    ``decoded_cache_size > 0`` keeps a bounded cache of *decoded* nodes:
-    every save and load-miss parks the node object, so walking a path
-    that a previous commit rebuilt skips the RLP decode entirely.  Off
-    by default — the reference read path decodes every load; the flat
-    fast path (:class:`repro.state.flat.FlatStateDB`) turns it on.
-    Content addressing makes the cache trivially coherent — a ref's node
-    can never change — except for explicit deletion (pruning), which
-    must call :meth:`drop_caches`.
+    ``decoded_cache_size > 0`` keeps a bounded cache of *decoded* interior
+    nodes: every save and load-miss parks the node object, so walking a
+    path that a previous seal rebuilt skips the RLP decode entirely.  Off
+    by default for a bare trie; :class:`repro.state.statedb.StateDB`
+    always turns it on.  Content addressing makes the cache trivially
+    coherent: a ref's node can never change, and nodes are never deleted.
 
     Inside :meth:`batch` saves are buffered and reach the backing mapping
     as one ``update`` when the block exits, or not at all when it raises.
@@ -130,10 +128,6 @@ class NodeStore:
         finally:
             self._pending = None
             self._replaced.clear()
-
-    def drop_caches(self) -> None:
-        """Forget every decoded node (required after external deletes)."""
-        self._decoded.clear()
 
     def _cache_decoded(self, ref: bytes, node: Node) -> None:
         if self._decoded_cap <= 0:

@@ -1,13 +1,13 @@
 """Log-structured merge store (the LevelDB substitute).
 
 Write path: WAL append -> memtable; the memtable freezes into a new
-SSTable when it exceeds ``flush_bytes``.  Read path: memtable, then an
-optional bounded block cache, then SSTables newest-first (bloom filters
-skip most).  When the number of tables exceeds ``compaction_threshold``
-they are merge-compacted into a single table and tombstones are dropped;
-with ``background_compaction`` the merge runs on a worker thread while
-reads keep serving the old tables, and the swap happens only after the
-merged table is fsynced and the manifest updated.
+SSTable when it exceeds ``flush_bytes``.  Read path: memtable, then
+SSTables newest-first (bloom filters skip most).  When the number of
+tables exceeds ``compaction_threshold`` they are merge-compacted into a
+single table and tombstones are dropped; with ``background_compaction``
+the merge runs on a worker thread while reads keep serving the old
+tables, and the swap happens only after the merged table is fsynced and
+the manifest updated.
 
 Live tables are tracked in a ``MANIFEST`` file (one table file name per
 line, oldest first), rewritten atomically (tmp + fsync + rename).  The
@@ -28,7 +28,6 @@ from __future__ import annotations
 import heapq
 import os
 import threading
-from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 from typing import Iterator
@@ -36,7 +35,6 @@ from typing import Iterator
 from repro.analysis import race
 from repro.errors import CorruptionError, StorageError
 from repro.obs.tracer import Tracer, maybe_span
-from repro.state.cache import CacheStats
 from repro.storage.api import KVStore, WriteBatch, _check_key
 from repro.storage.memtable import MemTable
 from repro.storage.sstable import SSTable, write_sstable
@@ -64,14 +62,11 @@ def _fsync_dir(directory: Path) -> None:
 class LSMStore(KVStore):
     """Durable ordered store backed by a WAL, a memtable, and SSTables.
 
-    ``block_cache_size`` bounds an LRU cache of point-lookup results in
-    front of the SSTables (the LevelDB block-cache role); hit/miss
-    accounting lives in :attr:`cache_stats`.  ``background_compaction``
-    moves merges onto a single worker thread; user-facing operations
-    stay single-threaded (the store is not a concurrent map), only the
-    compaction job runs concurrently and installs its result under a
-    lock.  ``tracer`` (optional) records ``lsm.compact_bg`` spans and
-    ``lsm.block_cache`` summaries.
+    ``background_compaction`` moves merges onto a single worker thread;
+    user-facing operations stay single-threaded (the store is not a
+    concurrent map), only the compaction job runs concurrently and
+    installs its result under a lock.  ``tracer`` (optional) records
+    ``lsm.compact_bg`` spans.
     """
 
     def __init__(
@@ -79,7 +74,6 @@ class LSMStore(KVStore):
         directory: str | Path,
         flush_bytes: int = DEFAULT_FLUSH_BYTES,
         compaction_threshold: int = DEFAULT_COMPACTION_THRESHOLD,
-        block_cache_size: int = 0,
         background_compaction: bool = False,
         tracer: Tracer | None = None,
     ) -> None:
@@ -87,8 +81,6 @@ class LSMStore(KVStore):
             raise StorageError("flush_bytes must be positive")
         if compaction_threshold < 2:
             raise StorageError("compaction_threshold must be at least 2")
-        if block_cache_size < 0:
-            raise StorageError("block_cache_size must be non-negative")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.flush_bytes = flush_bytes
@@ -102,11 +94,6 @@ class LSMStore(KVStore):
         self._lock = threading.RLock()
         self._compaction_pool: ThreadPoolExecutor | None = None
         self._compaction_future: "Future[None] | None" = None
-        self._block_cache: "OrderedDict[bytes, bytes | None] | None" = (
-            OrderedDict() if block_cache_size > 0 else None
-        )
-        self._block_cache_size = block_cache_size
-        self.cache_stats = CacheStats() if block_cache_size > 0 else None
         self._load_tables()
         self._wal = WriteAheadLog(self.directory / "wal.log")
         self._recover()
@@ -120,20 +107,7 @@ class LSMStore(KVStore):
         present, value = self._memtable.get(key)
         if present:
             return value
-        cache = self._block_cache
-        if cache is not None and self.cache_stats is not None:
-            if key in cache:
-                cache.move_to_end(key)
-                self.cache_stats.record_hit()
-                return cache[key]
-            self.cache_stats.record_miss()
-        value = self._table_lookup(key)
-        if cache is not None and self.cache_stats is not None:
-            cache[key] = value
-            while len(cache) > self._block_cache_size:
-                cache.popitem(last=False)
-                self.cache_stats.record_eviction()
-        return value
+        return self._table_lookup(key)
 
     def _table_lookup(self, key: bytes) -> bytes | None:
         # Single attribute load: compaction publishes a *new* list under
@@ -156,7 +130,6 @@ class LSMStore(KVStore):
         key, value = bytes(key), bytes(value)
         self._wal.append_put(key, value)
         self._memtable.put(key, value)
-        self._invalidate_cache(key)
         self._maybe_flush()
 
     def delete(self, key: bytes) -> None:
@@ -165,7 +138,6 @@ class LSMStore(KVStore):
         key = bytes(key)
         self._wal.append_delete(key)
         self._memtable.delete(key)
-        self._invalidate_cache(key)
         self._maybe_flush()
 
     def write(self, batch: WriteBatch) -> None:
@@ -184,7 +156,6 @@ class LSMStore(KVStore):
                 self._memtable.delete(key)
             else:
                 self._memtable.put(key, value)
-            self._invalidate_cache(key)
         self._maybe_flush()
 
     def scan(self, prefix: bytes = b"") -> Iterator[tuple[bytes, bytes]]:
@@ -242,14 +213,6 @@ class LSMStore(KVStore):
             race.lock_released(("lsm-tables", id(self)))
         self._memtable.clear()
         self._wal.truncate()
-        if self.cache_stats is not None and self._block_cache is not None:
-            with maybe_span(self.tracer, "lsm.block_cache") as span:
-                span.set(
-                    hits=self.cache_stats.hits,
-                    misses=self.cache_stats.misses,
-                    evictions=self.cache_stats.evictions,
-                    cached=len(self._block_cache),
-                )
         self._maybe_compact()
 
     def compact(self) -> None:
@@ -281,10 +244,6 @@ class LSMStore(KVStore):
         return len(self._tables)
 
     # ------------------------------------------------------------ internals
-
-    def _invalidate_cache(self, key: bytes) -> None:
-        if self._block_cache is not None:
-            self._block_cache.pop(key, None)
 
     def _maybe_flush(self) -> None:
         if self._memtable.byte_size >= self.flush_bytes:

@@ -206,21 +206,21 @@ class TestCertifyEpochUnits:
 
 
 SWEEP = [
-    # (skew, omega, flat_state, delta_cc, streaming)
-    (0.0, 2, True, False, False),
-    (0.99, 4, True, False, False),
-    (0.8, 4, True, True, False),
-    (0.8, 4, False, False, False),
-    (0.8, 4, True, True, True),
-    (0.99, 4, True, True, True),
-    (0.0, 4, False, False, True),
-    (0.5, 2, False, True, False),
+    # (skew, omega, delta_cc, streaming)
+    (0.0, 2, False, False),
+    (0.99, 4, False, False),
+    (0.8, 4, True, False),
+    (0.8, 4, False, False),
+    (0.8, 4, True, True),
+    (0.99, 4, True, True),
+    (0.0, 4, False, True),
+    (0.5, 2, True, False),
 ]
 
 
 class TestPipelineCertification:
-    @pytest.mark.parametrize("skew,omega,flat,delta,streaming", SWEEP)
-    def test_every_epoch_certifies(self, skew, omega, flat, delta, streaming):
+    @pytest.mark.parametrize("skew,omega,delta,streaming", SWEEP)
+    def test_every_epoch_certifies(self, skew, omega, delta, streaming):
         config = ClusterConfig(
             block_concurrency=omega,
             block_size=25,
@@ -228,7 +228,6 @@ class TestPipelineCertification:
             skew=skew,
             seed=7,
             delta_cc=delta,
-            flat_state=flat,
             streaming=streaming,
             certify=True,
         )

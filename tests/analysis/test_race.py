@@ -209,7 +209,6 @@ class TestInstrumentedRun:
                 seed=5,
                 delta_cc=delta_cc,
                 streaming=True,
-                state_cache=256,
             )
             with Cluster(NezhaScheduler(), config, tracer=Tracer()) as cluster:
                 cluster.run_epochs(3)
@@ -228,7 +227,6 @@ class TestInstrumentedRun:
                 tmp_path / "db",
                 flush_bytes=256,
                 background_compaction=True,
-                block_cache_size=64,
             )
             for i in range(300):
                 store.put(f"k{i:04d}".encode(), f"v{i}".encode())

@@ -145,6 +145,36 @@ class TestOneExecutionPlacement:
                 assert "workers" not in declared, f"{path.name} declares 'workers'"
 
 
+class TestOneStatePath:
+    """One state class, sealed once per epoch: storage sits below it and
+    never reaches back up, and no option selects a second backend."""
+
+    def test_storage_never_imports_state(self):
+        files = sorted((Path(repro.__file__).parent / "storage").rglob("*.py"))
+        assert len(files) > 3
+        for path in files:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    continue
+                for module in modules:
+                    assert not module.startswith("repro.state"), f"{path.name}: {module}"
+
+    def test_cluster_config_and_state_constructor(self):
+        import inspect
+
+        from repro.net import ClusterConfig
+        from repro.state import FlatStateDB, StateDB
+
+        assert len(dataclasses.fields(ClusterConfig)) == 13
+        params = list(inspect.signature(StateDB.__init__).parameters)
+        assert params == ["self", "store", "root", "tracer"]
+        assert FlatStateDB is StateDB
+
+
 class TestSchedulerSerializability:
     def test_smallbank_schedules_are_serializable(self):
         for skew in (0.0, 0.5, 0.9):

@@ -72,7 +72,7 @@ def seed_state(state: StateDB) -> bytes:
 class TestMixedContractEpochs:
     def test_epochs_with_both_contracts(self, tmp_path, mixed_workload):
         kv = LSMStore(tmp_path / "db")
-        state = StateDB(store=kv, cache_size=2048)
+        state = StateDB(store=kv)
         seed_state(state)
         metrics = MetricsRegistry()
         node = FullNode(
@@ -111,7 +111,7 @@ class TestMixedContractEpochs:
         archive = BlockStore(kv2)
         restored = FullNode.restore(
             blockstore=archive,
-            state=StateDB(store=kv2, root=archive.state_root(), cache_size=2048),
+            state=StateDB(store=kv2, root=archive.state_root()),
             scheduler=NezhaScheduler(),
             chain_count=2,
             registry=build_registry(),

@@ -22,7 +22,7 @@ from repro.obs.taxonomy import (
     EDGE_KINDS,
     UNSERIALIZABLE_WRITE,
 )
-from repro.state.flat import make_statedb
+from repro.state import StateDB
 from repro.vm.contracts import default_registry
 from repro.workload import SmallBankConfig, SmallBankWorkload, initial_state
 
@@ -37,7 +37,7 @@ _MINED_CACHE: dict[bool, list] = {}
 
 
 def _fresh_state():
-    state = make_statedb(flat=True)
+    state = StateDB()
     state.seed(initial_state(WORKLOAD))
     return state
 

@@ -29,7 +29,6 @@ from repro.node import (
 )
 from repro.obs import FlightLedger, timeline_digest, validate_ledger
 from repro.state import StateDB
-from repro.state.flat import make_statedb
 from repro.vm.contracts import default_registry
 from repro.workload import SmallBankConfig, SmallBankWorkload, initial_state
 
@@ -128,7 +127,7 @@ GOLDEN["nezha-streaming"] = GOLDEN["nezha"]
 
 
 def _node(scheme: str, flags: dict, ledger: FlightLedger) -> FullNode:
-    state = make_statedb(flat=True)
+    state = StateDB()
     state.seed(initial_state(WORKLOAD))
     return FullNode(
         chains=ParallelChains(chain_count=CHAINS, pow_params=POW),

@@ -14,6 +14,7 @@ committed roots the miners chain on.
 from __future__ import annotations
 
 import dataclasses
+import threading
 
 import pytest
 
@@ -23,7 +24,7 @@ from repro.dag import EpochCoordinator, Mempool, ParallelChains, PoWParams
 from repro.errors import BlockValidationError
 from repro.node import FullNode, PipelineConfig
 from repro.obs import FlightLedger
-from repro.state.flat import make_statedb
+from repro.state import StateDB
 from repro.txn import Transaction
 from repro.vm.contracts import default_registry
 from repro.workload import SmallBankConfig, SmallBankWorkload, initial_state
@@ -40,8 +41,8 @@ def _workload_config(skew: float = 0.6) -> SmallBankConfig:
     return SmallBankConfig(account_count=250, skew=skew, seed=23)
 
 
-def _fresh_state(skew: float = 0.6, flat: bool = True):
-    state = make_statedb(flat=flat)
+def _fresh_state(skew: float = 0.6):
+    state = StateDB()
     state.seed(initial_state(_workload_config(skew)))
     return state
 
@@ -50,12 +51,11 @@ def _make_node(
     streaming: bool,
     delta_cc: bool = False,
     skew: float = 0.6,
-    flat: bool = True,
     ledger: FlightLedger | None = None,
 ) -> FullNode:
     return FullNode(
         chains=ParallelChains(chain_count=CHAINS, pow_params=POW),
-        state=_fresh_state(skew, flat),
+        state=_fresh_state(skew),
         scheduler=NezhaScheduler(),
         registry=default_registry(include_bytecode=delta_cc),
         config=PipelineConfig(streaming=streaming, delta_cc=delta_cc),
@@ -151,32 +151,14 @@ class TestBitIdentity:
             reports.extend(replay.drain())
         assert _fingerprint(reports) == expected
 
-    def test_trie_backed_state_uses_frozen_snapshot(self):
-        """Without a flat state, speculation reads the frozen copy
-        captured at launch; results must still be bit-identical."""
-        epochs = _mine(False)
-        with _make_node(False, flat=False) as barrier:
-            expected = _fingerprint(
-                [barrier.receive_epoch(b) for b in epochs]
-            )
-        with _make_node(True, flat=False) as replay:
-            reports = []
-            for blocks in epochs:
-                previous = replay.submit_epoch(blocks)
-                if previous is not None:
-                    reports.append(previous)
-            reports.extend(replay.drain())
-            assert replay.engine.stats.epochs_streamed == EPOCHS
-        assert _fingerprint(reports) == expected
-
 
 class TestReconcile:
     def test_speculated_success_that_reverts_on_reexecution_skips_cc(self):
         """Epoch 0 drains an account, epoch 1 spends from it.  Speculated
-        against the frozen pre-epoch-0 copy the spend succeeds; re-executed
-        at reconcile against the committed state it reverts, so — exactly
-        as on a barrier node — it is a failed simulation that never
-        reaches concurrency control."""
+        against the values before epoch 0's commit the spend succeeds;
+        re-executed at reconcile against the committed state it reverts,
+        so — exactly as on a barrier node — it is a failed simulation that
+        never reaches concurrency control."""
 
         def payment(txid, src, dst, amount):
             return Transaction(
@@ -195,7 +177,7 @@ class TestReconcile:
         )
         mempool = Mempool()
         epochs = []
-        with _make_node(False, flat=False) as barrier:
+        with _make_node(False) as barrier:
             for txns in (
                 [payment(1, 1, 2, balance)],
                 [payment(2, 1, 3, 1), payment(3, 4, 5, 1)],
@@ -209,7 +191,26 @@ class TestReconcile:
         assert barrier.reports[1].failed_simulation == 1
         assert barrier.reports[1].committed == 1
 
-        with _make_node(True, flat=False, ledger=FlightLedger()) as replay:
+        with _make_node(True, ledger=FlightLedger()) as replay:
+            # Epoch 0's commit waits on the back stage until epoch 1's
+            # speculation has returned, so the spend is speculated against
+            # the pre-commit balance whatever the thread timing.
+            speculated = threading.Event()
+            engine, committer = replay.engine, replay.pipeline.committer
+            inner_speculate, inner_commit = engine._speculate, committer.commit
+
+            def speculate(blocks):
+                index = replay._next_epoch
+                spec = inner_speculate(blocks)
+                if index == 1:
+                    speculated.set()
+                return spec
+
+            def commit(*args, **kwargs):
+                assert speculated.wait(timeout=60)
+                return inner_commit(*args, **kwargs)
+
+            engine._speculate, committer.commit = speculate, commit
             for blocks in epochs:
                 replay.submit_epoch(blocks)
             replay.drain()

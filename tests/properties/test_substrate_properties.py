@@ -230,6 +230,44 @@ def test_statedb_snapshot_isolation(entries):
         assert db.get(address) == value + 1
 
 
+# Few addresses, small values: overwrites, same-value rewrites and zeros
+# are common; an empty dictionary is an empty epoch.
+epoch_writes = st.dictionaries(
+    st.sampled_from([f"acct:{i}" for i in range(6)]) | st.text(min_size=1, max_size=6),
+    st.integers(min_value=0, max_value=3) | st.integers(min_value=0, max_value=2**40),
+    max_size=8,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(epoch_writes, min_size=1, max_size=6), st.randoms(use_true_random=False))
+def test_statedb_roots_and_history_match_the_trie(epochs, rng):
+    """The trie is the oracle: each sealed root is the sequential-put root
+    of the cumulative map, and every earlier root still reads back its own
+    epoch through a snapshot and through a state reopened at it."""
+    store = MemStore()
+    db = StateDB(store=store)
+    history: list[tuple[bytes, dict[str, int]]] = [(db.root, {})]
+    for writes in epochs:
+        previous = history[-1][1]
+        before = db.snapshot()
+        db.apply_writes(writes)
+        root = db.commit()
+        current = {**previous, **writes}
+        oracle = MerklePatriciaTrie()
+        for address in rng.sample(sorted(current), len(current)):
+            oracle.put(address.encode(), encode_int(current[address]))
+        assert root == oracle.root
+        assert {a: before.get(a) for a in writes} == {a: previous.get(a, 0) for a in writes}
+        history.append((root, current))
+    for root, expected in history:
+        snapshot = db.snapshot(root)
+        assert dict(snapshot.items()) == expected
+        assert all(snapshot.get(address) == value for address, value in expected.items())
+        in_key_order = sorted(expected.items(), key=lambda item: item[0].encode())
+        assert list(StateDB(store, root=root).items()) == in_key_order
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.integers(min_value=1, max_value=500),

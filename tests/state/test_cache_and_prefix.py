@@ -1,99 +1,8 @@
-"""Tests for the LRU node cache and prefix iteration."""
+"""Tests for the trie's prefix iteration."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.errors import StateError
-from repro.state import StateDB
-from repro.state.cache import LRUCacheMapping
 from repro.state.mpt import MerklePatriciaTrie
-from repro.storage import MemStore
-
-
-class TestLRUCacheMapping:
-    def test_read_through_and_hit(self):
-        backing = {b"k": b"v"}
-        cache = LRUCacheMapping(backing, capacity=4)
-        assert cache[b"k"] == b"v"
-        assert cache[b"k"] == b"v"
-        assert cache.stats.misses == 1
-        assert cache.stats.hits == 1
-
-    def test_write_through(self):
-        backing: dict[bytes, bytes] = {}
-        cache = LRUCacheMapping(backing, capacity=4)
-        cache[b"a"] = b"1"
-        assert backing[b"a"] == b"1"
-        assert cache[b"a"] == b"1"
-        assert cache.stats.hits == 1  # served from cache
-
-    def test_eviction_at_capacity(self):
-        backing: dict[bytes, bytes] = {}
-        cache = LRUCacheMapping(backing, capacity=2)
-        for i in range(5):
-            cache[f"k{i}".encode()] = b"v"
-        assert cache.cached_count == 2
-        assert cache.stats.evictions == 3
-        assert len(backing) == 5  # nothing lost
-
-    def test_lru_order(self):
-        backing: dict[bytes, bytes] = {}
-        cache = LRUCacheMapping(backing, capacity=2)
-        cache[b"a"] = b"1"
-        cache[b"b"] = b"2"
-        _ = cache[b"a"]  # touch a so b is the LRU
-        cache[b"c"] = b"3"  # evicts b
-        backing.pop(b"b")
-        with pytest.raises(KeyError):
-            _ = cache[b"b"]
-        assert cache[b"a"] == b"1"  # still cached
-
-    def test_delete_invalidates(self):
-        backing = {b"k": b"v"}
-        cache = LRUCacheMapping(backing, capacity=4)
-        _ = cache[b"k"]
-        del cache[b"k"]
-        with pytest.raises(KeyError):
-            _ = cache[b"k"]
-
-    def test_missing_key_raises(self):
-        cache = LRUCacheMapping({}, capacity=4)
-        with pytest.raises(KeyError):
-            _ = cache[b"nope"]
-        assert cache.stats.misses == 1
-
-    def test_zero_capacity_rejected(self):
-        with pytest.raises(StateError):
-            LRUCacheMapping({}, capacity=0)
-
-    def test_contains_and_len(self):
-        backing = {b"x": b"1"}
-        cache = LRUCacheMapping(backing, capacity=2)
-        assert b"x" in cache
-        assert len(cache) == 1
-
-
-class TestCachedStateDB:
-    def test_cache_accelerates_reads_same_results(self):
-        store = MemStore()
-        plain = StateDB(store=store)
-        root = plain.seed({f"addr:{i:04d}": i for i in range(200)})
-        cached = StateDB(store=store, root=root, cache_size=512)
-        for i in range(0, 200, 7):
-            assert cached.get(f"addr:{i:04d}") == i
-        assert cached.cache is not None
-        # Re-reads hit the cache.
-        before = cached.cache.stats.hits
-        for i in range(0, 200, 7):
-            assert cached.get(f"addr:{i:04d}") == i
-        assert cached.cache.stats.hits > before
-
-    def test_roots_identical_with_and_without_cache(self):
-        values = {f"k{i}": i for i in range(100)}
-        a = StateDB(store=MemStore())
-        b = StateDB(store=MemStore(), cache_size=16)
-        assert a.seed(dict(values)) == b.seed(dict(values))
 
 
 class TestPrefixIteration:

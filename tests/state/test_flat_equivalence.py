@@ -1,13 +1,10 @@
-"""Flat fast path vs trie oracle: bit-identical roots, always.
+"""The per-epoch seal: ``put_batch`` against sequential puts, and the
+flat dict, node mapping and decoded cache around it.
 
-The fast path's entire value rests on one claim: for any write sequence,
-``FlatStateDB`` (dict reads, journaled undo, one ``put_batch`` seal per
-epoch) produces exactly the root sequence the trie-backed ``StateDB``
-produces.  This file sweeps that claim at three levels: raw
-``put_batch`` against sequential puts, full multi-epoch SmallBank
-cluster runs across the contention/concurrency matrix, and the journal
-features (rollback, historical snapshots) pinned against the oracle's
-``StateSnapshot``.
+Every state root comes from one ``put_batch`` per epoch; its claim to be
+the sequential-put root of the same content is swept here at the trie
+level and, across random multi-epoch histories, by the state-level
+property in ``tests/properties/test_substrate_properties.py``.
 """
 
 from __future__ import annotations
@@ -16,12 +13,9 @@ import random
 
 import pytest
 
-from repro.bench.harness import make_scheme
-from repro.errors import StateError
-from repro.net import Cluster, ClusterConfig
-from repro.state.flat import FlatStateDB
+from repro.state.mpt import EMPTY_REF, ExtensionNode, LeafNode
 from repro.state.mpt.trie import MerklePatriciaTrie, NodeStore
-from repro.state.statedb import StateDB, StateSnapshot
+from repro.state.statedb import StateDB
 from repro.storage.memstore import MemStore
 
 
@@ -172,7 +166,7 @@ class TestPutBatchEquivalence:
                 super().write(batch)
 
         store = CountingStore()
-        db = FlatStateDB(store=store)
+        db = StateDB(store=store)
         db.seed({f"acct-{i:03d}": 100 for i in range(200)})
         for i in range(0, 200, 7):
             db.set(f"acct-{i:03d}", i)
@@ -181,138 +175,12 @@ class TestPutBatchEquivalence:
         assert len(store.batches) == 2 and all(store.batches)
 
 
-def _epoch_roots(flat_state: bool, **overrides) -> list[bytes]:
-    config = ClusterConfig(
-        block_concurrency=overrides.pop("omega", 4),
-        block_size=40,
-        account_count=400,
-        flat_state=flat_state,
-        **overrides,
-    )
-    with Cluster(make_scheme("nezha"), config) as cluster:
-        run = cluster.run_epochs(3)
-    return [outcome.report.state_root for outcome in run.outcomes]
-
-
-class TestClusterEquivalenceSweep:
-    @pytest.mark.parametrize("skew", [0.0, 0.9])
-    @pytest.mark.parametrize("omega", [2, 8])
-    def test_roots_identical_across_contention(self, skew, omega):
-        flat = _epoch_roots(True, skew=skew, omega=omega, seed=11)
-        oracle = _epoch_roots(False, skew=skew, omega=omega, seed=11)
-        assert flat == oracle
-
-    @pytest.mark.parametrize("delta_cc", [False, True])
-    def test_roots_identical_with_delta_cc(self, delta_cc):
-        flat = _epoch_roots(True, skew=0.9, delta_cc=delta_cc, seed=3)
-        oracle = _epoch_roots(False, skew=0.9, delta_cc=delta_cc, seed=3)
-        assert flat == oracle
-
-
-def _paired_dbs():
-    store = MemStore()
-    flat = FlatStateDB(store=store)
-    genesis = flat.seed({f"acct-{i:03d}": 100 for i in range(50)})
-    oracle = StateDB(store=store, root=genesis)
-    return flat, oracle
-
-
-class TestJournalFeatures:
-    def test_multi_epoch_roots_and_rollback(self):
-        flat, oracle = _paired_dbs()
-        rng = random.Random(0)
-        roots = [flat.root]
-        for _ in range(6):
-            writes = {
-                f"acct-{rng.randrange(50):03d}": rng.randrange(1, 1000)
-                for _ in range(10)
-            }
-            flat.apply_writes(writes)
-            oracle.apply_writes(writes)
-            assert flat.commit() == oracle.commit()
-            roots.append(flat.root)
-
-        flat.rollback_to(roots[2])
-        assert flat.root == roots[2]
-        # Replaying the same writes from the rolled-back state reproduces
-        # the same root chain (determinism through the journal).
-        rng = random.Random(0)
-        replayed = [flat.root]
-        for _ in range(6):
-            writes = {
-                f"acct-{rng.randrange(50):03d}": rng.randrange(1, 1000)
-                for _ in range(10)
-            }
-            if len(replayed) > 2:
-                flat.apply_writes(writes)
-                flat.commit()
-                replayed.append(flat.root)
-            else:
-                replayed.append(roots[len(replayed)])
-        assert replayed[2:] == roots[2:]
-
-    def test_rollback_outside_journal_raises(self):
-        flat, _ = _paired_dbs()
-        with pytest.raises(StateError):
-            flat.rollback_to(b"\x00" * 32)
-
-    def test_historical_snapshots_match_oracle(self):
-        flat, oracle = _paired_dbs()
-        rng = random.Random(1)
-        roots = []
-        for _ in range(5):
-            writes = {
-                f"acct-{rng.randrange(50):03d}": rng.randrange(1, 1000)
-                for _ in range(8)
-            }
-            flat.apply_writes(writes)
-            oracle.apply_writes(writes)
-            flat.commit()
-            oracle.commit()
-            roots.append(flat.root)
-
-        for root in roots:
-            pinned = flat.snapshot(root)
-            reference = StateSnapshot(oracle._nodes, root)
-            assert pinned.root == root
-            assert list(pinned.items()) == list(reference.items())
-            for i in range(0, 50, 7):
-                address = f"acct-{i:03d}"
-                assert pinned.get(address) == reference.get(address)
-
-    def test_aged_out_snapshot_falls_back_to_trie(self):
-        store = MemStore()
-        flat = FlatStateDB(store=store, max_journal_layers=2)
-        flat.seed({"a": 1, "b": 2})
-        old_root = flat.root
-        for value in range(3, 9):
-            flat.set("a", value)
-            flat.commit()
-        assert flat.journal_depth == 2
-        snapshot = flat.snapshot(old_root)
-        assert isinstance(snapshot, StateSnapshot)  # oracle fallback
-        assert snapshot.get("a") == 1
-        assert flat.fallback_reads > 0
-
-    def test_value_at_falls_back_when_journal_evicts_after_pin(self):
-        store = MemStore()
-        flat = FlatStateDB(store=store, max_journal_layers=3)
-        flat.seed({"a": 1})
-        pinned_root = flat.root
-        snapshot = flat.snapshot(pinned_root)
-        for value in range(2, 10):
-            flat.set("a", value)
-            flat.commit()
-        # The pin aged out of the journal after the snapshot was taken;
-        # reads degrade to authenticated trie lookups, same answers.
-        assert snapshot.get("a") == 1
-        assert flat.fallback_reads > 0
-
+class TestFlatDict:
     def test_hydration_from_existing_root(self):
         store = MemStore()
-        first = FlatStateDB(store=store)
+        first = StateDB(store=store)
         root = first.seed({f"k{i}": i + 1 for i in range(20)})
-        reopened = FlatStateDB(store=store, root=root)
+        reopened = StateDB(store=store, root=root)
         assert reopened.root == root
         assert list(reopened.items()) == list(first.items())
         reopened.set("k3", 999)
@@ -322,17 +190,14 @@ class TestJournalFeatures:
     def test_peek_ignores_staged_writes_until_the_fold(self):
         # Speculation must not see a concurrent commit's staged writes:
         # when they land relative to it is thread timing.
-        flat = FlatStateDB(store=MemStore())
-        flat.seed({"a": 1})
-        flat.set("a", 2)
-        flat.set("b", 7)
-        assert (flat.get("a"), flat.get("b")) == (2, 7)
-        assert (flat.peek("a"), flat.peek("b")) == (1, 0)
-        reads = flat.flat_reads
-        flat.peek("a")
-        assert flat.flat_reads == reads
-        flat.commit()
-        assert (flat.peek("a"), flat.peek("b")) == (2, 7)
+        state = StateDB(store=MemStore())
+        state.seed({"a": 1})
+        state.set("a", 2)
+        state.set("b", 7)
+        assert (state.get("a"), state.get("b")) == (2, 7)
+        assert (state.peek("a"), state.peek("b")) == (1, 0)
+        state.commit()
+        assert (state.peek("a"), state.peek("b")) == (2, 7)
 
 
 class TestKVNodeMappingCount:
@@ -415,16 +280,20 @@ class TestDecodedNodeCache:
                 (key, b"seal-%d-%d" % (seal, rng.randrange(50)))
                 for key in rng.sample(keys, 150)
             )
-        from repro.state.mpt import LeafNode
-        from repro.state.pruning import collect_reachable
-
-        cached = len(store._decoded)  # before the scan below re-warms it
-        live_interior = sum(
-            1
-            for ref in collect_reachable(store, [trie.root])
-            if not isinstance(store.load(ref), LeafNode)
-        )
-        assert cached <= 2 * live_interior
+        cached = len(store._decoded)  # before the walk below re-warms it
+        live_interior: set[bytes] = set()
+        stack = [trie.root]
+        while stack:
+            ref = stack.pop()
+            node = store.load(ref)
+            if ref in live_interior or isinstance(node, LeafNode):
+                continue
+            live_interior.add(ref)
+            if isinstance(node, ExtensionNode):
+                stack.append(node.child)
+            else:
+                stack.extend(child for child in node.children if child != EMPTY_REF)
+        assert cached <= 2 * len(live_interior)
         # The store itself keeps every old version: old roots stay readable.
         assert MerklePatriciaTrie(store=store, root=first_root).get(keys[0]) == b"genesis"
 
@@ -443,17 +312,3 @@ class TestDecodedNodeCache:
         uncached = NodeStore(trie.store._nodes, decoded_cache_size=0)
         reference = MerklePatriciaTrie(store=uncached, root=trie.root)
         assert list(trie.items()) == list(reference.items())
-
-    def test_drop_caches_after_external_delete(self):
-        from repro.errors import TrieError
-        from repro.state.pruning import prune
-
-        store = NodeStore(decoded_cache_size=64)
-        trie = MerklePatriciaTrie(store=store)
-        trie.put(b"a", b"1")
-        doomed_root = trie.root
-        trie.put(b"a", b"2")
-        prune(store, [trie.root])
-        stale = MerklePatriciaTrie(store=store, root=doomed_root)
-        with pytest.raises(TrieError):
-            stale.get(b"a")

@@ -1,4 +1,4 @@
-"""LSM upgrades: manifest crash safety, block cache, background compaction.
+"""LSM upgrades: manifest crash safety, background compaction.
 
 The dangerous window this file exists for: compaction drops tombstones,
 so the merged table must become visible *atomically with* the removal of
@@ -10,9 +10,6 @@ live value, and the delete silently un-happens.
 
 from __future__ import annotations
 
-import pytest
-
-from repro.errors import StorageError
 from repro.storage.lsm import MANIFEST_NAME, LSMStore
 
 
@@ -93,48 +90,6 @@ class TestCompactionCrashRecovery:
         for key, value in written.items():
             assert recovered.get(key) == value
         recovered.close()
-
-
-class TestBlockCache:
-    def test_hits_misses_and_absence_caching(self, tmp_path):
-        store = LSMStore(tmp_path / "db", block_cache_size=8)
-        fill(store, 20)
-        store.flush()  # push everything out of the memtable
-        assert store.get(b"key-0003") == b"value-3"
-        assert store.cache_stats.misses == 1
-        assert store.get(b"key-0003") == b"value-3"
-        assert store.cache_stats.hits == 1
-        # Absence is cached too: the second miss never touches the tables.
-        assert store.get(b"no-such-key") is None
-        assert store.get(b"no-such-key") is None
-        assert store.cache_stats.hits == 2
-        store.close()
-
-    def test_put_and_delete_invalidate(self, tmp_path):
-        store = LSMStore(tmp_path / "db", block_cache_size=8)
-        fill(store, 10)
-        store.flush()
-        assert store.get(b"key-0001") == b"value-1"
-        store.put(b"key-0001", b"rewritten")
-        assert store.get(b"key-0001") == b"rewritten"
-        store.delete(b"key-0001")
-        store.flush()
-        assert store.get(b"key-0001") is None
-        store.close()
-
-    def test_eviction_respects_capacity(self, tmp_path):
-        store = LSMStore(tmp_path / "db", block_cache_size=4)
-        fill(store, 30)
-        store.flush()
-        for i in range(30):
-            store.get(f"key-{i:04d}".encode())
-        assert len(store._block_cache) <= 4
-        assert store.cache_stats.evictions > 0
-        store.close()
-
-    def test_negative_capacity_rejected(self, tmp_path):
-        with pytest.raises(StorageError):
-            LSMStore(tmp_path / "db", block_cache_size=-1)
 
 
 class TestBackgroundCompaction:
