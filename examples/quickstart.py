@@ -2,9 +2,9 @@
 """Quickstart: schedule the paper's six-transaction example with Nezha.
 
 Walks through the exact example of Sections IV-B and IV-C (Table III,
-Figures 4, 6, and 7): builds the address-based conflict graph, divides
-sorting ranks, sorts transactions, and prints the resulting commit
-schedule — including the unserializable transaction T1 that Nezha
+Figures 4, 6, and 7): schedules it once, then prints what each step
+produced — the address-based conflict graph, the sorting ranks, and the
+commit schedule, including the unserializable transaction T1 that Nezha
 detects and aborts without any cycle detection.
 
 Run:  python examples/quickstart.py
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from repro import NezhaScheduler, make_transaction
 from repro.baselines import CGScheduler, OCCScheduler
-from repro.core import build_acg, divide_ranks
 
 
 def paper_example():
@@ -32,19 +31,19 @@ def paper_example():
 def main() -> None:
     transactions = paper_example()
 
+    result = NezhaScheduler().schedule(transactions)
+
     print("=== Step 1: address-based conflict graph (Figure 4) ===")
-    acg = build_acg(transactions)
+    acg = result.acg
     for address in acg.addresses:
         print(f"  RW_{address}: {acg.rw_lists[address]!r}")
     print(f"  address dependencies: {sorted(acg.iter_edges())}")
 
     print("\n=== Step 2: sorting rank division (Figure 6) ===")
-    rank_order = divide_ranks(acg)
-    for rank, address in enumerate(rank_order, start=1):
+    for rank, address in enumerate(result.rank_order, start=1):
         print(f"  rank {rank}: {address}")
 
     print("\n=== Step 3: hierarchical sorting (Figure 7) ===")
-    result = NezhaScheduler().schedule(transactions)
     schedule = result.schedule
     for group in schedule.groups:
         members = ", ".join(f"T{t}" for t in group.txids)

@@ -298,7 +298,7 @@ def generate_batch(args: argparse.Namespace):
 
 
 def cmd_quickstart(_args: argparse.Namespace) -> int:
-    from repro.core import NezhaScheduler, build_acg, divide_ranks
+    from repro.core import NezhaScheduler
     from repro.txn import make_transaction
 
     transactions = [
@@ -309,13 +309,13 @@ def cmd_quickstart(_args: argparse.Namespace) -> int:
         make_transaction(5, reads=["A4"], writes=["A4"]),
         make_transaction(6, reads=["A1"], writes=["A3"]),
     ]
-    acg = build_acg(transactions)
+    result = NezhaScheduler().schedule(transactions)
+    acg = result.acg
     print("ACG unit lists (paper Figure 4):")
     for address in acg.addresses:
         print(f"  {acg.rw_lists[address]!r}")
     print(f"address dependencies: {sorted(acg.iter_edges())}")
-    print(f"sorting ranks (Figure 6): {divide_ranks(acg)}")
-    result = NezhaScheduler().schedule(transactions)
+    print(f"sorting ranks (Figure 6): {result.rank_order}")
     print("commit schedule (Figure 7):")
     for group in result.schedule.groups:
         print(f"  seq {group.sequence}: {[f'T{t}' for t in group.txids]}")

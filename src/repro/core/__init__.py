@@ -3,19 +3,13 @@
 from repro.core.acg import (
     ACG,
     DenseACG,
-    build_acg,
     build_dense_acg,
     dense_acg_from_transactions,
 )
 from repro.core.export import acg_to_dot, conflict_graph_to_dot, schedule_to_dot
 from repro.core.incremental import IncrementalACG, dense_acg_equal
 from repro.core.interner import InternedBatch, intern_batch
-from repro.core.rank import (
-    RankPolicy,
-    divide_ranks,
-    divide_ranks_dense,
-    rank_addresses,
-)
+from repro.core.rank import RankPolicy, divide_ranks_dense
 from repro.core.schedule import (
     CommitGroup,
     Schedule,
@@ -24,15 +18,9 @@ from repro.core.schedule import (
     serial_schedule,
 )
 from repro.core.scheduler import NezhaConfig, NezhaResult, NezhaScheduler, PhaseTimings
-from repro.core.sorting import (
-    INITIAL_SEQUENCE,
-    DenseSortState,
-    SortState,
-    sort_transactions,
-    sort_transactions_dense,
-)
-from repro.core.units import AddressRWList, Unit, UnitKind
-from repro.core.validate import check_invariants, validate_sort, validate_sort_dense
+from repro.core.sorting import INITIAL_SEQUENCE, DenseSortState, sort_transactions_dense
+from repro.core.units import AddressRWList
+from repro.core.validate import check_invariants, validate_sort_dense
 
 __all__ = [
     "ACG",
@@ -50,25 +38,17 @@ __all__ = [
     "RankPolicy",
     "Schedule",
     "SchemeResult",
-    "SortState",
-    "Unit",
-    "UnitKind",
     "acg_to_dot",
-    "build_acg",
     "build_dense_acg",
     "conflict_graph_to_dot",
     "check_invariants",
     "dense_acg_equal",
     "dense_acg_from_transactions",
-    "divide_ranks",
     "divide_ranks_dense",
     "intern_batch",
-    "rank_addresses",
     "schedule_from_sequences",
     "schedule_to_dot",
     "serial_schedule",
-    "sort_transactions",
     "sort_transactions_dense",
-    "validate_sort",
     "validate_sort_dense",
 ]

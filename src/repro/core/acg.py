@@ -24,12 +24,14 @@ from repro.errors import SchedulingError
 from repro.txn.rwset import Address
 from repro.txn.transaction import Transaction
 
-_EMPTY_ADDRESSES: frozenset[Address] = frozenset()
-
 
 @dataclass
 class ACG:
-    """The address-based conflict graph for one batch of transactions.
+    """String-keyed view of one batch's address-based conflict graph.
+
+    In the package only :meth:`DenseACG.to_acg` (``NezhaResult.acg``)
+    builds one — for the DOT export, the quickstart and tests; scheduling
+    never reads it.
 
     Attributes
     ----------
@@ -61,34 +63,12 @@ class ACG:
         """Number of distinct address-dependency edges."""
         return len(self.edge_multiplicity)
 
-    @property
-    def unit_count(self) -> int:
-        """Total number of read, write, and delta units across all addresses."""
-        return sum(len(rw) for rw in self.rw_lists.values())
-
     def rw(self, address: Address) -> AddressRWList:
         """Return ``RW_j`` for the given address."""
         try:
             return self.rw_lists[address]
         except KeyError:
             raise SchedulingError(f"address {address!r} not present in ACG") from None
-
-    def successors(self, address: Address) -> frozenset[Address]:
-        """Addresses that ``address`` depends on (outgoing edges).
-
-        Returns an immutable snapshot — mutating the return value can
-        never corrupt the graph's internal adjacency.
-        """
-        edges = self.out_edges.get(address)
-        return frozenset(edges) if edges else _EMPTY_ADDRESSES
-
-    def predecessors(self, address: Address) -> frozenset[Address]:
-        """Addresses that depend on ``address`` (incoming edges).
-
-        Immutable snapshot, same contract as :meth:`successors`.
-        """
-        edges = self.in_edges.get(address)
-        return frozenset(edges) if edges else _EMPTY_ADDRESSES
 
     def iter_edges(self) -> Iterator[tuple[Address, Address]]:
         """Yield all distinct edges in deterministic order."""
@@ -97,66 +77,8 @@ class ACG:
                 yield src, dst
 
 
-def build_acg(transactions: Sequence[Transaction] | Iterable[Transaction]) -> ACG:
-    """Build the ACG for a batch of transactions.
-
-    Transactions are processed in ascending id order so that unit lists end
-    up in the paper's deterministic order.  A transaction reading and
-    writing the *same* address contributes units to that address but no
-    self-loop edge (the paper's ``T_5`` case).
-
-    Complexity: ``O(sum over txns of |RS| * |WS|)`` for edges plus
-    ``O(unit count)`` for the lists — linear in practice because contract
-    transactions touch a handful of addresses each.
-    """
-    acg = ACG()
-    rw_lists = acg.rw_lists
-    ordered = sorted(transactions, key=lambda t: t.txid)
-    seen_ids: set[int] = set()
-    for txn in ordered:
-        if txn.txid in seen_ids:
-            raise SchedulingError(f"duplicate txid {txn.txid} in batch")
-        seen_ids.add(txn.txid)
-        for address in txn.read_set:
-            rw = rw_lists.get(address)
-            if rw is None:
-                rw = rw_lists[address] = AddressRWList(address)
-            rw.add_read(txn.txid)
-        for address in txn.write_set:
-            rw = rw_lists.get(address)
-            if rw is None:
-                rw = rw_lists[address] = AddressRWList(address)
-            rw.add_write(txn.txid)
-        for address in txn.delta_set:
-            rw = rw_lists.get(address)
-            if rw is None:
-                rw = rw_lists[address] = AddressRWList(address)
-            rw.add_delta(txn.txid)
-        # Delta units mutate their address, so they join the write side of
-        # the address-dependency edges (write-addr -> read-addr).
-        for write_addr in txn.write_set | txn.delta_set:
-            for read_addr in txn.read_set:
-                if write_addr == read_addr:
-                    continue
-                _add_edge(acg, write_addr, read_addr)
-    for rw in rw_lists.values():
-        rw.finalize()
-    acg.txn_count = len(ordered)
-    return acg
-
-
-def _add_edge(acg: ACG, src: Address, dst: Address) -> None:
-    """Record the address dependency ``src --> dst``."""
-    key = (src, dst)
-    count = acg.edge_multiplicity.get(key, 0)
-    acg.edge_multiplicity[key] = count + 1
-    if count == 0:
-        acg.out_edges.setdefault(src, set()).add(dst)
-        acg.in_edges.setdefault(dst, set()).add(src)
-
-
 # ---------------------------------------------------------------------------
-# Dense fast path: CSR adjacency over interned ids
+# CSR adjacency over interned ids
 # ---------------------------------------------------------------------------
 
 
@@ -259,9 +181,11 @@ class DenseACG:
     def to_acg(self) -> ACG:
         """Materialise the equivalent string-keyed :class:`ACG`.
 
-        Bit-identical to ``build_acg`` on the same batch (unit order,
-        adjacency, multiplicities); used when a caller wants the rich
-        reference object after a scheduling run (``NezhaResult.acg``).
+        Unit order, adjacency and multiplicities translate id for id, so
+        the view equals the reference ``build_acg`` in
+        ``tests/reference.py`` on the same batch; used when a caller wants
+        the address-keyed graph after a scheduling run
+        (``NezhaResult.acg``).
         """
         batch = self.batch
         addresses = batch.addresses
@@ -286,10 +210,9 @@ class DenseACG:
 def build_dense_acg(batch: InternedBatch) -> DenseACG:
     """Build the CSR-form ACG for an interned batch.
 
-    Same construction as :func:`build_acg` — one pass over transactions in
-    ascending id order, ``O(u * N)`` for units plus ``O(|RS| * |WS|)`` per
-    transaction for edges — but every address lookup is a single dict hit
-    and every list is integer-only.
+    One pass over transactions in ascending id order, ``O(u * N)`` for
+    units plus ``O(|RS| * |WS|)`` per transaction for edges; every address
+    lookup is a single dict hit and every list is integer-only.
     """
     addr_ids = batch.addr_ids
     addr_count = batch.addr_count

@@ -22,10 +22,8 @@ from __future__ import annotations
 
 import enum
 import heapq
-from typing import Callable, Mapping, Sequence
 
-from repro.core.acg import ACG, DenseACG
-from repro.txn.rwset import Address
+from repro.core.acg import DenseACG
 
 
 class RankPolicy(enum.Enum):
@@ -41,109 +39,17 @@ class RankPolicy(enum.Enum):
     MAX_UNIT_COUNT = "max-unit-count"
 
 
-def divide_ranks(acg: ACG, policy: RankPolicy = RankPolicy.MAX_OUT_DEGREE) -> list[Address]:
-    """Return all accessed addresses ordered by sorting rank (rank 1 first)."""
-    unit_counts = None
-    if policy is RankPolicy.MAX_UNIT_COUNT:
-        unit_counts = {address: len(rw) for address, rw in acg.rw_lists.items()}
-    return rank_addresses(
-        vertices=acg.addresses,
-        out_edges=acg.out_edges,
-        in_edges=acg.in_edges,
-        policy=policy,
-        unit_counts=unit_counts,
-    )
-
-
-def rank_addresses(
-    vertices: Sequence[Address],
-    out_edges: Mapping[Address, set[Address]],
-    in_edges: Mapping[Address, set[Address]],
-    policy: RankPolicy = RankPolicy.MAX_OUT_DEGREE,
-    unit_counts: Mapping[Address, int] | None = None,
-) -> list[Address]:
-    """Rank an explicit address-dependency graph (Algorithm 1).
-
-    ``vertices`` should contain every address; endpoints appearing only in
-    the edge mappings are included automatically.
-    """
-    all_vertices = set(vertices)
-    for src, targets in out_edges.items():
-        all_vertices.add(src)
-        all_vertices.update(targets)
-    for dst, sources in in_edges.items():
-        all_vertices.add(dst)
-        all_vertices.update(sources)
-    ordered_vertices = sorted(all_vertices)
-
-    in_degree: dict[Address, int] = {}
-    live_out: dict[Address, set[Address]] = {}
-    live_in: dict[Address, set[Address]] = {}
-    for vertex in ordered_vertices:
-        live_out[vertex] = set(out_edges.get(vertex, ()))
-        live_in[vertex] = set(in_edges.get(vertex, ()))
-        in_degree[vertex] = len(live_in[vertex])
-
-    def score(vertex: Address) -> int:
-        if policy is RankPolicy.MIN_ADDRESS:
-            return 0  # every candidate ties; smallest address wins
-        if policy is RankPolicy.MAX_UNIT_COUNT:
-            return (unit_counts or {}).get(vertex, 0)
-        return len(live_out[vertex])
-
-    # Lazy heaps: stale entries (changed degree/score, or removed vertex)
-    # are skipped at pop time.  Every degree change pushes a fresh entry,
-    # bounding total pushes by O(V + E).
-    zero_heap: list[Address] = [v for v in ordered_vertices if in_degree[v] == 0]
-    heapq.heapify(zero_heap)
-    cycle_heap: list[tuple[int, int, Address]] = [
-        (in_degree[v], -score(v), v) for v in ordered_vertices
-    ]
-    heapq.heapify(cycle_heap)
-    removed: set[Address] = set()
-    sequence: list[Address] = []
-
-    def reindex(vertex: Address) -> None:
-        heapq.heappush(cycle_heap, (in_degree[vertex], -score(vertex), vertex))
-
-    def remove(vertex: Address) -> None:
-        removed.add(vertex)
-        sequence.append(vertex)
-        for succ in live_out.pop(vertex, set()):
-            if succ in removed:
-                continue
-            live_in[succ].discard(vertex)
-            in_degree[succ] -= 1
-            if in_degree[succ] == 0:
-                heapq.heappush(zero_heap, succ)
-            reindex(succ)
-        for pred in live_in.pop(vertex, set()):
-            if pred in removed:
-                continue
-            live_out[pred].discard(vertex)
-            if policy is RankPolicy.MAX_OUT_DEGREE:
-                reindex(pred)
-
-    total = len(ordered_vertices)
-    while len(sequence) < total:
-        selected = _pop_zero(zero_heap, removed, in_degree)
-        if selected is None:
-            selected = _pop_cycle_breaker(cycle_heap, removed, in_degree, score)
-        remove(selected)
-    return sequence
-
-
 def divide_ranks_dense(
     dense: DenseACG, policy: RankPolicy = RankPolicy.MAX_OUT_DEGREE
 ) -> list[int]:
-    """Algorithm 1 on dense address ids (the fast path).
+    """Algorithm 1 on dense address ids; returns them in rank order.
 
-    Same lazy-heap algorithm as :func:`rank_addresses`, but vertices are
-    contiguous ints, degrees live in flat lists, and adjacency comes from
-    the CSR buffers — no per-vertex set copies.  Because dense ids are
-    assigned in sorted address order, every heap comparison resolves ties
-    exactly as the string-keyed reference does, so the emission order is
-    identical after id -> address translation.
+    Vertices are contiguous ints, degrees live in flat lists, and
+    adjacency comes from the CSR buffers — no per-vertex set copies.
+    Because dense ids are assigned in sorted address order, every heap
+    comparison breaks ties by the smaller address, as the paper does, so
+    the emission order after id -> address translation equals the
+    string-keyed reference ranker's (``tests/reference.py``).
     """
     addr_count = dense.addr_count
     out_indptr, out_ids = dense.out_indptr, dense.out_ids
@@ -241,35 +147,3 @@ def _pop_cycle_breaker_dense(
         return vertex
     raise AssertionError("graph unexpectedly empty")
 
-
-def _pop_zero(
-    zero_heap: list[Address], removed: set[Address], in_degree: Mapping[Address, int]
-) -> Address | None:
-    """Pop the smallest live zero in-degree vertex, or ``None``."""
-    while zero_heap:
-        vertex = heapq.heappop(zero_heap)
-        if vertex in removed or in_degree[vertex] != 0:
-            continue
-        return vertex
-    return None
-
-
-def _pop_cycle_breaker(
-    cycle_heap: list[tuple[int, int, Address]],
-    removed: set[Address],
-    in_degree: Mapping[Address, int],
-    score: Callable[[Address], int],
-) -> Address:
-    """Pop the live entry with minimum (in-degree, -score, address).
-
-    Entries whose recorded degree or score no longer matches the vertex's
-    current values are stale copies superseded by a later push.
-    """
-    while cycle_heap:
-        recorded_in, negative_score, vertex = heapq.heappop(cycle_heap)
-        if vertex in removed:
-            continue
-        if recorded_in != in_degree[vertex] or -negative_score != score(vertex):
-            continue  # stale entry; a fresh one exists
-        return vertex
-    raise AssertionError("graph unexpectedly empty")

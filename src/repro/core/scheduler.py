@@ -87,9 +87,10 @@ class PhaseTimings:
 class NezhaResult(SchemeResult):
     """Everything produced by one scheduling run.
 
-    ``acg`` is materialised lazily: the pipeline never builds the
-    string-keyed graph, so the first attribute access converts the CSR
-    structures (outside the timed phases).
+    ``acg`` is materialised lazily: scheduling runs on ``dense_acg`` only,
+    so the first attribute access converts the CSR structures into the
+    string-keyed :class:`~repro.core.acg.ACG` view (outside the timed
+    phases).  ``rank_order`` is Algorithm 1's address order (rank 1 first).
     """
 
     def __init__(

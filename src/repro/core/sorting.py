@@ -32,15 +32,15 @@ behaves like the shared-read case on the write side:
 Plain writes are processed first; deltas second.  A previously-assigned
 plain writer colliding with a delta number pays in the write pass, and a
 previously-assigned delta colliding with a surviving plain-write number
-pays in the delta pass — deterministic in both pipelines.
+pays in the delta pass, so the outcome is deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from repro.core.acg import ACG, DenseACG
+from repro.core.acg import DenseACG
 from repro.obs.taxonomy import (
     EDGE_RD,
     EDGE_RW,
@@ -49,364 +49,32 @@ from repro.obs.taxonomy import (
     UNKNOWN_PEER,
     UNSERIALIZABLE_WRITE,
 )
-from repro.txn.rwset import Address
-from repro.txn.transaction import Transaction
-
-Edge = tuple[int, str, str]
-"""Attributed conflict edge ``(peer txid, address, kind)`` — see
-:data:`repro.obs.taxonomy.EDGE_KINDS`."""
 
 DenseEdge = tuple[int, int, str]
-"""Dense-path edge ``(peer dense index, dense address id, kind)``."""
+"""Attributed conflict edge ``(peer dense index, dense address id, kind)``
+— see :data:`repro.obs.taxonomy.EDGE_KINDS`."""
 
 UNASSIGNED = -1
-"""Dense-path sentinel for "no sequence number yet" (valid numbers are >= 0)."""
+"""Sentinel for "no sequence number yet" (valid numbers are >= 0)."""
 
 INITIAL_SEQUENCE = 1
 """First sequence number handed out (0 is the "no reads" sentinel)."""
 
 
 @dataclass
-class SortState:
-    """Mutable state threaded through the per-address sorting passes.
-
-    ``reasons`` attributes every abort to a taxonomy label (see
-    :mod:`repro.obs.taxonomy`); ``edges`` attributes it to the conflict
-    that triggered it — the peer transaction, the contended address and
-    the violated invariant; ``revived`` records transactions the
-    validator's second-chance pass brought back (their reason and edge
-    entries are removed, so both maps always cover exactly ``aborted``).
-    """
-
-    sequences: dict[int, int] = field(default_factory=dict)
-    aborted: set[int] = field(default_factory=set)
-    reordered: set[int] = field(default_factory=set)
-    reasons: dict[int, str] = field(default_factory=dict)
-    edges: dict[int, Edge] = field(default_factory=dict)
-    revived: set[int] = field(default_factory=set)
-
-    def sequence_of(self, txid: int) -> int | None:
-        """Assigned sequence number of ``txid``, or ``None``."""
-        return self.sequences.get(txid)
-
-    def is_live(self, txid: int) -> bool:
-        """True while the transaction has not been aborted."""
-        return txid not in self.aborted
-
-    def abort(
-        self,
-        txid: int,
-        reason: str = UNSERIALIZABLE_WRITE,
-        edge: Edge | None = None,
-    ) -> None:
-        """Abort the transaction; its units are ignored from now on."""
-        self.aborted.add(txid)
-        self.sequences.pop(txid, None)
-        self.reasons[txid] = reason
-        if edge is not None:
-            self.edges[txid] = edge
-
-
-def sort_transactions(
-    acg: ACG,
-    rank_order: Sequence[Address],
-    transactions: Mapping[int, Transaction],
-    enable_reorder: bool = True,
-    initial_seq: int = INITIAL_SEQUENCE,
-) -> SortState:
-    """Run Algorithm 2 over every address in rank order.
-
-    Parameters
-    ----------
-    acg:
-        The address-based conflict graph holding the per-address unit lists.
-    rank_order:
-        Output of :func:`repro.core.rank.divide_ranks`.
-    transactions:
-        Mapping txid -> transaction, used by the reordering enhancement to
-        inspect a transaction's other write units.
-    enable_reorder:
-        Apply the Section IV-D enhancement instead of aborting when a
-        transaction with multiple writes turns out unserializable.
-    """
-    state = SortState()
-    for address in rank_order:
-        _sort_address(acg, address, state, transactions, enable_reorder, initial_seq)
-    # Transactions touching no address at all (no-ops) conflict with
-    # nothing; they commit in the first group.
-    for txid in transactions:
-        if state.is_live(txid) and state.sequence_of(txid) is None:
-            state.sequences[txid] = initial_seq
-    return state
-
-
-def _sort_address(
-    acg: ACG,
-    address: Address,
-    state: SortState,
-    transactions: Mapping[int, Transaction],
-    enable_reorder: bool,
-    initial_seq: int,
-) -> None:
-    """Assign sequence numbers to the live units of one address."""
-    rw = acg.rw(address)
-    reads = [t for t in rw.reads if state.is_live(t)]
-    writes = [t for t in rw.writes if state.is_live(t)]
-    deltas = [t for t in rw.deltas if state.is_live(t)]
-
-    # --- Read units -------------------------------------------------------
-    sorted_reads = [t for t in reads if state.sequence_of(t) is not None]
-    if not sorted_reads:
-        for txid in reads:
-            state.sequences[txid] = initial_seq
-        max_read = initial_seq if reads else 0
-    else:
-        values = [state.sequences[t] for t in sorted_reads]
-        min_seq = min(values)
-        max_read = max(values)
-        for txid in reads:
-            if state.sequence_of(txid) is None:
-                state.sequences[txid] = min_seq
-
-    # --- Previously-assigned write units ----------------------------------
-    read_ids = set(reads)
-    sorted_writes = [t for t in writes if state.sequence_of(t) is not None]
-
-    # A transaction with both units on this address keeps one number placed
-    # directly above the reads (paper line 17-19).  Rule 1 only constrains
-    # *distinct* transactions, so the bump compares against the highest
-    # read of the others and is skipped when the number already clears it
-    # (a transaction sequenced higher on an earlier-ranked address).
-    for txid in sorted_writes:
-        if txid not in read_ids:
-            continue
-        other_max = max(
-            (
-                state.sequences[reader]
-                for reader in reads
-                if reader != txid and state.sequence_of(reader) is not None
-            ),
-            default=0,
-        )
-        if state.sequences[txid] <= other_max:
-            state.sequences[txid] = max(max_read, other_max) + 1
-        max_read = max(max_read, state.sequences[txid])
-
-    # Unserializability check (paper lines 20-24).  The paper tests
-    # ``sequence < maxRead``; rule 1 requires reads to be *strictly*
-    # smaller than writes, so equality is also invalid (see DESIGN.md).
-    # A plain write landing on a previously-assigned delta number is the
-    # same anomaly as a write-write duplicate (W≠D).
-    delta_seqs_assigned = {
-        state.sequences[t]: t
-        for t in reversed(deltas)
-        if state.sequence_of(t) is not None
-    }
-    seen_write_seqs: dict[int, int] = {}
-    for txid in sorted_writes:
-        sequence = state.sequences[txid]
-        duplicate = sequence in seen_write_seqs and seen_write_seqs[sequence] != txid
-        too_small = sequence <= max_read and txid not in read_ids
-        if too_small or duplicate or sequence in delta_seqs_assigned:
-            # Below a read unit, two writes assigned on different earlier
-            # addresses collided with equal numbers, or a write collided
-            # with a delta number.
-            if too_small:
-                edge = (_top_live_reader(reads, state, txid), address, EDGE_RW)
-            elif duplicate:
-                edge = (seen_write_seqs[sequence], address, EDGE_WW)
-            else:
-                edge = (delta_seqs_assigned[sequence], address, EDGE_WD)
-            _resolve_unserializable(
-                acg, address, txid, state, transactions, enable_reorder, edge
-            )
-        if state.is_live(txid):
-            seen_write_seqs[state.sequences[txid]] = txid
-
-    # --- Remaining write units --------------------------------------------
-    write_seq = initial_seq if max_read == 0 else max_read + 1
-    assigned_here = {
-        state.sequences[t]
-        for t in (*reads, *writes, *deltas)
-        if state.is_live(t) and state.sequence_of(t) is not None
-    }
-    for txid in writes:
-        if not state.is_live(txid) or state.sequence_of(txid) is not None:
-            continue
-        while write_seq in assigned_here:
-            write_seq += 1
-        state.sequences[txid] = write_seq
-        assigned_here.add(write_seq)
-
-    # --- Delta units ------------------------------------------------------
-    if deltas:
-        _sort_deltas(
-            acg, address, deltas, max_read, state, transactions,
-            enable_reorder, initial_seq,
-        )
-
-
-def _sort_deltas(
-    acg: ACG,
-    address: Address,
-    deltas: list[int],
-    max_read: int,
-    state: SortState,
-    transactions: Mapping[int, Transaction],
-    enable_reorder: bool,
-    initial_seq: int,
-) -> None:
-    """Assign sequence numbers to the live delta units of one address.
-
-    All deltas on the address converge on one shared number — the minimum
-    valid number already held by a previously-assigned delta, or a fresh
-    number above ``max_read`` that avoids every plain-write number (the
-    shared-read rule transplanted to the write side).
-    """
-    rw = acg.rw(address)
-    writer_seqs = {
-        state.sequences[t]: t
-        for t in reversed(rw.writes)
-        if state.is_live(t) and state.sequence_of(t) is not None
-    }
-    # Previously-assigned deltas: R<D and W≠D violations pay here.
-    for txid in deltas:
-        sequence = state.sequence_of(txid)
-        if sequence is None:
-            continue
-        if sequence <= max_read or sequence in writer_seqs:
-            if sequence <= max_read:
-                edge = (_top_live_reader(rw.reads, state, txid), address, EDGE_RD)
-            else:
-                edge = (writer_seqs[sequence], address, EDGE_WD)
-            _resolve_unserializable(
-                acg, address, txid, state, transactions, enable_reorder, edge
-            )
-    # Surviving assigned deltas all hold valid numbers now (a rescue bumps
-    # past every assigned number on every touched address).
-    valid = [
-        state.sequences[t]
-        for t in deltas
-        if state.is_live(t) and state.sequence_of(t) is not None
-    ]
-    if valid:
-        fill = min(valid)
-    else:
-        fill = initial_seq if max_read == 0 else max_read + 1
-        while fill in writer_seqs:
-            fill += 1
-    for txid in deltas:
-        if state.is_live(txid) and state.sequence_of(txid) is None:
-            state.sequences[txid] = fill
-
-
-def _top_live_reader(
-    reads: Sequence[int], state: SortState, exclude: int
-) -> int:
-    """Live reader holding the highest assigned number (first in list order).
-
-    The attribution peer for an R<W / R<D violation: the reader whose
-    number the violating write failed to clear.  ``UNKNOWN_PEER`` when no
-    live assigned reader remains (the blocking reader itself aborted later
-    in the same pass).
-    """
-    peer = UNKNOWN_PEER
-    best = 0
-    for reader in reads:
-        if reader == exclude or not state.is_live(reader):
-            continue
-        sequence = state.sequence_of(reader)
-        if sequence is not None and sequence > best:
-            best = sequence
-            peer = reader
-    return peer
-
-
-def _resolve_unserializable(
-    acg: ACG,
-    address: Address,
-    txid: int,
-    state: SortState,
-    transactions: Mapping[int, Transaction],
-    enable_reorder: bool,
-    edge: Edge | None = None,
-) -> None:
-    """Abort an unserializable transaction, or reorder it when possible.
-
-    Reordering (Section IV-D) targets anomalies caused by *write-write*
-    dependencies: a transaction with more than one write unit is bumped to
-    a sequence number greater than the maximum assigned on any address it
-    touches, which is valid because the order between write units may be
-    switched.  The bump is gated on the transaction's reads being
-    writer-free: pushing a transaction past every assigned number also
-    pushes its *read* units past any other writer of those addresses,
-    which always violates the R<W invariant — the validator would abort
-    the bumped transaction anyway, after its inflated number has skewed
-    the sorting of every later-ranked address it touches (collateral
-    aborts).  Restricting the rescue to transactions whose read addresses
-    have no other live writer keeps it a pure write-write reorder, which
-    is exactly the case Section IV-D argues is safe.
-    """
-    txn = transactions.get(txid)
-    rescuable = (
-        enable_reorder
-        and txn is not None
-        and len(txn.write_set) > 1
-        and reads_are_writer_free(acg, txn, state)
-    )
-    if rescuable:
-        new_seq = max_sequence_on_addresses(acg, txn, state) + 1
-        state.sequences[txid] = new_seq
-        state.reordered.add(txid)
-    else:
-        state.abort(txid, edge=edge)
-
-
-def reads_are_writer_free(acg: ACG, txn: Transaction, state: SortState) -> bool:
-    """True when no other live transaction writes any address ``txn`` reads.
-
-    Delta units mutate their address, so they count as writers here.
-    """
-    for address in txn.read_set:
-        rw = acg.rw_lists.get(address)
-        if rw is None:
-            continue
-        for writer in (*rw.writes, *rw.deltas):
-            if writer != txn.txid and state.is_live(writer):
-                return False
-    return True
-
-
-def max_sequence_on_addresses(acg: ACG, txn: Transaction, state: SortState) -> int:
-    """Maximum sequence currently assigned on any address ``txn`` touches."""
-    best = 0
-    for address in txn.rwset.addresses:
-        rw = acg.rw_lists.get(address)
-        if rw is None:
-            continue
-        for other in (*rw.reads, *rw.writes, *rw.deltas):
-            if not state.is_live(other):
-                continue
-            sequence = state.sequence_of(other)
-            if sequence is not None and sequence > best:
-                best = sequence
-    return best
-
-
-# ---------------------------------------------------------------------------
-# Dense fast path: Algorithm 2 over flat unit arrays
-# ---------------------------------------------------------------------------
-
-
-@dataclass
 class DenseSortState:
-    """Flat-array equivalent of :class:`SortState` on dense txn indices.
+    """Mutable state threaded through the per-address sorting passes.
 
     ``seq[i]`` is the sequence number of the transaction at dense index
     ``i`` (``UNASSIGNED`` until sorted), ``alive[i]`` is 1 until the
     transaction aborts, and ``reordered`` holds the dense indices rescued
-    by the Section IV-D enhancement.  ``reasons``/``revived`` mirror
-    :class:`SortState` (keyed by dense index).
+    by the Section IV-D enhancement.  ``reasons`` attributes every abort
+    to a taxonomy label (see :mod:`repro.obs.taxonomy`); ``edges``
+    attributes it to the conflict that triggered it — the peer, the
+    contended address and the violated invariant; ``revived`` records
+    transactions the validator's second-chance pass brought back (their
+    reason and edge entries are removed, so both maps always cover
+    exactly the aborted indices).
     """
 
     seq: list[int]
@@ -422,7 +90,7 @@ class DenseSortState:
         reason: str = UNSERIALIZABLE_WRITE,
         edge: DenseEdge | None = None,
     ) -> None:
-        """Abort the transaction; mirrors :meth:`SortState.abort`."""
+        """Abort the transaction; its units are ignored from now on."""
         self.alive[txn_idx] = 0
         self.seq[txn_idx] = UNASSIGNED
         self.reasons[txn_idx] = reason
@@ -440,12 +108,12 @@ def sort_transactions_dense(
     enable_reorder: bool = True,
     initial_seq: int = INITIAL_SEQUENCE,
 ) -> DenseSortState:
-    """Algorithm 2 on dense ids — the fast-path twin of
-    :func:`sort_transactions`.
+    """Run Algorithm 2 over every address in rank order (dense ids).
 
-    Produces, position for position, the same sequence numbers, aborts and
-    reorder decisions as the reference (dense txn index ``i`` corresponds
-    to the ``i``-th smallest txid); only the data layout differs.
+    Dense txn index ``i`` is the ``i``-th smallest txid, so the sequence
+    numbers, aborts and reorder decisions equal, position for position,
+    those of the string-keyed reference sorter (``tests/reference.py``);
+    only the data layout differs.
 
     Two address shapes cover the bulk of realistic batches (an address
     touched by one or two transactions) and collapse to a constant-time
@@ -519,7 +187,13 @@ def sort_transactions_dense(
 def _top_live_reader_dense(
     reads: Sequence[int], state: DenseSortState, exclude: int
 ) -> int:
-    """Dense twin of :func:`_top_live_reader` (same peer, dense index)."""
+    """Live reader holding the highest assigned number (first in list order).
+
+    The attribution peer for an R<W / R<D violation: the reader whose
+    number the violating write failed to clear.  ``UNKNOWN_PEER`` when no
+    live assigned reader remains (the blocking reader itself aborted later
+    in the same pass).
+    """
     peer = UNKNOWN_PEER
     best = 0
     seq = state.seq
@@ -570,6 +244,11 @@ def _sort_address_dense(
     read_ids = set(reads)
     sorted_writes = [t for t in writes if seq[t] != UNASSIGNED]
 
+    # A transaction with both units on this address keeps one number placed
+    # directly above the reads (paper line 17-19).  Rule 1 only constrains
+    # *distinct* transactions, so the bump compares against the highest
+    # read of the others and is skipped when the number already clears it
+    # (a transaction sequenced higher on an earlier-ranked address).
     for txn_idx in sorted_writes:
         if txn_idx not in read_ids:
             continue
@@ -585,6 +264,11 @@ def _sort_address_dense(
             seq[txn_idx] = max(max_read, other_max) + 1
         max_read = max(max_read, seq[txn_idx])
 
+    # Unserializability check (paper lines 20-24).  The paper tests
+    # ``sequence < maxRead``; rule 1 requires reads to be *strictly*
+    # smaller than writes, so equality is also invalid (see DESIGN.md).
+    # A plain write landing on a previously-assigned delta number is the
+    # same anomaly as a write-write duplicate (W≠D).
     delta_seqs_assigned = {
         seq[t]: t for t in reversed(deltas) if seq[t] != UNASSIGNED
     }
@@ -625,6 +309,11 @@ def _sort_address_dense(
         assigned_here.add(write_seq)
 
     # --- Delta units ------------------------------------------------------
+    # All deltas on the address converge on one shared number — the minimum
+    # valid number already held by a previously-assigned delta, or a fresh
+    # number above ``max_read`` that avoids every plain-write number (the
+    # shared-read rule transplanted to the write side).  Previously-assigned
+    # deltas breaking R<D or W≠D pay first.
     if deltas:
         writer_seqs = {
             seq[t]: t
@@ -663,7 +352,22 @@ def _resolve_unserializable_dense(
     enable_reorder: bool,
     edge: DenseEdge | None = None,
 ) -> None:
-    """Dense twin of :func:`_resolve_unserializable` (same gate, same bump)."""
+    """Abort an unserializable transaction, or reorder it when possible.
+
+    Reordering (Section IV-D) targets anomalies caused by *write-write*
+    dependencies: a transaction with more than one write unit is bumped to
+    a sequence number greater than the maximum assigned on any address it
+    touches, which is valid because the order between write units may be
+    switched.  The bump is gated on the transaction's reads being
+    writer-free: pushing a transaction past every assigned number also
+    pushes its *read* units past any other writer of those addresses,
+    which always violates the R<W invariant — the validator would abort
+    the bumped transaction anyway, after its inflated number has skewed
+    the sorting of every later-ranked address it touches (collateral
+    aborts).  Restricting the rescue to transactions whose read addresses
+    have no other live writer keeps it a pure write-write reorder, which
+    is exactly the case Section IV-D argues is safe.
+    """
     rescuable = (
         enable_reorder
         and dense.write_count_of(txn_idx) > 1

@@ -1,4 +1,4 @@
-"""Read/write units and per-address unit lists.
+"""Per-address unit lists.
 
 The paper decomposes each transaction ``T_v`` into fine-grained *units*:
 ``T_v^R`` (its read on some address) and ``T_v^W`` (its write).  Every
@@ -9,32 +9,9 @@ ordered by transaction id (Section IV-B).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from repro.txn.rwset import Address
-
-
-class UnitKind(enum.Enum):
-    """Whether a unit is a read (``T^R``), a write (``T^W``), or a
-    commutative delta (``T^D``)."""
-
-    READ = "R"
-    WRITE = "W"
-    DELTA = "D"
-
-
-@dataclass(frozen=True, order=True)
-class Unit:
-    """One read or write operation of a transaction on one address."""
-
-    txid: int
-    kind: UnitKind = field(compare=False)
-    address: Address = field(compare=False)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"T{self.txid}^{self.kind.value}@{self.address}"
 
 
 @dataclass
@@ -45,7 +22,7 @@ class AddressRWList:
     kept in ascending transaction-id order (deterministic write-write
     ordering rule).  Transaction ids appear at most once per list: a
     transaction that both reads and writes the address appears in both
-    lists.
+    lists.  ``DenseACG.to_acg`` fills them from the dense unit arrays.
     """
 
     address: Address
@@ -53,56 +30,10 @@ class AddressRWList:
     writes: list[int] = field(default_factory=list)
     deltas: list[int] = field(default_factory=list)
 
-    def add_read(self, txid: int) -> None:
-        """Record that ``txid`` reads this address (id order maintained)."""
-        self.reads.append(txid)
-
-    def add_write(self, txid: int) -> None:
-        """Record that ``txid`` writes this address (id order maintained)."""
-        self.writes.append(txid)
-
-    def add_delta(self, txid: int) -> None:
-        """Record that ``txid`` applies a commutative delta to this address."""
-        self.deltas.append(txid)
-
-    def finalize(self) -> None:
-        """Sort the unit lists by transaction id.
-
-        Construction appends in whatever order transactions arrive; the
-        paper's ordering rules require id order, restored here once.
-        """
-        self.reads.sort()
-        self.writes.sort()
-        self.deltas.sort()
-
-    @property
-    def read_set(self) -> set[int]:
-        """Ids of transactions reading this address."""
-        return set(self.reads)
-
-    @property
-    def write_set(self) -> set[int]:
-        """Ids of transactions writing this address."""
-        return set(self.writes)
-
-    @property
-    def delta_set(self) -> set[int]:
-        """Ids of transactions applying commutative deltas to this address."""
-        return set(self.deltas)
-
-    def units(self) -> Iterator[Unit]:
-        """Yield units in ``RW_j`` order: reads, then writes, then deltas."""
-        for txid in self.reads:
-            yield Unit(txid=txid, kind=UnitKind.READ, address=self.address)
-        for txid in self.writes:
-            yield Unit(txid=txid, kind=UnitKind.WRITE, address=self.address)
-        for txid in self.deltas:
-            yield Unit(txid=txid, kind=UnitKind.DELTA, address=self.address)
-
     def __len__(self) -> int:
         return len(self.reads) + len(self.writes) + len(self.deltas)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         reads = ", ".join(f"T{t}^R" for t in self.reads)
         writes = ", ".join(f"T{t}^W" for t in self.writes)
         deltas = ", ".join(f"T{t}^D" for t in self.deltas)

@@ -38,16 +38,12 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from repro.core.acg import ACG, DenseACG
+from repro.core.acg import DenseACG
 from repro.core.sorting import (
     UNASSIGNED,
     DenseEdge,
     DenseSortState,
-    Edge,
-    SortState,
-    max_sequence_on_addresses,
     max_sequence_on_addresses_dense,
-    reads_are_writer_free,
     reads_are_writer_free_dense,
 )
 from repro.obs.taxonomy import (
@@ -72,11 +68,8 @@ def _abort_reason(txid: int, reordered: set[int]) -> str:
     return DOOMED_REORDER if txid in reordered else UNSERIALIZABLE_WRITE
 
 
-def validate_sort(
-    acg: ACG,
-    state: SortState,
-    transactions: Mapping[int, Transaction] | None = None,
-    enable_reorder: bool = False,
+def validate_sort_dense(
+    dense: DenseACG, state: DenseSortState, enable_reorder: bool = False
 ) -> set[int]:
     """Abort transactions violating the serialization invariants.
 
@@ -85,182 +78,7 @@ def validate_sort(
     the loop terminates).  With ``enable_reorder``, a stranded writer with
     more than one write unit gets one Section IV-D rescue attempt — a bump
     past every number on its addresses — before it is aborted.  Returns
-    the ids aborted here.
-    """
-    newly_aborted: set[int] = set()
-    attempted: set[int] = set(state.reordered)
-    addresses = acg.addresses
-    while True:
-        violators = _find_violations(acg, state, addresses)
-        if not violators:
-            break
-        for txid in sorted(violators):
-            txn = transactions.get(txid) if transactions else None
-            rescuable = (
-                enable_reorder
-                and txid not in attempted
-                and txn is not None
-                and len(txn.write_set) > 1
-                and reads_are_writer_free(acg, txn, state)
-            )
-            if rescuable:
-                attempted.add(txid)
-                new_seq = 1 + max_sequence_on_addresses(acg, txn, state)
-                state.sequences[txid] = new_seq
-                state.reordered.add(txid)
-            else:
-                state.abort(
-                    txid, _abort_reason(txid, state.reordered),
-                    edge=violators[txid],
-                )
-                newly_aborted.add(txid)
-    if enable_reorder and transactions is not None:
-        newly_aborted -= _resurrect(acg, state, transactions)
-    return newly_aborted
-
-
-def _resurrect(
-    acg: ACG, state: SortState, transactions: Mapping[int, Transaction]
-) -> set[int]:
-    """Second-chance commit for aborted transactions that are now safe.
-
-    Aborting a transaction removes the constraints it imposed, which can
-    leave earlier casualties retroactively innocent — most commonly a
-    blind writer stranded at an equal number by a reader that has since
-    been re-bumped or aborted.  A transaction can be revived at a number
-    above everything on its addresses iff none of its read addresses has
-    a live writer (its snapshot reads then stay valid no matter how late
-    it commits; its writes are write-write reorderable by definition).
-    Revival preserves both invariants by construction, so no re-sweep is
-    needed.  Processed in ascending id order for determinism.
-    """
-    revived: set[int] = set()
-    for txid in sorted(state.aborted):
-        txn = transactions.get(txid)
-        if txn is None:
-            continue
-        if not reads_are_writer_free(acg, txn, state):
-            continue
-        state.aborted.discard(txid)
-        state.reasons.pop(txid, None)
-        state.edges.pop(txid, None)
-        state.revived.add(txid)
-        state.sequences[txid] = 1 + max_sequence_on_addresses(acg, txn, state)
-        revived.add(txid)
-    return revived
-
-
-def _find_violations(
-    acg: ACG, state: SortState, addresses: Sequence[str]
-) -> dict[int, Edge]:
-    """One sweep: every transaction to abort, with its attributed edge.
-
-    The edge names the conflict that convicted the violator — peer txid,
-    contended address, violated invariant — and the first conviction in
-    sweep order wins (deterministic: addresses in graph order, units in
-    list order), so attribution is identical on every replica.
-    """
-    violators: dict[int, Edge] = {}
-    for address in addresses:
-        rw = acg.rw_lists[address]
-        # Split readers into normally-sorted and reordered; track the two
-        # highest normal reads so a writer that also reads the address can
-        # be compared against the highest *other* normal read.
-        top_seq = 0
-        top_reader = -1
-        second_seq = 0
-        second_reader = -1
-        reordered_readers: list[tuple[int, int]] = []
-        for txid in rw.reads:
-            if not state.is_live(txid):
-                continue
-            sequence = state.sequence_of(txid)
-            if sequence is None:
-                continue
-            if txid in state.reordered:
-                reordered_readers.append((txid, sequence))
-                continue
-            if sequence > top_seq:
-                second_seq = top_seq
-                second_reader = top_reader
-                top_seq = sequence
-                top_reader = txid
-            elif sequence > second_seq:
-                second_seq = sequence
-                second_reader = txid
-        seen: dict[int, int] = {}
-        for txid in rw.writes:
-            if not state.is_live(txid):
-                continue
-            sequence = state.sequence_of(txid)
-            if sequence is None:
-                # Unassigned live writer: sorting never reached it, which
-                # cannot happen for a completed run; treat as violation.
-                violators.setdefault(txid, (UNKNOWN_PEER, address, EDGE_WW))
-                continue
-            limit = second_seq if txid == top_reader else top_seq
-            if sequence <= limit:
-                peer = second_reader if txid == top_reader else top_reader
-                violators.setdefault(txid, (peer, address, EDGE_RW))
-            else:
-                for reader, read_seq in reordered_readers:
-                    if reader != txid and sequence <= read_seq:
-                        # A bumped reader stranded an otherwise-valid
-                        # writer: the bumped transaction pays.
-                        violators.setdefault(reader, (txid, address, EDGE_RW))
-            prior = seen.get(sequence)
-            if prior is not None and prior != txid:
-                victim = _duplicate_victim(prior, txid, state)
-                peer = txid if victim == prior else prior
-                violators.setdefault(victim, (peer, address, EDGE_WW))
-            else:
-                seen[sequence] = txid
-        # Delta units: pseudo-writers.  R<D against every normal reader
-        # (a delta transaction never reads its own delta address, so the
-        # top-reader carve-out is vacuous), W!=D against the plain
-        # writers recorded in ``seen``; two deltas may share a number.
-        for txid in rw.deltas:
-            if not state.is_live(txid):
-                continue
-            sequence = state.sequence_of(txid)
-            if sequence is None:
-                violators.setdefault(txid, (UNKNOWN_PEER, address, EDGE_WD))
-                continue
-            if sequence <= top_seq:
-                violators.setdefault(txid, (top_reader, address, EDGE_RD))
-            else:
-                for reader, read_seq in reordered_readers:
-                    if reader != txid and sequence <= read_seq:
-                        violators.setdefault(reader, (txid, address, EDGE_RD))
-            prior = seen.get(sequence)
-            if prior is not None and prior != txid:
-                victim = _duplicate_victim(prior, txid, state)
-                peer = txid if victim == prior else prior
-                violators.setdefault(victim, (peer, address, EDGE_WD))
-    return violators
-
-
-def _duplicate_victim(first: int, second: int, state: SortState) -> int:
-    """Which of two equal-sequence writers aborts: reordered, else larger id."""
-    if first in state.reordered and second not in state.reordered:
-        return first
-    if second in state.reordered and first not in state.reordered:
-        return second
-    return max(first, second)
-
-
-# ---------------------------------------------------------------------------
-# Dense fast path: validation over flat unit arrays
-# ---------------------------------------------------------------------------
-
-
-def validate_sort_dense(
-    dense: DenseACG, state: DenseSortState, enable_reorder: bool = False
-) -> set[int]:
-    """Fast-path twin of :func:`validate_sort` on dense ids.
-
-    Same fixpoint sweeps, same rescue gate, same resurrection pass; the
-    returned set holds *dense transaction indices* aborted here.
+    the *dense transaction indices* aborted here.
     """
     newly_aborted: set[int] = set()
     attempted: set[int] = set(state.reordered)
@@ -293,7 +111,18 @@ def validate_sort_dense(
 
 
 def _resurrect_dense(dense: DenseACG, state: DenseSortState) -> set[int]:
-    """Dense twin of :func:`_resurrect` (same candidate order, same rule)."""
+    """Second-chance commit for aborted transactions that are now safe.
+
+    Aborting a transaction removes the constraints it imposed, which can
+    leave earlier casualties retroactively innocent — most commonly a
+    blind writer stranded at an equal number by a reader that has since
+    been re-bumped or aborted.  A transaction can be revived at a number
+    above everything on its addresses iff none of its read addresses has
+    a live writer (its snapshot reads then stay valid no matter how late
+    it commits; its writes are write-write reorderable by definition).
+    Revival preserves both invariants by construction, so no re-sweep is
+    needed.  Processed in ascending index (= txid) order for determinism.
+    """
     revived: set[int] = set()
     for txn_idx in state.aborted_indices():
         if not reads_are_writer_free_dense(dense, txn_idx, state):
@@ -312,16 +141,21 @@ def _resurrect_dense(dense: DenseACG, state: DenseSortState) -> set[int]:
 def _find_violations_dense(
     dense: DenseACG, state: DenseSortState
 ) -> dict[int, DenseEdge]:
-    """One sweep over all dense addresses: every transaction to abort.
+    """One sweep: every transaction to abort, with its attributed edge.
 
-    Mirrors :func:`_find_violations` — same victims, same attributed
-    edges (on dense indices/address ids).
+    The edge names the conflict that convicted the violator — peer,
+    contended address, violated invariant — and the first conviction in
+    sweep order wins (deterministic: addresses in id order, units in list
+    order), so attribution is identical on every replica.
     """
     seq = state.seq
     alive = state.alive
     reordered = state.reordered
     violators: dict[int, DenseEdge] = {}
     for addr_id in range(dense.addr_count):
+        # Split readers into normally-sorted and reordered; track the two
+        # highest normal reads so a writer that also reads the address can
+        # be compared against the highest *other* normal read.
         top_seq = 0
         top_reader = -1
         second_seq = 0
@@ -350,6 +184,8 @@ def _find_violations_dense(
                 continue
             sequence = seq[txn_idx]
             if sequence == UNASSIGNED:
+                # Unassigned live writer: sorting never reached it, which
+                # cannot happen for a completed run; treat as violation.
                 violators.setdefault(txn_idx, (UNKNOWN_PEER, addr_id, EDGE_WW))
                 continue
             limit = second_seq if txn_idx == top_reader else top_seq
@@ -359,6 +195,8 @@ def _find_violations_dense(
             else:
                 for reader, read_seq in reordered_readers:
                     if reader != txn_idx and sequence <= read_seq:
+                        # A bumped reader stranded an otherwise-valid
+                        # writer: the bumped transaction pays.
                         violators.setdefault(reader, (txn_idx, addr_id, EDGE_RW))
             prior = seen.get(sequence)
             if prior is not None and prior != txn_idx:
@@ -367,6 +205,10 @@ def _find_violations_dense(
                 violators.setdefault(victim, (peer, addr_id, EDGE_WW))
             else:
                 seen[sequence] = txn_idx
+        # Delta units: pseudo-writers.  R<D against every normal reader
+        # (a delta transaction never reads its own delta address, so the
+        # top-reader carve-out is vacuous), W!=D against the plain
+        # writers recorded in ``seen``; two deltas may share a number.
         for txn_idx in dense.deltas_of(addr_id):
             if not alive[txn_idx]:
                 continue
@@ -389,7 +231,7 @@ def _find_violations_dense(
 
 
 def _duplicate_victim_dense(first: int, second: int, reordered: set[int]) -> int:
-    """Which of two equal-sequence writers aborts (dense-index rule)."""
+    """Which of two equal-sequence writers aborts: reordered, else larger id."""
     if first in reordered and second not in reordered:
         return first
     if second in reordered and first not in reordered:

@@ -3,7 +3,7 @@
 The paper reports abort **rates** (Figure 11); reproductions debugging
 those rates need abort **reasons**.  Every abort recorded by the sorter
 or the validator carries one of these reason strings, threaded through
-``SortState``/``DenseSortState`` into ``NezhaResult.abort_reasons`` and
+``DenseSortState.reasons`` into ``NezhaResult.abort_reasons`` and
 finally ``EpochReport.abort_reasons``, whose counts always sum to
 ``EpochReport.aborted`` (the conservation invariant, asserted by
 ``tests/node/test_abort_taxonomy.py``).

@@ -125,15 +125,6 @@ class RWSet:
             del deltas[address]
         return RWSet(reads=reads, writes=writes, deltas=deltas)
 
-    def iter_units(self) -> Iterator[tuple[Address, str]]:
-        """Yield ``(address, kind)`` pairs with kind in {"R", "W", "D"}."""
-        for address in self.reads:
-            yield address, "R"
-        for address in self.writes:
-            yield address, "W"
-        for address in self.deltas:
-            yield address, "D"
-
     @staticmethod
     def from_addresses(
         read_addresses: Iterator[Address] | frozenset[Address] | list[Address] | tuple[Address, ...],

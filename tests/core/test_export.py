@@ -6,11 +6,11 @@ from repro.baselines import build_conflict_graph
 from repro.core import (
     NezhaScheduler,
     acg_to_dot,
-    build_acg,
     conflict_graph_to_dot,
-    divide_ranks,
     schedule_to_dot,
 )
+
+from tests.reference import build_acg, divide_ranks
 
 
 class TestACGDot:

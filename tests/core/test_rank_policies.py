@@ -2,16 +2,11 @@
 
 from __future__ import annotations
 
-from repro.core import (
-    NezhaConfig,
-    NezhaScheduler,
-    RankPolicy,
-    build_acg,
-    check_invariants,
-    divide_ranks,
-)
+from repro.core import NezhaConfig, NezhaScheduler, RankPolicy, check_invariants
 from repro.txn import make_transaction
 from repro.workload import SmallBankConfig, SmallBankWorkload, flatten_blocks
+
+from tests.reference import build_acg, divide_ranks
 
 
 def cycle_heavy_batch():

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.core
 from repro.core import NezhaConfig, NezhaScheduler, check_invariants
 from repro.errors import SchedulingError
 from repro.txn import make_transaction
@@ -75,39 +76,83 @@ class TestConfig:
 
 
 class TestReferenceIsNotADependency:
-    """The string-keyed stage functions are the test oracle; nothing an
-    epoch runs through may import them (cf. the certifier's independence
-    test)."""
+    """The string-keyed CC stages and the per-unit API live only in
+    ``tests/reference.py``, the test oracle: no module under ``src/repro``
+    defines, imports, exports or names them (cf. the certifier's
+    independence test)."""
 
     REFERENCE_NAMES = {
         "build_acg",
         "divide_ranks",
+        "rank_addresses",
         "sort_transactions",
         "validate_sort",
         "SortState",
+        "Unit",
+        "UnitKind",
     }
 
-    def production_files(self):
-        root = Path(repro.__file__).parent
-        files = [root / "core" / "scheduler.py", root / "core" / "incremental.py"]
-        for package in ("node", "net", "bench"):
-            files.extend(sorted((root / package).rglob("*.py")))
-        return files
-
     def test_epoch_path_never_names_a_reference_stage(self):
-        files = self.production_files()
-        assert len(files) > 10
+        files = sorted(Path(repro.__file__).parent.rglob("*.py"))
+        assert len(files) > 100
         for path in files:
             named: set[str] = set()
             for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.ImportFrom):
-                    named.update(alias.name for alias in node.names)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    named.add(node.name)
+                elif isinstance(node, ast.ImportFrom):
+                    for alias in node.names:
+                        named.update((alias.name, alias.asname or alias.name))
                 elif isinstance(node, ast.Name):
                     named.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     named.add(node.attr)
+                elif isinstance(node, ast.Assign) and any(
+                    isinstance(target, ast.Name) and target.id == "__all__"
+                    for target in node.targets
+                ):
+                    named.update(
+                        leaf.value
+                        for leaf in ast.walk(node.value)
+                        if isinstance(leaf, ast.Constant) and isinstance(leaf.value, str)
+                    )
             used = named & self.REFERENCE_NAMES
             assert not used, f"{path.name} uses {sorted(used)}"
+
+    def test_core_exports_are_the_28_the_dense_path_needs(self):
+        """One builder, ranker, sorter and validator: a second
+        implementation of a CC step goes to ``tests/reference.py``."""
+        assert set(repro.core.__all__) == {
+            "ACG",
+            "AddressRWList",
+            "CommitGroup",
+            "DenseACG",
+            "DenseSortState",
+            "INITIAL_SEQUENCE",
+            "IncrementalACG",
+            "InternedBatch",
+            "NezhaConfig",
+            "NezhaResult",
+            "NezhaScheduler",
+            "PhaseTimings",
+            "RankPolicy",
+            "Schedule",
+            "SchemeResult",
+            "acg_to_dot",
+            "build_dense_acg",
+            "check_invariants",
+            "conflict_graph_to_dot",
+            "dense_acg_equal",
+            "dense_acg_from_transactions",
+            "divide_ranks_dense",
+            "intern_batch",
+            "schedule_from_sequences",
+            "schedule_to_dot",
+            "serial_schedule",
+            "sort_transactions_dense",
+            "validate_sort_dense",
+        }
+        assert len(repro.core.__all__) == 28
 
 
 class TestOneExecutionPlacement:

@@ -2,14 +2,10 @@
 
 from __future__ import annotations
 
-from repro.core import (
-    NezhaConfig,
-    NezhaScheduler,
-    build_acg,
-    divide_ranks,
-    sort_transactions,
-)
+from repro.core import NezhaConfig, NezhaScheduler
 from repro.txn import make_transaction
+
+from tests.reference import build_acg, divide_ranks, sort_transactions
 
 
 def run_sort(txns, enable_reorder=False):

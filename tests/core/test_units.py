@@ -1,51 +1,21 @@
-"""Unit tests for read/write units and their ordered lists."""
+"""Unit tests for the ordered per-address unit lists."""
 
 from __future__ import annotations
 
-from repro.core.units import AddressRWList, Unit, UnitKind
+from repro.core.units import AddressRWList
+from repro.txn import make_transaction
 
-
-class TestUnit:
-    def test_ordering_by_txid(self):
-        a = Unit(1, UnitKind.READ, "x")
-        b = Unit(2, UnitKind.WRITE, "y")
-        assert a < b
-
-    def test_kind_not_part_of_identity_ordering(self):
-        read = Unit(1, UnitKind.READ, "x")
-        write = Unit(1, UnitKind.WRITE, "x")
-        assert not read < write and not write < read
+from tests.reference import build_acg
 
 
 class TestAddressRWList:
     def test_finalize_sorts_by_txid(self):
-        rw = AddressRWList("a")
-        for txid in (5, 1, 3):
-            rw.add_read(txid)
-        for txid in (9, 2):
-            rw.add_write(txid)
-        rw.finalize()
+        txns = [make_transaction(t, reads=["a"]) for t in (5, 1, 3)]
+        txns += [make_transaction(t, writes=["a"]) for t in (9, 2)]
+        rw = build_acg(txns).rw("a")
         assert rw.reads == [1, 3, 5]
         assert rw.writes == [2, 9]
 
-    def test_units_iterate_reads_then_writes(self):
-        rw = AddressRWList("a")
-        rw.add_write(1)
-        rw.add_read(2)
-        rw.finalize()
-        kinds = [unit.kind for unit in rw.units()]
-        assert kinds == [UnitKind.READ, UnitKind.WRITE]
-
-    def test_sets_and_len(self):
-        rw = AddressRWList("a")
-        rw.add_read(1)
-        rw.add_read(2)
-        rw.add_write(2)
-        assert rw.read_set == {1, 2}
-        assert rw.write_set == {2}
-        assert len(rw) == 3
-
     def test_empty_list(self):
         rw = AddressRWList("a")
-        assert list(rw.units()) == []
         assert len(rw) == 0

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from repro.core import build_acg, check_invariants, validate_sort
-from repro.core.sorting import SortState
+from repro.core import check_invariants
 from repro.txn import make_transaction
+
+from tests.reference import SortState, build_acg, validate_sort
 
 
 def make_state(sequences, aborted=()):

@@ -36,10 +36,6 @@ class TestRWSet:
         merged = RWSet(writes={"x": 1}).merged_with(RWSet(writes={"x": 2}))
         assert merged.writes == {"x": 2}
 
-    def test_iter_units_reads_first(self):
-        rwset = RWSet(reads={"r": 0}, writes={"w": 1})
-        assert list(rwset.iter_units()) == [("r", "R"), ("w", "W")]
-
     def test_non_mapping_rejected(self):
         with pytest.raises(TransactionError):
             RWSet(reads=["a"], writes={})
