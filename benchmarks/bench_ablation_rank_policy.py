@@ -64,7 +64,7 @@ def test_ablation_rank_policy(benchmark, report_table):
 
 
 def test_rank_policies_all_serializable(benchmark):
-    from repro.core import check_invariants
+    from repro.analysis.certify import certify_epoch
 
     transactions = smallbank_epoch(OMEGA, scaled(BLOCK_SIZE), skew=1.1, seed=301)
 
@@ -73,12 +73,10 @@ def test_rank_policies_all_serializable(benchmark):
             result = NezhaScheduler(NezhaConfig(rank_policy=policy)).schedule(
                 transactions
             )
-            problems = check_invariants(
-                transactions,
-                result.schedule.sequences(),
-                set(result.schedule.aborted),
+            certificate = certify_epoch(
+                {t.txid: t.rwset for t in transactions}, result.schedule
             )
-            assert problems == []
+            assert certificate.ok, certificate.summary()
         return True
 
     assert benchmark.pedantic(check_all, rounds=1, iterations=1)

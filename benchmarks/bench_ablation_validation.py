@@ -10,7 +10,8 @@ it is both cheap and necessary.
 from __future__ import annotations
 
 from repro.bench import render_table, scaled, smallbank_epoch
-from repro.core import NezhaConfig, NezhaScheduler, check_invariants
+from repro.analysis.certify import certify_epoch
+from repro.core import NezhaConfig, NezhaScheduler
 
 SKEWS = (0.2, 0.6, 1.0)
 OMEGA = 4
@@ -37,10 +38,10 @@ def sweep():
                 validated.timings.validation / max(validated.timings.total, 1e-9)
             )
             raw = without_validation.schedule(transactions)
-            problems = check_invariants(
-                transactions, raw.schedule.sequences(), set(raw.schedule.aborted)
+            certificate = certify_epoch(
+                {t.txid: t.rwset for t in transactions}, raw.schedule
             )
-            violations += len(problems)
+            violations += sum(certificate.finding_counts.values())
         caught_total += violations
         rows.append(
             [

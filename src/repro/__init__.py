@@ -23,7 +23,6 @@ from repro.core import (
     NezhaResult,
     NezhaScheduler,
     Schedule,
-    check_invariants,
 )
 from repro.txn import RWSet, Transaction, make_transaction
 
@@ -37,6 +36,5 @@ __all__ = [
     "Schedule",
     "Transaction",
     "__version__",
-    "check_invariants",
     "make_transaction",
 ]

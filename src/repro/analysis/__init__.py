@@ -3,7 +3,7 @@
 Re-exports are **lazy** (PEP 562): low-level modules (``obs.tracer``,
 ``state.statedb``, ``storage.lsm``) import ``repro.analysis.race`` for their
 sanitizer hooks, and an eager ``__init__`` would drag the whole analysis
-stack — and through ``serializability`` the ``repro.core`` package — into
+stack — and through ``conflicts`` the ``repro.workload`` package — into
 every such import, creating a cycle.
 """
 
@@ -19,8 +19,6 @@ _EXPORTS: dict[str, str] = {
     "geometric_mean": "repro.analysis.metrics",
     "percentile": "repro.analysis.metrics",
     "speedup": "repro.analysis.metrics",
-    "CertificationReport": "repro.analysis.serializability",
-    "certify_schedule": "repro.analysis.serializability",
     "CertFinding": "repro.analysis.certify",
     "EpochCertificate": "repro.analysis.certify",
     "certify_epoch": "repro.analysis.certify",

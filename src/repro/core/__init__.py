@@ -20,7 +20,7 @@ from repro.core.schedule import (
 from repro.core.scheduler import NezhaConfig, NezhaResult, NezhaScheduler, PhaseTimings
 from repro.core.sorting import INITIAL_SEQUENCE, DenseSortState, sort_transactions_dense
 from repro.core.units import AddressRWList
-from repro.core.validate import check_invariants, validate_sort_dense
+from repro.core.validate import validate_sort_dense
 
 __all__ = [
     "ACG",
@@ -41,7 +41,6 @@ __all__ = [
     "acg_to_dot",
     "build_dense_acg",
     "conflict_graph_to_dot",
-    "check_invariants",
     "dense_acg_equal",
     "dense_acg_from_transactions",
     "divide_ranks_dense",

@@ -36,8 +36,6 @@ larger transaction id.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
-
 from repro.core.acg import DenseACG
 from repro.core.sorting import (
     UNASSIGNED,
@@ -55,7 +53,6 @@ from repro.obs.taxonomy import (
     UNKNOWN_PEER,
     UNSERIALIZABLE_WRITE,
 )
-from repro.txn.transaction import Transaction
 
 
 def _abort_reason(txid: int, reordered: set[int]) -> str:
@@ -237,69 +234,3 @@ def _duplicate_victim_dense(first: int, second: int, reordered: set[int]) -> int
     if second in reordered and first not in reordered:
         return second
     return max(first, second)
-
-
-def check_invariants(
-    transactions: Mapping[int, Transaction] | Sequence[Transaction],
-    sequences: Mapping[int, int],
-    aborted: set[int] | frozenset[int] = frozenset(),
-) -> list[str]:
-    """Return human-readable descriptions of invariant violations.
-
-    Used by tests and by :mod:`repro.analysis` to certify schedules from
-    *any* scheme (Nezha, CG, OCC).  An empty list means the committed
-    transactions form a valid serialization order.
-    """
-    if not isinstance(transactions, Mapping):
-        transactions = {t.txid: t for t in transactions}
-    problems: list[str] = []
-    readers: dict[str, list[tuple[int, int]]] = {}
-    writers: dict[str, list[tuple[int, int]]] = {}
-    delta_writers: dict[str, list[tuple[int, int]]] = {}
-    for txid, txn in transactions.items():
-        if txid in aborted:
-            continue
-        if txid not in sequences:
-            problems.append(f"committed T{txid} has no sequence number")
-            continue
-        sequence = sequences[txid]
-        for address in txn.read_set:
-            readers.setdefault(address, []).append((txid, sequence))
-        for address in txn.write_set:
-            writers.setdefault(address, []).append((txid, sequence))
-        for address in txn.delta_set:
-            delta_writers.setdefault(address, []).append((txid, sequence))
-    for address, write_list in sorted(writers.items()):
-        seen: dict[int, int] = {}
-        for txid, sequence in write_list:
-            prior = seen.get(sequence)
-            if prior is not None and prior != txid:
-                problems.append(
-                    f"writes of T{prior} and T{txid} on {address} share sequence {sequence}"
-                )
-            seen[sequence] = txid
-        for reader, read_seq in readers.get(address, ()):
-            for writer, write_seq in write_list:
-                if reader != writer and write_seq <= read_seq:
-                    problems.append(
-                        f"T{reader} reads {address} at seq {read_seq} but "
-                        f"T{writer} writes it at seq {write_seq}"
-                    )
-    # Delta pseudo-writers: R<D against every reader, W!=D against every
-    # plain writer; two deltas may legally share a number (D=D).
-    for address, delta_list in sorted(delta_writers.items()):
-        plain_seqs = {sequence: txid for txid, sequence in writers.get(address, ())}
-        for txid, sequence in delta_list:
-            plain = plain_seqs.get(sequence)
-            if plain is not None and plain != txid:
-                problems.append(
-                    f"delta of T{txid} and write of T{plain} on {address} "
-                    f"share sequence {sequence}"
-                )
-            for reader, read_seq in readers.get(address, ()):
-                if reader != txid and sequence <= read_seq:
-                    problems.append(
-                        f"T{reader} reads {address} at seq {read_seq} but "
-                        f"T{txid} applies a delta at seq {sequence}"
-                    )
-    return problems

@@ -92,8 +92,11 @@ class PipelineConfig:
     control: the executor promotes statically classified commutative
     writes to delta units and the committer folds them at commit time —
     effective only for schedulers declaring ``supports_deltas`` (Nezha);
-    baselines keep seeing plain read-modify-writes.  ``streaming`` turns
-    on the cross-epoch overlap engine
+    baselines keep seeing plain read-modify-writes.  The classification
+    reads bytecode even for native execution, so an effective
+    ``delta_cc`` needs bytecode for every deployed native function
+    (``TransactionPipeline`` raises ``ValueError`` otherwise).
+    ``streaming`` turns on the cross-epoch overlap engine
     (:class:`~repro.node.engine.StreamingEpochEngine`) for schedulers
     declaring ``supports_streaming``: epoch ``e+1`` speculates while
     epoch ``e``'s concurrency control and commit run on a background
@@ -158,6 +161,23 @@ class TransactionPipeline:
         # sees, so it is only safe for schedulers that understand delta
         # units; everything else keeps plain read-modify-writes.
         self._delta_cc = self.config.delta_cc and scheduler.supports_deltas
+        if self._delta_cc and registry is not None:
+            # Delta sites are classified from bytecode even when execution
+            # is native: a native function without it would promote no
+            # deltas, and two nodes with one config would seal different
+            # roots depending on what their registries hold.
+            missing = [
+                f"{name}.{function}"
+                for name in registry.contracts()
+                if (native := registry.native(name)) is not None
+                for function in sorted(native.functions)
+                if registry.bytecode(name, function) is None
+            ]
+            if missing:
+                raise ValueError(
+                    "delta_cc needs bytecode for every deployed native function; "
+                    f"missing: {', '.join(missing)}"
+                )
         self.executor = ConcurrentExecutor(
             registry=registry,
             use_vm=self.config.use_vm,

@@ -353,7 +353,7 @@ def delta_promotion_candidates(
     """Addresses whose abort mass is write-write dominated.
 
     A W!=W-dominated hot address is exactly what operation-level CC's
-    commutative deltas absorb (ROADMAP item 2): promote its writes to
+    commutative deltas absorb (ROADMAP item 7): promote its writes to
     deltas and the collisions fold instead of aborting.  R<W-dominated
     addresses stay put — reads cannot commute.
     """

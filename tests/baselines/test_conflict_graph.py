@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.analysis.certify import certify_epoch
 from repro.baselines import (
     CGConfig,
     CGScheduler,
@@ -9,7 +10,6 @@ from repro.baselines import (
     remove_cycles,
     topological_order,
 )
-from repro.core import check_invariants
 from repro.txn import make_transaction
 from repro.workload import SmallBankConfig, SmallBankWorkload, flatten_blocks
 
@@ -114,8 +114,10 @@ class TestCGScheduler:
         txns = flatten_blocks(workload.generate_blocks(2, 60))
         result = CGScheduler().schedule(txns)
         assert not result.failed
-        sequences = {txid: i + 1 for i, txid in enumerate(result.schedule.committed)}
-        assert check_invariants(txns, sequences, set(result.schedule.aborted)) == []
+        certificate = certify_epoch(
+            {t.txid: t.rwset for t in txns}, result.schedule, scheme="cg"
+        )
+        assert certificate.ok, certificate.summary()
 
     def test_budget_blowout_marks_failed(self):
         workload = SmallBankWorkload(SmallBankConfig(skew=1.0, seed=1))

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+from repro.analysis.certify import certify_epoch
 from repro.baselines import OCCScheduler, SerialScheduler
-from repro.core import check_invariants
 from repro.txn import make_transaction
 from repro.workload import SmallBankConfig, SmallBankWorkload, flatten_blocks
 
@@ -37,8 +37,10 @@ class TestOCC:
         workload = SmallBankWorkload(SmallBankConfig(skew=0.8, seed=13))
         txns = flatten_blocks(workload.generate_blocks(2, 80))
         result = OCCScheduler().schedule(txns)
-        sequences = {txid: i + 1 for i, txid in enumerate(result.schedule.committed)}
-        assert check_invariants(txns, sequences, set(result.schedule.aborted)) == []
+        certificate = certify_epoch(
+            {t.txid: t.rwset for t in txns}, result.schedule, scheme="occ"
+        )
+        assert certificate.ok, certificate.summary()
 
     def test_high_contention_aborts_many(self):
         # Everything reads and writes one hot key: only the first survives.

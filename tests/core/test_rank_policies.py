@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from repro.core import NezhaConfig, NezhaScheduler, RankPolicy, check_invariants
+from repro.analysis.certify import certify_epoch
+from repro.core import NezhaConfig, NezhaScheduler, RankPolicy
 from repro.txn import make_transaction
 from repro.workload import SmallBankConfig, SmallBankWorkload, flatten_blocks
 
@@ -55,10 +56,8 @@ class TestPolicies:
         txns = flatten_blocks(workload.generate_blocks(2, 60))
         for policy in RankPolicy:
             result = NezhaScheduler(NezhaConfig(rank_policy=policy)).schedule(txns)
-            problems = check_invariants(
-                txns, result.schedule.sequences(), set(result.schedule.aborted)
-            )
-            assert problems == [], f"{policy}: {problems[:2]}"
+            certificate = certify_epoch({t.txid: t.rwset for t in txns}, result.schedule)
+            assert certificate.ok, f"{policy}: {certificate.summary()}"
 
     def test_policies_deterministic(self):
         acg = build_acg(cycle_heavy_batch())

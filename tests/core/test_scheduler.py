@@ -10,7 +10,8 @@ import pytest
 
 import repro
 import repro.core
-from repro.core import NezhaConfig, NezhaScheduler, check_invariants
+from repro.analysis.certify import certify_epoch
+from repro.core import NezhaConfig, NezhaScheduler
 from repro.errors import SchedulingError
 from repro.txn import make_transaction
 from repro.workload import SmallBankConfig, SmallBankWorkload, flatten_blocks
@@ -75,6 +76,25 @@ class TestConfig:
             NezhaConfig(initial_seq=initial_seq)
 
 
+def names_in(path: Path) -> set[str]:
+    """Every name a module defines, imports, uses or lists as a string
+    constant (which covers ``__all__`` and lazy-export tables)."""
+    named: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            named.add(node.name)
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                named.update((alias.name, alias.asname or alias.name))
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            named.add(node.value)
+    return named
+
+
 class TestReferenceIsNotADependency:
     """The string-keyed CC stages and the per-unit API live only in
     ``tests/reference.py``, the test oracle: no module under ``src/repro``
@@ -91,35 +111,27 @@ class TestReferenceIsNotADependency:
         "Unit",
         "UnitKind",
     }
+    #: Serializability checkers ``certify_epoch`` replaced: the product
+    #: ships one, and its second opinion is ``tests/core/test_small_scope.py``.
+    RETIRED_CHECKERS = {"check_invariants", "certify_schedule", "CertificationReport"}
 
     def test_epoch_path_never_names_a_reference_stage(self):
         files = sorted(Path(repro.__file__).parent.rglob("*.py"))
         assert len(files) > 100
         for path in files:
-            named: set[str] = set()
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                    named.add(node.name)
-                elif isinstance(node, ast.ImportFrom):
-                    for alias in node.names:
-                        named.update((alias.name, alias.asname or alias.name))
-                elif isinstance(node, ast.Name):
-                    named.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    named.add(node.attr)
-                elif isinstance(node, ast.Assign) and any(
-                    isinstance(target, ast.Name) and target.id == "__all__"
-                    for target in node.targets
-                ):
-                    named.update(
-                        leaf.value
-                        for leaf in ast.walk(node.value)
-                        if isinstance(leaf, ast.Constant) and isinstance(leaf.value, str)
-                    )
-            used = named & self.REFERENCE_NAMES
+            used = names_in(path) & self.REFERENCE_NAMES
             assert not used, f"{path.name} uses {sorted(used)}"
 
-    def test_core_exports_are_the_28_the_dense_path_needs(self):
+    def test_certify_epoch_is_the_only_serializability_checker(self):
+        root = Path(repro.__file__).parent
+        assert not (root / "analysis" / "serializability.py").exists()
+        files = sorted(root.rglob("*.py"))
+        assert len(files) > 100
+        for path in files:
+            used = names_in(path) & self.RETIRED_CHECKERS
+            assert not used, f"{path.name} names {sorted(used)}"
+
+    def test_core_exports_match_the_dense_path(self):
         """One builder, ranker, sorter and validator: a second
         implementation of a CC step goes to ``tests/reference.py``."""
         assert set(repro.core.__all__) == {
@@ -140,7 +152,6 @@ class TestReferenceIsNotADependency:
             "SchemeResult",
             "acg_to_dot",
             "build_dense_acg",
-            "check_invariants",
             "conflict_graph_to_dot",
             "dense_acg_equal",
             "dense_acg_from_transactions",
@@ -152,7 +163,7 @@ class TestReferenceIsNotADependency:
             "sort_transactions_dense",
             "validate_sort_dense",
         }
-        assert len(repro.core.__all__) == 28
+        assert len(repro.core.__all__) == 27
 
 
 class TestOneExecutionPlacement:
@@ -226,10 +237,8 @@ class TestSchedulerSerializability:
             workload = SmallBankWorkload(SmallBankConfig(skew=skew, seed=11))
             txns = flatten_blocks(workload.generate_blocks(4, 50))
             result = NezhaScheduler().schedule(txns)
-            problems = check_invariants(
-                txns, result.schedule.sequences(), set(result.schedule.aborted)
-            )
-            assert problems == [], f"skew={skew}: {problems[:3]}"
+            certificate = certify_epoch({t.txid: t.rwset for t in txns}, result.schedule)
+            assert certificate.ok, f"skew={skew}: {certificate.summary()}"
 
     def test_equal_sequence_groups_are_conflict_free(self):
         workload = SmallBankWorkload(SmallBankConfig(skew=0.8, seed=3))

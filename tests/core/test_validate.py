@@ -1,8 +1,7 @@
-"""Unit tests for the safety-validation pass and invariant checker."""
+"""Unit tests for the safety-validation pass."""
 
 from __future__ import annotations
 
-from repro.core import check_invariants
 from repro.txn import make_transaction
 
 from tests.reference import SortState, build_acg, validate_sort
@@ -78,45 +77,3 @@ class TestValidateSort:
         acg = build_acg(txns)
         state = make_state({1: 5, 2: 5, 3: 4})
         assert validate_sort(acg, state) == {2, 3}
-
-
-class TestCheckInvariants:
-    def test_valid_schedule_passes(self):
-        txns = [
-            make_transaction(1, reads=["x"]),
-            make_transaction(2, writes=["x"]),
-        ]
-        assert check_invariants(txns, {1: 1, 2: 2}) == []
-
-    def test_read_after_write_detected(self):
-        txns = [
-            make_transaction(1, reads=["x"]),
-            make_transaction(2, writes=["x"]),
-        ]
-        problems = check_invariants(txns, {1: 2, 2: 2})
-        assert len(problems) == 1
-        assert "T2" in problems[0]
-
-    def test_duplicate_writes_detected(self):
-        txns = [
-            make_transaction(1, writes=["x"]),
-            make_transaction(2, writes=["x"]),
-        ]
-        problems = check_invariants(txns, {1: 1, 2: 1})
-        assert any("share sequence" in p for p in problems)
-
-    def test_missing_sequence_detected(self):
-        txns = [make_transaction(1, writes=["x"])]
-        problems = check_invariants(txns, {})
-        assert any("no sequence" in p for p in problems)
-
-    def test_aborted_transactions_excluded(self):
-        txns = [
-            make_transaction(1, reads=["x"]),
-            make_transaction(2, writes=["x"]),
-        ]
-        assert check_invariants(txns, {1: 2}, aborted={2}) == []
-
-    def test_accepts_mapping_input(self):
-        txns = {1: make_transaction(1, reads=["x"]), 2: make_transaction(2, writes=["x"])}
-        assert check_invariants(txns, {1: 1, 2: 2}) == []

@@ -13,7 +13,7 @@ from repro.baselines import CGScheduler, OCCScheduler, SerialScheduler
 from repro.core import NezhaScheduler
 from repro.dag import EpochCoordinator, Mempool, ParallelChains, PoWParams
 from repro.errors import BlockValidationError
-from repro.node import FullNode, PipelineConfig
+from repro.node import FullNode, PipelineConfig, TransactionPipeline
 from repro.state import StateDB
 from repro.vm.contracts import default_registry
 from repro.vm.logger import LoggedStorage
@@ -226,3 +226,28 @@ class TestSchedulerFailureHandling:
         blocks = coordinator.mine_epoch(pool, state_root=node.state_root)
         report2 = node.receive_epoch(blocks)
         assert report2.epoch_index == 1
+
+
+class TestDeltaCCNeedsBytecode:
+    """Delta sites are classified from bytecode: a native function without
+    it would promote no deltas, so two nodes with one config would seal
+    different roots depending on what their registries hold."""
+
+    def test_native_only_registry_rejected(self):
+        with pytest.raises(ValueError, match="smallbank.sendPayment"):
+            TransactionPipeline(
+                StateDB(),
+                NezhaScheduler(),
+                registry=default_registry(include_bytecode=False),
+                config=PipelineConfig(delta_cc=True),
+            )
+
+    def test_accepted_with_bytecode_or_without_effective_delta_cc(self):
+        native_only = default_registry(include_bytecode=False)
+        for scheduler, registry, config in (
+            (NezhaScheduler(), default_registry(), PipelineConfig(delta_cc=True)),
+            (OCCScheduler(), native_only, PipelineConfig(delta_cc=True)),
+            (NezhaScheduler(), native_only, PipelineConfig()),
+        ):
+            pipeline = TransactionPipeline(StateDB(), scheduler, registry, config)
+            assert pipeline.executor.delta_cc == (registry is not native_only)

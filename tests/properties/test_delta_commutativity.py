@@ -19,7 +19,8 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import NezhaScheduler, check_invariants
+from repro.analysis.certify import certify_epoch
+from repro.core import NezhaScheduler
 from repro.node.committer import Committer
 from repro.state import StateDB
 from repro.txn import RWSet, make_transaction
@@ -119,10 +120,8 @@ def test_committed_state_equals_serial_fold(txns):
 def test_mixed_batches_stay_serializable(txns):
     """Plain writes alongside deltas fall back to conflict semantics."""
     result = NezhaScheduler().schedule(txns)
-    problems = check_invariants(
-        txns, result.schedule.sequences(), set(result.schedule.aborted)
-    )
-    assert problems == []
+    certificate = certify_epoch({t.txid: t.rwset for t in txns}, result.schedule)
+    assert certificate.ok, certificate.summary()
 
 
 class TestMixedFallback:

@@ -6,6 +6,9 @@
   ``schedule_reference``.  ``repro.core`` ships one implementation of
   each step, the dense-id one ``NezhaScheduler`` runs; these
   paper-shaped twins are the oracle every dense output is compared with.
+* ``replays_serially`` / ``min_abort_count`` — serializability decided
+  by brute force over serial orders, the second opinion the exhaustive
+  small-scope sweep holds ``certify_epoch`` and every scheme to.
 * ``ReferenceSVM`` — the per-instruction SVM interpreter.  ``repro.vm``
   only runs compiled segments; this loop is the oracle for receipts.
 
@@ -15,6 +18,7 @@ Nothing under ``src/`` imports this module.
 from __future__ import annotations
 
 import heapq
+import itertools
 import struct
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -811,6 +815,66 @@ def _duplicate_victim(first: int, second: int, state: SortState) -> int:
     if second in state.reordered and first not in state.reordered:
         return second
     return max(first, second)
+
+
+# ---------------------------------------------------------------------------
+# Serializability by exhaustive search over serial orders
+# ---------------------------------------------------------------------------
+
+#: One replayed state: each touched address with its last writer (``None``
+#: for the snapshot value) and the deltas folded on top since.
+_ReplayState = frozenset[tuple[Address, tuple[int | None, frozenset[int]]]]
+
+
+def replays_serially(
+    transactions: Mapping[int, Transaction], groups: Sequence[Sequence[int]]
+) -> bool:
+    """Whether a grouped commit order is correct, decided by brute force.
+
+    Every transaction ran speculatively against the epoch's snapshot, and
+    the committer applies a group's members in parallel, in no fixed
+    order.  The schedule is correct iff *every* serial order that keeps
+    the groups in sequence (each permutation inside each group) lets each
+    transaction read only addresses nothing before it has touched — so it
+    reads what it speculated on — and all those orders leave one state
+    after each group.  A write replaces an address's value and a delta
+    adds to it, so the state of an address is its last writer plus the
+    set of deltas folded on top.  Exponential in group size: for batches
+    of a handful of transactions.
+    """
+    outcomes: set[tuple[_ReplayState, ...]] = set()
+    for parts in itertools.product(*(itertools.permutations(g) for g in groups)):
+        state: dict[Address, tuple[int | None, frozenset[int]]] = {}
+        after_each_group: list[_ReplayState] = []
+        for part in parts:
+            for txid in part:
+                rwset = transactions[txid].rwset
+                if any(address in state for address in rwset.reads):
+                    return False
+                for address in rwset.writes:
+                    state[address] = (txid, frozenset())
+                for address in rwset.deltas:
+                    base, folded = state.get(address, (None, frozenset()))
+                    state[address] = (base, folded | {txid})
+            after_each_group.append(frozenset(state.items()))
+        outcomes.add(tuple(after_each_group))
+    return len(outcomes) <= 1
+
+
+def min_abort_count(transactions: Sequence[Transaction]) -> int:
+    """Fewest aborts any correct schedule of the batch needs, by brute force.
+
+    The largest subset with *some* serial order that ``replays_serially``
+    commits — equivalently, the largest subset whose "reader before every
+    other writer" precedence is acyclic — and everything else aborts.
+    """
+    by_id = {t.txid: t for t in transactions}
+    for keep in range(len(by_id), 0, -1):
+        for subset in itertools.combinations(sorted(by_id), keep):
+            for order in itertools.permutations(subset):
+                if replays_serially(by_id, [(txid,) for txid in order]):
+                    return len(by_id) - keep
+    return len(by_id)
 
 
 class ReferenceSVM:

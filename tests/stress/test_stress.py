@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import certify_schedule
+from repro.analysis.certify import certify_epoch
 from repro.baselines import CGConfig, CGScheduler, OCCScheduler
-from repro.core import NezhaScheduler, check_invariants
+from repro.core import NezhaScheduler
 from repro.workload import (
     MixedWorkload,
     SmallBankConfig,
@@ -30,17 +30,18 @@ def smallbank_batch(seed, skew, size=120):
     return flatten_blocks(workload.generate_blocks(2, size // 2))
 
 
+def assert_certified(txns, schedule, scheme="nezha"):
+    certificate = certify_epoch({t.txid: t.rwset for t in txns}, schedule, scheme=scheme)
+    assert certificate.ok, certificate.summary()
+
+
 class TestNezhaStress:
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("skew", [0.0, 0.7, 1.3])
     def test_serializable_across_seeds_and_skews(self, seed, skew):
         txns = smallbank_batch(seed, skew)
         result = NezhaScheduler().schedule(txns)
-        assert (
-            check_invariants(txns, result.schedule.sequences(), set(result.schedule.aborted))
-            == []
-        )
-        assert certify_schedule(txns, result.schedule).valid
+        assert_certified(txns, result.schedule)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_extreme_contention_two_accounts(self, seed):
@@ -51,10 +52,7 @@ class TestNezhaStress:
         )
         txns = workload.generate(80)
         result = NezhaScheduler().schedule(txns)
-        assert (
-            check_invariants(txns, result.schedule.sequences(), set(result.schedule.aborted))
-            == []
-        )
+        assert_certified(txns, result.schedule)
         # Something must still commit (reads, at minimum, never abort).
         assert result.schedule.committed_count > 0
 
@@ -69,7 +67,7 @@ class TestNezhaStress:
         for _ in range(4):
             txns = mixed.generate(150)
             result = NezhaScheduler().schedule(txns)
-            assert certify_schedule(txns, result.schedule).valid
+            assert_certified(txns, result.schedule)
 
 
 class TestCrossSchemeStress:
@@ -77,12 +75,12 @@ class TestCrossSchemeStress:
     def test_all_schemes_valid_on_same_batch(self, seed):
         txns = smallbank_batch(seed, skew=0.8, size=80)
         nezha = NezhaScheduler().schedule(txns)
-        assert certify_schedule(txns, nezha.schedule).valid
+        assert_certified(txns, nezha.schedule)
         occ = OCCScheduler().schedule(txns)
-        assert certify_schedule(txns, occ.schedule).valid
+        assert_certified(txns, occ.schedule, "occ")
         cg = CGScheduler(CGConfig(cycle_budget=100_000)).schedule(txns)
         if not cg.failed:
-            assert certify_schedule(txns, cg.schedule).valid
+            assert_certified(txns, cg.schedule, "cg")
         # Nezha's commit concurrency always beats the serial schedules.
         assert nezha.schedule.mean_group_size >= 1.0
 

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import NezhaScheduler, check_invariants
+from repro.analysis.certify import certify_epoch
+from repro.core import NezhaScheduler
 from repro.errors import WorkloadError
 from repro.workload import (
     MixedWorkload,
@@ -76,7 +77,5 @@ class TestMixing:
     def test_mixed_batches_schedule_cleanly(self):
         txns = flatten_blocks(make_mixed(seed=7).generate_blocks(2, 40))
         result = NezhaScheduler().schedule(txns)
-        assert (
-            check_invariants(txns, result.schedule.sequences(), set(result.schedule.aborted))
-            == []
-        )
+        certificate = certify_epoch({t.txid: t.rwset for t in txns}, result.schedule)
+        assert certificate.ok, certificate.summary()

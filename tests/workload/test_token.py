@@ -86,7 +86,8 @@ class TestExecutionAlignment:
 
     def test_pipeline_end_to_end(self, registry):
         """Token transactions flow through the Nezha pipeline correctly."""
-        from repro.core import NezhaScheduler, check_invariants
+        from repro.analysis.certify import certify_epoch
+        from repro.core import NezhaScheduler
         from repro.workload import flatten_blocks
 
         config = TokenConfig(holder_count=40, skew=0.8, seed=8)
@@ -95,10 +96,8 @@ class TestExecutionAlignment:
         executor = ConcurrentExecutor(registry=registry)
         batch = executor.execute_batch(txns, lambda a: state.get(a, 0))
         result = NezhaScheduler().schedule(batch.transactions())
-        problems = check_invariants(
-            batch.transactions(),
-            result.schedule.sequences(),
-            set(result.schedule.aborted),
+        certificate = certify_epoch(
+            {t.txid: t.rwset for t in batch.transactions()}, result.schedule
         )
-        assert problems == []
+        assert certificate.ok, certificate.summary()
         assert result.schedule.committed_count > 0
