@@ -32,7 +32,7 @@ def sweep():
                 )
                 result = scheduler.schedule(transactions)
                 rates.append(result.schedule.abort_rate)
-                latency.append(result.timings.rank_division)
+                latency.append(result.phase_seconds()["rank_division"])
             mean_rate = sum(rates) / len(rates)
             means[policy].append(mean_rate)
             rows.append(

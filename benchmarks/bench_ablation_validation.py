@@ -33,9 +33,9 @@ def sweep():
             transactions = smallbank_epoch(
                 OMEGA, scaled(BLOCK_SIZE), skew=skew, seed=500 + round_no
             )
-            validated = with_validation.schedule(transactions)
+            phases = with_validation.schedule(transactions).phase_seconds()
             overheads.append(
-                validated.timings.validation / max(validated.timings.total, 1e-9)
+                phases["validation"] / max(sum(phases.values()), 1e-9)
             )
             raw = without_validation.schedule(transactions)
             certificate = certify_epoch(

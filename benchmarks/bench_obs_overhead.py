@@ -27,8 +27,7 @@ import pytest
 from repro.core import NezhaScheduler
 from repro.dag import EpochCoordinator, Mempool, ParallelChains, PoWParams
 from repro.node import FullNode, PipelineConfig
-from repro.node.metrics import MetricsRegistry
-from repro.obs import FlightLedger, Tracer
+from repro.obs import FlightLedger, MetricsRegistry, Tracer
 from repro.state import StateDB
 from repro.vm.contracts import default_registry
 from repro.workload import SmallBankConfig, SmallBankWorkload, initial_state

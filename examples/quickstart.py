@@ -57,10 +57,11 @@ def main() -> None:
     print(f"  CG  : serial order {cg.schedule.committed}, aborted {cg.schedule.aborted}, "
           f"{cg.cycle_count} cycles enumerated")
     print(f"  OCC : serial order {occ.schedule.committed}, aborted {occ.schedule.aborted}")
-    print(f"  Nezha spent {result.timings.total * 1000:.2f} ms "
-          f"(construction {result.timings.graph_construction * 1000:.2f} ms, "
-          f"rank {result.timings.rank_division * 1000:.2f} ms, "
-          f"sorting {result.timings.transaction_sorting * 1000:.2f} ms)")
+    phases = result.phase_seconds()
+    print(f"  Nezha spent {sum(phases.values()) * 1000:.2f} ms "
+          f"(construction {phases['graph_construction'] * 1000:.2f} ms, "
+          f"rank {phases['rank_division'] * 1000:.2f} ms, "
+          f"sorting {phases['transaction_sorting'] * 1000:.2f} ms)")
 
 
 if __name__ == "__main__":

@@ -88,7 +88,7 @@ def run_contended_epoch() -> None:
           f"{len(schedule.groups)} concurrent groups, "
           f"{schedule.aborted_count} aborted, "
           f"{len(schedule.reordered)} rescued by reordering, "
-          f"{result.timings.total * 1000:.1f} ms")
+          f"{sum(result.phase_seconds().values()) * 1000:.1f} ms")
 
     report = Committer().commit(schedule, batch.write_values(), state)
     print(f"  committed; new state root {report.state_root.hex()[:16]}...")

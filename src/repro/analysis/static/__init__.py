@@ -35,7 +35,6 @@ from repro.analysis.static.deltas import (
     DeltaClassification,
     DeltaSite,
     classify_bytecode,
-    classify_contract,
     resolve_sites,
 )
 from repro.analysis.static.contracts import (
@@ -90,7 +89,6 @@ __all__ = [
     "build_cfg",
     "check_containment",
     "classify_bytecode",
-    "classify_contract",
     "default_lint_paths",
     "evaluate",
     "gas_bound",

@@ -36,7 +36,7 @@ observed values on top of that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from repro.txn.rwset import Address
 from repro.vm.decoder import decode
@@ -204,18 +204,6 @@ def classify_bytecode(
         store_keys=tuple((pc, stores[pc][0]) for pc in sorted(stores)),
         load_keys=tuple((pc, loads[pc]) for pc in sorted(loads)),
     )
-
-
-def classify_contract(
-    bytecodes: Mapping[str, bytes],
-    arities: Mapping[str, int] | None = None,
-) -> dict[str, DeltaClassification]:
-    """Classify every function of a contract (name -> classification)."""
-    out: dict[str, DeltaClassification] = {}
-    for name in sorted(bytecodes):
-        nargs = arities.get(name) if arities is not None else None
-        out[name] = classify_bytecode(bytecodes[name], nargs=nargs)
-    return out
 
 
 def resolve_sites(

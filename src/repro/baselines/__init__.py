@@ -4,7 +4,6 @@ from repro.baselines.conflict_graph import (
     CGConfig,
     CGResult,
     CGScheduler,
-    CGTimings,
     ConflictGraph,
     build_conflict_graph,
     remove_cycles,
@@ -15,23 +14,19 @@ from repro.baselines.johnson import (
     count_cycles,
     find_elementary_cycles,
 )
-from repro.baselines.occ import OCCResult, OCCScheduler
-from repro.baselines.pcc import PCCResult, PCCScheduler
-from repro.baselines.serial import SerialResult, SerialScheduler
+from repro.baselines.occ import OCCScheduler
+from repro.baselines.pcc import PCCScheduler
+from repro.baselines.serial import SerialScheduler
 from repro.baselines.tarjan import nontrivial_components, strongly_connected_components
 
 __all__ = [
     "CGConfig",
     "CGResult",
     "CGScheduler",
-    "CGTimings",
     "ConflictGraph",
     "DEFAULT_CYCLE_BUDGET",
-    "OCCResult",
     "OCCScheduler",
-    "PCCResult",
     "PCCScheduler",
-    "SerialResult",
     "SerialScheduler",
     "build_conflict_graph",
     "count_cycles",

@@ -4,12 +4,12 @@ Reimplements the scheme the paper compares against (Section III-D),
 following Fabric++/FabricSharp: ① pairwise dependency capture into a
 conflict graph, ② cycle detection (Tarjan + Johnson) and removal by
 aborting transactions, ③ topological sorting into a *serial* commit
-order.  Per-step timings are recorded so Figure 10 can be reproduced.
+order.  Each step runs inside a span whose duration is reported, so
+Figure 10 can be reproduced.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -17,6 +17,7 @@ from repro.baselines.johnson import DEFAULT_CYCLE_BUDGET, find_elementary_cycles
 from repro.baselines.tarjan import nontrivial_components
 from repro.core.schedule import Schedule, SchemeResult, serial_schedule
 from repro.errors import CycleBudgetExceeded, SchedulingError
+from repro.obs.tracer import Tracer, maybe_span
 from repro.txn.transaction import Transaction
 
 
@@ -32,28 +33,6 @@ class CGConfig:
     """
 
     cycle_budget: int = DEFAULT_CYCLE_BUDGET
-
-
-@dataclass
-class CGTimings:
-    """Wall-clock seconds spent in each CG sub-phase (Figure 10)."""
-
-    graph_construction: float = 0.0
-    cycle_detection: float = 0.0
-    topological_sorting: float = 0.0
-
-    @property
-    def total(self) -> float:
-        """Total concurrency-control time."""
-        return self.graph_construction + self.cycle_detection + self.topological_sorting
-
-    def as_dict(self) -> dict[str, float]:
-        """Phase name -> seconds, for harness reporting."""
-        return {
-            "graph_construction": self.graph_construction,
-            "cycle_detection": self.cycle_detection,
-            "topological_sorting": self.topological_sorting,
-        }
 
 
 @dataclass
@@ -88,15 +67,11 @@ class CGResult(SchemeResult):
     """Schedule plus diagnostics from one CG run."""
 
     schedule: Schedule
-    timings: CGTimings
+    phases: dict[str, float]
     graph: ConflictGraph
     cycle_count: int = 0
     failed: bool = False
     failure: str | None = None
-
-    def phase_seconds(self) -> dict[str, float]:
-        """The Figure 10 sub-phase breakdown."""
-        return self.timings.as_dict()
 
 
 def build_conflict_graph(transactions: Sequence[Transaction]) -> ConflictGraph:
@@ -207,7 +182,7 @@ class CGScheduler:
     execution = "speculative"
     supports_deltas = False
     supports_streaming = False
-    tracer = None
+    tracer: Tracer | None = None
 
     def __init__(self, config: CGConfig | None = None) -> None:
         self.config = config or CGConfig()
@@ -218,34 +193,36 @@ class CGScheduler:
         On a cycle-budget blowout the result carries ``failed=True`` and an
         empty schedule, mirroring the paper's out-of-memory data points.
         """
-        timings = CGTimings()
+        phases = dict.fromkeys(
+            ("graph_construction", "cycle_detection", "topological_sorting"), 0.0
+        )
 
-        start = time.perf_counter()
-        graph = build_conflict_graph(transactions)
-        timings.graph_construction = time.perf_counter() - start
+        with maybe_span(self.tracer, "cg.graph_construction") as span:
+            graph = build_conflict_graph(transactions)
+        phases["graph_construction"] = span.duration
 
-        start = time.perf_counter()
         try:
-            aborted, cycle_count = remove_cycles(graph, self.config.cycle_budget)
+            with maybe_span(self.tracer, "cg.cycle_detection") as span:
+                aborted, cycle_count = remove_cycles(graph, self.config.cycle_budget)
         except CycleBudgetExceeded as exc:
-            timings.cycle_detection = time.perf_counter() - start
+            phases["cycle_detection"] = span.duration
             return CGResult(
                 schedule=Schedule(aborted=tuple(sorted(t.txid for t in transactions))),
-                timings=timings,
+                phases=phases,
                 graph=graph,
                 failed=True,
                 failure=str(exc),
             )
-        timings.cycle_detection = time.perf_counter() - start
+        phases["cycle_detection"] = span.duration
 
-        start = time.perf_counter()
-        order = topological_order(graph)
-        timings.topological_sorting = time.perf_counter() - start
+        with maybe_span(self.tracer, "cg.topological_sorting") as span:
+            order = topological_order(graph)
+        phases["topological_sorting"] = span.duration
 
         schedule = serial_schedule(order, aborted=sorted(aborted))
         return CGResult(
             schedule=schedule,
-            timings=timings,
+            phases=phases,
             graph=graph,
             cycle_count=cycle_count,
         )

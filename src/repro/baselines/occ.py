@@ -10,25 +10,12 @@ under contention (Fabric exceeds 40%).
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.schedule import Schedule, SchemeResult, serial_schedule
+from repro.core.schedule import SchemeResult, serial_schedule
+from repro.obs.tracer import Tracer, maybe_span
 from repro.txn.rwset import Address
 from repro.txn.transaction import Transaction
-
-
-@dataclass
-class OCCResult(SchemeResult):
-    """Schedule plus validation timing from one OCC run."""
-
-    schedule: Schedule
-    validation_seconds: float = 0.0
-
-    def phase_seconds(self) -> dict[str, float]:
-        """Phase name -> seconds, matching the other schemes' results."""
-        return {"validation": self.validation_seconds}
 
 
 class OCCScheduler:
@@ -38,22 +25,21 @@ class OCCScheduler:
     execution = "speculative"
     supports_deltas = False
     supports_streaming = False
-    tracer = None
+    tracer: Tracer | None = None
 
-    def schedule(self, transactions: Sequence[Transaction]) -> OCCResult:
+    def schedule(self, transactions: Sequence[Transaction]) -> SchemeResult:
         """Validate the batch and return a serial schedule of survivors."""
-        start = time.perf_counter()
         committed: list[int] = []
         aborted: list[int] = []
         written: set[Address] = set()
-        for txn in sorted(transactions, key=lambda t: t.txid):
-            if txn.read_set & written:
-                aborted.append(txn.txid)
-                continue
-            committed.append(txn.txid)
-            written.update(txn.write_set)
-        elapsed = time.perf_counter() - start
-        return OCCResult(
-            schedule=serial_schedule(committed, aborted=aborted),
-            validation_seconds=elapsed,
+        with maybe_span(self.tracer, "occ.validation") as span:
+            for txn in sorted(transactions, key=lambda t: t.txid):
+                if txn.read_set & written:
+                    aborted.append(txn.txid)
+                    continue
+                committed.append(txn.txid)
+                written.update(txn.write_set)
+        return SchemeResult(
+            serial_schedule(committed, aborted=aborted),
+            {"validation": span.duration},
         )

@@ -16,25 +16,12 @@ locks are shared, write locks exclusive.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.schedule import Schedule, SchemeResult, schedule_from_sequences
+from repro.core.schedule import SchemeResult, schedule_from_sequences
+from repro.obs.tracer import Tracer, maybe_span
 from repro.txn.rwset import Address
 from repro.txn.transaction import Transaction
-
-
-@dataclass
-class PCCResult(SchemeResult):
-    """Schedule plus scheduling time from one PCC run."""
-
-    schedule: Schedule
-    scheduling_seconds: float = 0.0
-
-    def phase_seconds(self) -> dict[str, float]:
-        """Phase name -> seconds, matching the other schemes' results."""
-        return {"lock_scheduling": self.scheduling_seconds}
 
 
 class PCCScheduler:
@@ -52,9 +39,9 @@ class PCCScheduler:
     execution = "declared"
     supports_deltas = False
     supports_streaming = False
-    tracer = None
+    tracer: Tracer | None = None
 
-    def schedule(self, transactions: Sequence[Transaction]) -> PCCResult:
+    def schedule(self, transactions: Sequence[Transaction]) -> SchemeResult:
         """Assign each transaction the earliest wave its locks allow.
 
         ``last_write[a]`` is the latest wave writing address ``a`` and
@@ -65,27 +52,25 @@ class PCCScheduler:
           may coexist);
         * writing ``a``: after both the last writer and the last reader.
         """
-        start = time.perf_counter()
         last_write: dict[Address, int] = {}
         last_read: dict[Address, int] = {}
         waves: dict[int, int] = {}
-        for txn in sorted(transactions, key=lambda t: t.txid):
-            wave = 1
-            for address in txn.read_set:
-                wave = max(wave, last_write.get(address, 0) + 1)
-            for address in txn.write_set:
-                wave = max(
-                    wave,
-                    last_write.get(address, 0) + 1,
-                    last_read.get(address, 0) + 1,
-                )
-            waves[txn.txid] = wave
-            for address in txn.read_set:
-                last_read[address] = max(last_read.get(address, 0), wave)
-            for address in txn.write_set:
-                last_write[address] = max(last_write.get(address, 0), wave)
-        elapsed = time.perf_counter() - start
-        return PCCResult(
-            schedule=schedule_from_sequences(waves),
-            scheduling_seconds=elapsed,
+        with maybe_span(self.tracer, "pcc.lock_scheduling") as span:
+            for txn in sorted(transactions, key=lambda t: t.txid):
+                wave = 1
+                for address in txn.read_set:
+                    wave = max(wave, last_write.get(address, 0) + 1)
+                for address in txn.write_set:
+                    wave = max(
+                        wave,
+                        last_write.get(address, 0) + 1,
+                        last_read.get(address, 0) + 1,
+                    )
+                waves[txn.txid] = wave
+                for address in txn.read_set:
+                    last_read[address] = max(last_read.get(address, 0), wave)
+                for address in txn.write_set:
+                    last_write[address] = max(last_write.get(address, 0), wave)
+        return SchemeResult(
+            schedule_from_sequences(waves), {"lock_scheduling": span.duration}
         )

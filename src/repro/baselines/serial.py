@@ -9,18 +9,10 @@ everything else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.schedule import Schedule, SchemeResult, serial_schedule
+from repro.core.schedule import SchemeResult, serial_schedule
 from repro.txn.transaction import Transaction
-
-
-@dataclass
-class SerialResult(SchemeResult):
-    """Schedule produced by the serial scheme (never aborts, no CC phases)."""
-
-    schedule: Schedule
 
 
 class SerialScheduler:
@@ -32,7 +24,8 @@ class SerialScheduler:
     supports_streaming = False
     tracer = None
 
-    def schedule(self, transactions: Sequence[Transaction]) -> SerialResult:
-        """Return the identity schedule: all transactions, id order."""
+    def schedule(self, transactions: Sequence[Transaction]) -> SchemeResult:
+        """Return the identity schedule: all transactions, id order (it
+        never aborts and has no CC sub-phases)."""
         order = [t.txid for t in sorted(transactions, key=lambda t: t.txid)]
-        return SerialResult(schedule=serial_schedule(order))
+        return SchemeResult(serial_schedule(order))

@@ -13,7 +13,6 @@ Smallbank over 10k accounts) is the default, but ``bench_scale()`` lets
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -24,6 +23,7 @@ from repro.baselines.serial import SerialScheduler
 from repro.core.schedule import Schedule
 from repro.core.scheduler import NezhaConfig, NezhaScheduler
 from repro.obs.taxonomy import taxonomy_counts
+from repro.obs.tracer import maybe_span
 from repro.txn.transaction import Transaction
 from repro.workload.smallbank import SmallBankConfig, SmallBankWorkload
 from repro.workload.generator import flatten_blocks
@@ -88,13 +88,12 @@ def make_scheme(name: str, cycle_budget: int | None = None) -> Scheduler:
 
 def run_scheme(scheme: Scheduler, transactions: Sequence[Transaction]) -> SchemeRun:
     """Execute one scheme over one batch with wall-clock timing."""
-    start = time.perf_counter()
-    result = scheme.schedule(transactions)
-    elapsed = time.perf_counter() - start
+    with maybe_span(scheme.tracer, "bench.run_scheme", scheme=scheme.name) as span:
+        result = scheme.schedule(transactions)
     return SchemeRun(
         scheme=scheme.name,
         schedule=result.schedule,
-        total_seconds=elapsed,
+        total_seconds=span.duration,
         phase_seconds=result.phase_seconds(),
         failed=result.failed,
         abort_reasons=taxonomy_counts(result.schedule.aborted, result.abort_reasons),

@@ -377,8 +377,7 @@ def _make_obs(args: argparse.Namespace):
     ledger's volume counters), so either flag materialises the registry;
     the flight ledger exists when anything will read it.
     """
-    from repro.node.metrics import MetricsRegistry
-    from repro.obs import FlightLedger, Tracer
+    from repro.obs import FlightLedger, MetricsRegistry, Tracer
 
     metrics_port = getattr(args, "metrics_port", None)
     tracer = Tracer() if args.trace_out else None

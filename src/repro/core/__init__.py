@@ -17,7 +17,7 @@ from repro.core.schedule import (
     schedule_from_sequences,
     serial_schedule,
 )
-from repro.core.scheduler import NezhaConfig, NezhaResult, NezhaScheduler, PhaseTimings
+from repro.core.scheduler import NezhaConfig, NezhaResult, NezhaScheduler
 from repro.core.sorting import INITIAL_SEQUENCE, DenseSortState, sort_transactions_dense
 from repro.core.units import AddressRWList
 from repro.core.validate import validate_sort_dense
@@ -34,7 +34,6 @@ __all__ = [
     "NezhaConfig",
     "NezhaResult",
     "NezhaScheduler",
-    "PhaseTimings",
     "RankPolicy",
     "Schedule",
     "SchemeResult",

@@ -10,7 +10,6 @@ identical by construction, whatever order the blocks arrived in.
 
 from __future__ import annotations
 
-import time
 from array import array
 from typing import Iterable
 
@@ -30,7 +29,6 @@ class IncrementalACG:
 
     def __init__(self) -> None:
         self._txns: dict[int, Transaction] = {}
-        self.build_seconds = 0.0
 
     def add_block(self, transactions: Iterable[Transaction]) -> None:
         """Add one block's simulated transactions to the epoch.
@@ -46,15 +44,8 @@ class IncrementalACG:
             txns[txn.txid] = txn
 
     def seal(self) -> DenseACG:
-        """Build the dense graph over everything added so far.
-
-        ``build_seconds`` accumulates the construction time so the
-        scheduler's ``graph_construction`` timing stays honest.
-        """
-        start = time.perf_counter()
-        dense = build_dense_acg(intern_batch(self._txns.values()))
-        self.build_seconds += time.perf_counter() - start
-        return dense
+        """Build the dense graph over everything added so far."""
+        return build_dense_acg(intern_batch(self._txns.values()))
 
 
 def _csr_equal(left: tuple[array, array], right: tuple[array, array]) -> bool:

@@ -122,21 +122,28 @@ class SchemeResult:
         txid -> attributed conflict edges ``(peer txid, address, kind)``.
     revived / revived_txids:
         Transactions a validation pass rescued back into the schedule.
+    phases:
+        Sub-phase name -> seconds, each the ``duration`` of the span the
+        scheme opened around that sub-phase (empty when it has none).
     """
 
     schedule: Schedule
+    phases: dict[str, float]
     failed: bool = False
     abort_reasons: Mapping[int, str] = _NOTHING
     abort_edges: Mapping[int, list[tuple[int, str, str]]] = _NOTHING
     revived: int = 0
     revived_txids: tuple[int, ...] = ()
 
-    def __init__(self, schedule: Schedule) -> None:
+    def __init__(
+        self, schedule: Schedule, phases: dict[str, float] | None = None
+    ) -> None:
         self.schedule = schedule
+        self.phases = phases if phases is not None else {}
 
     def phase_seconds(self) -> dict[str, float]:
-        """Sub-phase name -> wall-clock seconds (none by default)."""
-        return {}
+        """Sub-phase name -> wall-clock seconds (Figure 10's breakdown)."""
+        return self.phases
 
 
 def schedule_from_sequences(

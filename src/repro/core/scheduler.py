@@ -2,13 +2,13 @@
 
 Chains the three steps of Figure 3(b) — ACG construction, sorting-rank
 division, and per-address transaction sorting — plus the safety
-validation pass, and reports per-step wall-clock timings so benchmarks can
-reproduce the paper's sub-phase breakdown (Figure 10).
+validation pass, and reports each step's wall-clock time — the duration of
+the span around it — so benchmarks can reproduce the paper's sub-phase
+breakdown (Figure 10).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -55,35 +55,6 @@ class NezhaConfig:
             )
 
 
-@dataclass
-class PhaseTimings:
-    """Wall-clock seconds spent in each scheduling sub-phase."""
-
-    graph_construction: float = 0.0
-    rank_division: float = 0.0
-    transaction_sorting: float = 0.0
-    validation: float = 0.0
-
-    @property
-    def total(self) -> float:
-        """Total concurrency-control time."""
-        return (
-            self.graph_construction
-            + self.rank_division
-            + self.transaction_sorting
-            + self.validation
-        )
-
-    def as_dict(self) -> dict[str, float]:
-        """Phase name -> seconds, for harness reporting."""
-        return {
-            "graph_construction": self.graph_construction,
-            "rank_division": self.rank_division,
-            "transaction_sorting": self.transaction_sorting,
-            "validation": self.validation,
-        }
-
-
 class NezhaResult(SchemeResult):
     """Everything produced by one scheduling run.
 
@@ -91,12 +62,13 @@ class NezhaResult(SchemeResult):
     so the first attribute access converts the CSR structures into the
     string-keyed :class:`~repro.core.acg.ACG` view (outside the timed
     phases).  ``rank_order`` is Algorithm 1's address order (rank 1 first).
+    ``phase_seconds()`` is the Figure 10 sub-phase breakdown.
     """
 
     def __init__(
         self,
         schedule: Schedule,
-        timings: PhaseTimings,
+        phases: dict[str, float],
         dense_acg: DenseACG,
         rank_order: list[str] | None = None,
         abort_reasons: dict[int, str] | None = None,
@@ -105,8 +77,7 @@ class NezhaResult(SchemeResult):
         abort_edges: dict[int, list[tuple[int, str, str]]] | None = None,
         revived_txids: tuple[int, ...] = (),
     ) -> None:
-        super().__init__(schedule)
-        self.timings = timings
+        super().__init__(schedule, phases)
         self.rank_order = rank_order if rank_order is not None else []
         self.dense_acg = dense_acg
         self.abort_reasons = abort_reasons if abort_reasons is not None else {}
@@ -131,10 +102,6 @@ class NezhaResult(SchemeResult):
     def aborted(self) -> tuple[int, ...]:
         """Ids aborted by sorting or validation."""
         return self.schedule.aborted
-
-    def phase_seconds(self) -> dict[str, float]:
-        """The Figure 10 sub-phase breakdown."""
-        return self.timings.as_dict()
 
 
 class NezhaScheduler:
@@ -175,15 +142,10 @@ class NezhaScheduler:
         The input order is irrelevant; ids provide the deterministic order.
         Interns the batch once, then every phase runs on flat arrays.
         """
-        timings = PhaseTimings()
-
-        start = time.perf_counter()
         with maybe_span(self.tracer, "cc.acg_build") as span:
             dense = build_dense_acg(intern_batch(transactions))
             span.set(txns=dense.txn_count, addresses=dense.addr_count)
-        timings.graph_construction = time.perf_counter() - start
-
-        return self._finish_dense(dense, timings)
+        return self._finish_dense(dense, span.duration)
 
     def schedule_dense(
         self, dense: DenseACG, graph_seconds: float = 0.0
@@ -191,36 +153,31 @@ class NezhaScheduler:
         """Schedule a pre-built dense graph (streaming engine entry point).
 
         The streaming epoch engine seals the reconciled epoch's graph
-        (:class:`~repro.core.incremental.IncrementalACG`) and hands it
-        here — ``graph_seconds`` carries the construction time so the
-        ``graph_construction`` sub-phase timing stays comparable to a
-        barrier run.  Graph builder and everything after it are the ones
-        :meth:`schedule` runs, so results are bit-identical to it over
-        the same transaction set.
+        (:class:`~repro.core.incremental.IncrementalACG`) inside its own
+        ``cc.acg_build`` span and hands it here with that span's
+        duration as ``graph_seconds``, so the ``graph_construction``
+        sub-phase stays comparable to a barrier run.  Graph builder and
+        everything after it are the ones :meth:`schedule` runs, so
+        results are bit-identical to it over the same transaction set.
         """
-        timings = PhaseTimings(graph_construction=graph_seconds)
-        return self._finish_dense(dense, timings)
+        return self._finish_dense(dense, graph_seconds)
 
-    def _finish_dense(self, dense: DenseACG, timings: PhaseTimings) -> NezhaResult:
+    def _finish_dense(self, dense: DenseACG, graph_seconds: float) -> NezhaResult:
         """Rank + sort + validate an already-built dense graph."""
-        start = time.perf_counter()
-        with maybe_span(self.tracer, "cc.rank_division"):
+        with maybe_span(self.tracer, "cc.rank_division") as rank_span:
             rank_ids = divide_ranks_dense(dense, policy=self.config.rank_policy)
-        timings.rank_division = time.perf_counter() - start
 
-        start = time.perf_counter()
-        with maybe_span(self.tracer, "cc.sorting") as span:
+        with maybe_span(self.tracer, "cc.sorting") as sort_span:
             state = sort_transactions_dense(
                 dense,
                 rank_ids,
                 enable_reorder=self.config.enable_reorder,
                 initial_seq=self.config.initial_seq,
             )
-            span.set(reordered=len(state.reordered), aborted=len(state.reasons))
-        timings.transaction_sorting = time.perf_counter() - start
+            sort_span.set(reordered=len(state.reordered), aborted=len(state.reasons))
 
+        validation = 0.0
         if self.config.enable_validation:
-            start = time.perf_counter()
             with maybe_span(self.tracer, "cc.validate") as span:
                 validate_sort_dense(
                     dense, state, enable_reorder=self.config.enable_reorder
@@ -230,7 +187,7 @@ class NezhaScheduler:
                     reordered=len(state.reordered),
                     revived=len(state.revived),
                 )
-            timings.validation = time.perf_counter() - start
+            validation = span.duration
 
         # Translate dense ids back to txids/addresses only at the
         # Schedule boundary.
@@ -256,7 +213,12 @@ class NezhaScheduler:
                     delta_commuted += committed
         return NezhaResult(
             schedule=schedule,
-            timings=timings,
+            phases={
+                "graph_construction": graph_seconds,
+                "rank_division": rank_span.duration,
+                "transaction_sorting": sort_span.duration,
+                "validation": validation,
+            },
             rank_order=[addresses[a] for a in rank_ids],
             dense_acg=dense,
             abort_reasons={

@@ -104,10 +104,6 @@ class BlockValidationError(ChainError):
     """A block failed validation (bad parent, state root, or PoW)."""
 
 
-class ConsensusError(ChainError):
-    """OHIE consensus bookkeeping failure."""
-
-
 class NetworkError(ReproError):
     """Discrete-event network simulation failure."""
 

@@ -16,7 +16,6 @@ throughput collapses, which is exactly Figure 12's story.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from repro.dag.chain import ParallelChains
@@ -26,11 +25,11 @@ from repro.dag.pow import PoWParams
 from repro.errors import NetworkError
 from repro.net.links import LinkModel
 from repro.net.simulator import Simulator
-from repro.node.metrics import MetricsRegistry
 from repro.node.node import FullNode
 from repro.node.phases import EpochReport
 from repro.node.pipeline import PipelineConfig, Scheduler
 from repro.obs.ledger import FlightLedger
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer, maybe_span
 from repro.state.statedb import StateDB
 from repro.storage.api import KVStore
@@ -210,9 +209,9 @@ class Cluster:
         self.simulator.run(until=self.simulator.now + self.config.block_interval)
         self.simulator.run(until=self.simulator.now + broadcast_delay)
         # Real time: the full node's measured processing cost.
-        start = time.perf_counter()
-        report = self.node.receive_epoch(blocks)
-        measured = time.perf_counter() - start
+        with maybe_span(self.tracer, "net.receive_epoch") as span:
+            report = self.node.receive_epoch(blocks)
+        measured = span.duration
         # Simulated execution charge at the paper's calibrated EVM rate
         # (0 by default): serial executes everything one by one, the
         # concurrent schemes only pay the parallel speculative phase.

@@ -22,11 +22,11 @@ from repro.dag.pow import PoWParams
 from repro.errors import NetworkError
 from repro.net.links import LinkModel
 from repro.net.simulator import Simulator
-from repro.node.metrics import MetricsRegistry
 from repro.node.node import FullNode
 from repro.node.phases import EpochReport
 from repro.node.pipeline import Scheduler
 from repro.obs.ledger import FlightLedger
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer, maybe_span
 from repro.state.statedb import StateDB
 from repro.vm.contracts.smallbank import default_registry

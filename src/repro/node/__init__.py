@@ -4,13 +4,6 @@ from repro.node.committer import CommitReport, Committer, SerialExecutorCommitte
 from repro.node.engine import EngineStats, StreamingEpochEngine
 from repro.node.executor import ConcurrentExecutor, caller_id
 from repro.node.ingest import BlockIngest, IngestStats
-from repro.node.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    record_epoch,
-)
 from repro.node.node import FullNode
 from repro.node.phases import EpochReport, PhaseLatencies
 from repro.node.pipeline import PipelineConfig, TransactionPipeline
@@ -20,11 +13,7 @@ __all__ = [
     "CommitReport",
     "Committer",
     "ConcurrentExecutor",
-    "Counter",
     "EngineStats",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "EpochReport",
     "FullNode",
     "IngestStats",
@@ -34,5 +23,4 @@ __all__ = [
     "StreamingEpochEngine",
     "TransactionPipeline",
     "caller_id",
-    "record_epoch",
 ]

@@ -48,7 +48,6 @@ it only through ``peek`` while a commit is in flight).
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -152,15 +151,11 @@ class StreamingEpochEngine:
             raise RuntimeError("engine is closed")
         spec = self._speculate(blocks)
         previous = self._join()
-        admit_start = time.perf_counter()
-        epoch = self.node._admit(blocks)
-        admit_seconds = time.perf_counter() - admit_start
+        epoch, validation = self.node._admit(blocks)
         if spec is not None and spec.matches(epoch):
             self.node._register_epoch(epoch)
-            batch, spec_seconds = self._reconcile(spec)
-            phases = PhaseLatencies(
-                validation=admit_seconds, execution=spec_seconds
-            )
+            batch, execution = self._reconcile(spec)
+            phases = PhaseLatencies(validation=validation, execution=execution)
             self._launch(epoch, spec.transactions, batch, phases)
             self.stats.epochs_streamed += 1
         else:
@@ -169,7 +164,7 @@ class StreamingEpochEngine:
             # this thread, and park the finished report in the slot.
             self.stats.epochs_fallback += 1
             self._last_delta = None
-            report = self.node.process_epoch(epoch)
+            report = self.node.process_epoch(epoch, validation)
             self._inflight = _Inflight(epoch=epoch, future=None, report=report)
         self._export_metrics()
         return previous
@@ -214,7 +209,6 @@ class StreamingEpochEngine:
         executor = self.pipeline.executor
         transactions: list[Transaction] = []
         results: list[SimulationResult] = []
-        start = time.perf_counter()
         try:
             with maybe_span(
                 self.tracer, "engine.speculate", epoch=index
@@ -257,7 +251,7 @@ class StreamingEpochEngine:
             guess=guess,
             transactions=transactions,
             results=results,
-            seconds=time.perf_counter() - start,
+            seconds=span.duration,
         )
 
     def _reconcile(self, spec: _Speculation) -> tuple[SimulationBatch, float]:
@@ -271,7 +265,6 @@ class StreamingEpochEngine:
         delta = self._last_delta or {}
         executor = self.pipeline.executor
         state = self.node.state
-        start = time.perf_counter()
         with maybe_span(
             self.tracer, "engine.reconcile", epoch=spec.guess.index
         ) as span:
@@ -321,7 +314,7 @@ class StreamingEpochEngine:
             results=tuple(sorted(merged, key=lambda r: r.txid)),
             snapshot_root=state.root,
         )
-        return batch, spec.seconds + time.perf_counter() - start
+        return batch, spec.seconds + span.duration
 
     def _export_metrics(self) -> None:
         """Publish speculation accounting into the node's registry."""
@@ -357,9 +350,11 @@ class StreamingEpochEngine:
         # and two threads allocating at once trip the cyclic collector
         # at points that differ from run to run (a full collection is
         # tens of milliseconds, so epoch times stop repeating).
-        acg = IncrementalACG()
-        acg.add_block(batch.transactions())
-        dense = acg.seal()
+        with maybe_span(self.tracer, "cc.acg_build", epoch=epoch.index) as span:
+            acg = IncrementalACG()
+            acg.add_block(batch.transactions())
+            dense = acg.seal()
+            span.set(txns=dense.txn_count, addresses=dense.addr_count)
         # Fork edge: everything the main thread wrote before the submit
         # happens-before the back stage's first access.
         race.hb_release(("engine-stage", id(self)))
@@ -369,7 +364,7 @@ class StreamingEpochEngine:
             transactions,
             batch,
             dense,
-            acg.build_seconds,
+            span.duration,
             phases,
         )
         self._inflight = _Inflight(epoch=epoch, future=future)
@@ -391,15 +386,12 @@ class StreamingEpochEngine:
         stage reads through ``peek`` only.
         """
         race.hb_acquire(("engine-stage", id(self)))
-        start = time.perf_counter()
         with maybe_span(
             self.tracer, "pipeline.concurrency_control", epoch=epoch.index
         ) as span:
             result = self.node.scheduler.schedule_dense(dense, graph_seconds)
             span.set(aborted=result.schedule.aborted_count)
-        phases.concurrency_control = (
-            graph_seconds + time.perf_counter() - start
-        )
+        phases.concurrency_control = graph_seconds + span.duration
         outcome = self.pipeline._finish_epoch(
             epoch, transactions, batch, result, phases
         )

@@ -18,10 +18,10 @@ from repro.dag.blockstore import BlockStore
 from repro.dag.chain import ParallelChains
 from repro.dag.epochs import Epoch, extract_epoch
 from repro.errors import BlockValidationError
-from repro.node.metrics import MetricsRegistry, record_epoch
 from repro.node.phases import EpochReport
 from repro.node.pipeline import PipelineConfig, Scheduler, TransactionPipeline
 from repro.obs.ledger import FlightLedger
+from repro.obs.metrics import MetricsRegistry, record_epoch
 from repro.obs.tracer import Tracer, maybe_span
 from repro.state.statedb import StateDB
 from repro.vm.native import ContractRegistry
@@ -119,19 +119,19 @@ class FullNode:
             previous = self.engine.submit(blocks)
             tail = self.engine.drain()
             return tail[-1] if tail else previous  # type: ignore[return-value]
-        return self.process_epoch(self._admit(blocks))
+        return self.process_epoch(*self._admit(blocks))
 
-    def _admit(self, blocks: Sequence[Block]) -> Epoch:
+    def _admit(self, blocks: Sequence[Block]) -> tuple[Epoch, float]:
         """The node's one block-accept loop: root-check, append, seal.
 
         Each block must carry the current (previous epoch's) state root
         and pass the chain layer's structural checks; survivors are
         appended to the chains and archived, and the epoch they form is
-        sealed.  Raises when every block was discarded.
+        sealed.  Raises when every block was discarded.  Returns the
+        epoch and the ``node.admit`` span's duration — the epoch's
+        validation phase on the barrier and streaming paths alike.
         """
-        with maybe_span(
-            self.tracer, "node.block_arrival", epoch=self._next_epoch
-        ) as span:
+        with maybe_span(self.tracer, "node.admit", epoch=self._next_epoch) as span:
             accepted = 0
             for block in blocks:
                 if block.header.state_root != self.state.root:
@@ -146,12 +146,11 @@ class FullNode:
             span.set(offered=len(blocks), accepted=accepted)
             if accepted == 0:
                 raise BlockValidationError("every block of the epoch was discarded")
-        with maybe_span(self.tracer, "node.epoch_seal", epoch=self._next_epoch):
             epoch = extract_epoch(self.chains, self._next_epoch)
         if epoch is None:
             raise BlockValidationError(f"epoch {self._next_epoch} is empty")
         self._next_epoch += 1
-        return epoch
+        return epoch, span.duration
 
     def submit_epoch(self, blocks: list[Block]) -> EpochReport | None:
         """Streaming ingress: feed one epoch, get the *previous* report.
@@ -171,13 +170,20 @@ class FullNode:
             return []
         return self.engine.drain()
 
-    def process_epoch(self, epoch: Epoch) -> EpochReport:
+    def process_epoch(
+        self, epoch: Epoch, validation_seconds: float = 0.0
+    ) -> EpochReport:
         """Run the pipeline on an already-validated epoch.
 
         Transactions already processed in earlier epochs (a lagging miner
         re-packing them) are excluded from the batch.
+        ``validation_seconds`` is the admission's time (see :meth:`_admit`).
         """
-        report = self.pipeline.process_epoch(epoch, exclude_txids=self._seen_txids)
+        report = self.pipeline.process_epoch(
+            epoch,
+            exclude_txids=self._seen_txids,
+            validation_seconds=validation_seconds,
+        )
         self._register_epoch(epoch)
         self._record_report(report)
         return report

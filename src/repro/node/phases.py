@@ -17,7 +17,27 @@ if TYPE_CHECKING:
 
 @dataclass
 class PhaseLatencies:
-    """Wall-clock seconds of each pipeline phase."""
+    """Wall-clock seconds of each pipeline phase, read off its span(s).
+
+    Barrier and streaming epochs read the same spans, so a field means
+    the same work on both paths:
+
+    * ``validation`` — ``node.admit``: the node's block-accept loop
+      (state-root and structural checks, chain append, epoch seal);
+      0 when the pipeline is driven without a node;
+    * ``execution`` — ``pipeline.simulate`` (barrier), or
+      ``engine.speculate`` + ``engine.reconcile`` (streaming); 0 for
+      schemes that do not speculate;
+    * ``concurrency_control`` — ``pipeline.concurrency_control``, which
+      on the streaming path starts from a graph the engine built in its
+      own ``cc.acg_build`` span, so there it is ``cc.acg_build`` +
+      ``pipeline.concurrency_control``;
+    * ``commitment`` — ``pipeline.commit``.
+
+    The barrier pipeline's ``pipeline.validate`` guard (root re-check and
+    duplicate filter) is in no field; the streaming engine filters
+    duplicates inside ``engine.speculate``.
+    """
 
     validation: float = 0.0
     execution: float = 0.0

@@ -5,7 +5,7 @@ concurrent blocks — one sequence, whatever the scheme:
 
 1. **Validation** — verify each block's carried state root against the
    previous epoch's root (structural/PoW checks belong to the chain
-   layer; the full node calls both).
+   layer; the full node's admission runs both and is the phase's time).
 2. **Execution** — speculatively simulate all first-appearance
    transactions on the epoch snapshot, logging read/write sets.
 3. **Concurrency control** — run the configured scheme over the
@@ -24,7 +24,6 @@ deterministic block order, exactly as current DAG-based blockchains do.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
 
@@ -195,23 +194,27 @@ class TransactionPipeline:
         self.artifacts: list[dict] = []
 
     def process_epoch(
-        self, epoch: Epoch, exclude_txids: frozenset[int] | set[int] = frozenset()
+        self,
+        epoch: Epoch,
+        exclude_txids: frozenset[int] | set[int] = frozenset(),
+        validation_seconds: float = 0.0,
     ) -> EpochReport:
         """Run the four phases over one epoch and return its report.
 
         ``exclude_txids`` suppresses transactions committed in earlier
-        epochs (cross-epoch duplicate protection).
+        epochs (cross-epoch duplicate protection).  ``validation_seconds``
+        is how long the caller's block validation took (the node's
+        ``node.admit`` span): the pipeline only re-checks the roots.
         """
-        phases = PhaseLatencies()
+        phases = PhaseLatencies(validation=validation_seconds)
         execution = self.scheduler.execution
         with maybe_span(
             self.tracer, "pipeline.epoch", epoch=epoch.index, scheme=self.scheduler.name
         ) as epoch_span:
             previous_root = self.state.root
-            start = time.perf_counter()
             with maybe_span(self.tracer, "pipeline.validate") as span:
-                # The paper's validation phase: state roots must match
-                # epoch e-1.
+                # Guard for callers that skip the node's admission: state
+                # roots must match epoch e-1.
                 for block in epoch.blocks:
                     if block.header.state_root != previous_root:
                         raise BlockValidationError(
@@ -219,12 +222,10 @@ class TransactionPipeline:
                         )
                 transactions = epoch.transactions(exclude=exclude_txids)
                 span.set(blocks=len(epoch.blocks), txns=len(transactions))
-            phases.validation = time.perf_counter() - start
 
             batch: SimulationBatch | None = None
             candidates: Sequence[Transaction] = transactions
             if execution == "speculative":
-                start = time.perf_counter()
                 with maybe_span(self.tracer, "pipeline.simulate") as span:
                     snapshot = self.state.snapshot()
                     batch = self.executor.execute_batch(
@@ -232,17 +233,16 @@ class TransactionPipeline:
                     )
                     candidates = batch.transactions()
                     span.set(txns=len(transactions), failed=batch.failed_count)
-                phases.execution = time.perf_counter() - start
+                phases.execution = span.duration
 
             if execution == "serial":
                 # Nothing is scheduled, so nothing can abort.
                 result = SchemeResult(Schedule())
             else:
-                start = time.perf_counter()
                 with maybe_span(self.tracer, "pipeline.concurrency_control") as span:
                     result = self.scheduler.schedule(candidates)
                     span.set(aborted=result.schedule.aborted_count)
-                phases.concurrency_control = time.perf_counter() - start
+                phases.concurrency_control = span.duration
 
             report, _ = self._finish_epoch(epoch, transactions, batch, result, phases)
             epoch_span.set(
@@ -323,7 +323,6 @@ class TransactionPipeline:
         reconciliation reads its ``write_delta``.
         """
         schedule = result.schedule
-        start = time.perf_counter()
         with maybe_span(self.tracer, "pipeline.commit") as span:
             if result.failed:
                 # The scheme gave up wholesale: nothing is applied.
@@ -339,7 +338,7 @@ class TransactionPipeline:
                 committed=commit_report.committed_count,
                 groups=commit_report.group_count,
             )
-        phases.commitment = time.perf_counter() - start
+        phases.commitment = span.duration
 
         guard_aborted = commit_report.guard_aborted
         # Schemes that do not attribute aborts (CG, OCC) fall through to

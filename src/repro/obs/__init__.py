@@ -1,9 +1,9 @@
-"""Observability: structured tracing, exporters, and the abort taxonomy.
+"""Observability: structured tracing, metrics, exporters, the abort taxonomy.
 
 Dependency-free by design — every other layer (core, node, net) imports
 from here, so nothing in this package may import from them at module
-scope (``prom`` type-checks against ``repro.node.metrics`` under
-``TYPE_CHECKING`` only).
+scope (``metrics.record_epoch`` type-checks against
+``repro.node.phases.EpochReport`` under ``TYPE_CHECKING`` only).
 """
 
 from repro.obs.endpoint import MetricsEndpoint
@@ -24,6 +24,14 @@ from repro.obs.ledger import (
     read_jsonl,
     timeline_digest,
     validate_ledger,
+)
+from repro.obs.metrics import (
+    Counter,
+    Gauge,
+    Histogram,
+    MetricsError,
+    MetricsRegistry,
+    record_epoch,
 )
 from repro.obs.prom import (
     parse_prometheus,
@@ -47,17 +55,11 @@ from repro.obs.taxonomy import (
     UNSERIALIZABLE_WRITE,
     taxonomy_counts,
 )
-from repro.obs.tracer import (
-    NULL_SPAN,
-    Span,
-    SpanAggregate,
-    SpanLike,
-    Tracer,
-    maybe_span,
-)
+from repro.obs.tracer import Span, SpanAggregate, Tracer, maybe_span
 
 __all__ = [
     "ABORT_REASONS",
+    "Counter",
     "DELTA_OVERFLOW",
     "DOOMED_REORDER",
     "EDGE_DELTA_GUARD",
@@ -68,12 +70,14 @@ __all__ = [
     "EDGE_WW",
     "EVENT_KINDS",
     "FlightLedger",
+    "Gauge",
+    "Histogram",
     "MetricsEndpoint",
-    "NULL_SPAN",
+    "MetricsError",
+    "MetricsRegistry",
     "SCHEME_CONFLICT",
     "Span",
     "SpanAggregate",
-    "SpanLike",
     "Tracer",
     "UNKNOWN_PEER",
     "UNSERIALIZABLE_WRITE",
@@ -85,6 +89,7 @@ __all__ = [
     "maybe_span",
     "parse_prometheus",
     "read_jsonl",
+    "record_epoch",
     "render_ledger_counters",
     "render_prometheus",
     "render_top",

@@ -33,8 +33,9 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
-if TYPE_CHECKING:  # avoid a module-level repro.node import cycle
-    from repro.node.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
+
+if TYPE_CHECKING:
     from repro.obs.ledger import FlightLedger
     from repro.obs.tracer import Tracer
 

@@ -19,14 +19,14 @@ headered exactly once, every sample attributable to a declared family).
 from __future__ import annotations
 
 import re
-from typing import TYPE_CHECKING, Mapping, Union
+from typing import TYPE_CHECKING, Mapping
 
-if TYPE_CHECKING:  # avoid a module-level repro.node import cycle
-    from repro.node.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.analysis.metrics import percentile
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+
+if TYPE_CHECKING:
     from repro.obs.ledger import FlightLedger
     from repro.obs.tracer import Tracer
-
-    Metric = Union[Counter, Gauge, Histogram]
 
 _NAME_OK = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _NAME_BAD_CHARS = re.compile(r"[^a-zA-Z0-9_:]")
@@ -69,10 +69,6 @@ def _format_value(value: float) -> str:
 def _summary_lines(
     name: str, labels: Mapping[str, str], histogram: "Histogram"
 ) -> list[str]:
-    # Imported lazily: obs must stay importable from every layer, so the
-    # module pulls repro.analysis in only when actually rendering.
-    from repro.analysis.metrics import percentile
-
     ordered = sorted(histogram.samples)
     lines = []
     for quantile in _SUMMARY_QUANTILES:
@@ -175,8 +171,6 @@ def render_prometheus(
     and one ``# TYPE`` header (pinned by the :func:`parse_prometheus`
     round-trip test).
     """
-    from repro.node.metrics import Counter, Gauge, Histogram
-
     blocks: list[str] = []
     if tracer is not None:
         rendered = render_tracer_aggregates(tracer)

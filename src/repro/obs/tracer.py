@@ -9,6 +9,11 @@ explicitly allows it because span timings never feed committed state),
 nested through per-thread stacks, and retained in a bounded in-memory
 ring so long runs cannot grow without bound.
 
+It is also the only clock in ``src/repro``: every interval the program
+reports (``PhaseLatencies``, a scheme's ``phase_seconds()``, a bench
+run's total) is the ``duration`` of the span that enclosed it —
+:func:`maybe_span` times its block whether or not a tracer records it.
+
 This module must stay importable from every layer (core, node, net)
 without cycles: it imports nothing from ``repro`` except
 :mod:`repro.analysis.race` — the concurrency sanitizer's hook module,
@@ -59,20 +64,6 @@ class Span:
     def set(self, **attrs: AttrValue) -> None:
         """Attach (or overwrite) attributes on the span."""
         self.attrs.update(attrs)
-
-
-class _NullSpan:
-    """No-op stand-in yielded by :func:`maybe_span` when tracing is off."""
-
-    __slots__ = ()
-
-    def set(self, **attrs: AttrValue) -> None:
-        """Discard the attributes (tracing is disabled)."""
-
-
-NULL_SPAN = _NullSpan()
-
-SpanLike = Union[Span, _NullSpan]
 
 
 @dataclass
@@ -246,17 +237,29 @@ class Tracer:
 @contextmanager
 def maybe_span(
     tracer: Tracer | None, name: str, **attrs: AttrValue
-) -> Iterator[SpanLike]:
-    """``tracer.span(...)`` when tracing is on, else a shared no-op span.
+) -> Iterator[Span]:
+    """``tracer.span(...)`` when tracing is on, else an unrecorded span.
 
-    Instrumented call sites use this unconditionally so the untraced hot
-    path pays only a ``None`` check plus one generator frame — the
-    overhead benchmark (``benchmarks/bench_obs_overhead.py``) holds the
-    traced-vs-untraced gap under 5% of epoch latency.
+    Either way the block is timed: the yielded :class:`Span` carries its
+    ``duration`` once the block exits, so an untraced ``maybe_span(None,
+    ...)`` is the program's stopwatch — every interval ``src/`` reports
+    (phase latencies, CC sub-phases, scheme timings) is read off one.
+    Without a tracer the span lands in no ring and no aggregate, so the
+    untraced hot path pays one small allocation per phase.
     """
-    if tracer is None:
-        yield NULL_SPAN
-    else:
+    if tracer is not None:
         with tracer.span(name, **attrs) as span:
             yield span
-
+        return
+    span = Span(
+        name=name,
+        span_id=0,
+        parent_id=None,
+        track="",
+        start=time.perf_counter(),
+        attrs=dict(attrs),
+    )
+    try:
+        yield span
+    finally:
+        span.end = time.perf_counter()

@@ -12,7 +12,8 @@ import pytest
 
 from repro.core import NezhaScheduler
 from repro.dag import BlockStore, EpochCoordinator, Mempool, ParallelChains, PoWParams
-from repro.node import FullNode, MetricsRegistry
+from repro.node import FullNode
+from repro.obs import MetricsRegistry
 from repro.state import StateDB
 from repro.storage import LSMStore
 from repro.vm.contracts import default_registry, register_token

@@ -13,13 +13,13 @@ from repro.baselines import CGScheduler, OCCScheduler
 from repro.core import NezhaScheduler
 from repro.dag import EpochCoordinator, Mempool, ParallelChains, PoWParams
 from repro.node import FullNode, PipelineConfig
-from repro.node.metrics import MetricsRegistry
 from repro.obs import (
     ABORT_REASONS,
     DELTA_OVERFLOW,
     DOOMED_REORDER,
     SCHEME_CONFLICT,
     UNSERIALIZABLE_WRITE,
+    MetricsRegistry,
     taxonomy_counts,
 )
 from repro.state import StateDB
@@ -213,3 +213,6 @@ class TestMetricsLabels:
         for phase in ("validation", "execution", "concurrency_control", "commitment"):
             key = f'phase_latency_seconds{{phase="{phase}"}}'
             assert key in snapshot
+        # CC latency is the concurrency_control series; no second histogram
+        # carries the same samples.
+        assert "cc_latency_seconds" not in snapshot

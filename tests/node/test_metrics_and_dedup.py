@@ -8,8 +8,8 @@ import pytest
 
 from repro.core import NezhaScheduler
 from repro.dag import EpochCoordinator, Mempool, ParallelChains, PoWParams
-from repro.node import FullNode, MetricsRegistry, PipelineConfig
-from repro.node.metrics import MetricsError
+from repro.node import FullNode, PipelineConfig
+from repro.obs import MetricsError, MetricsRegistry
 from repro.state import StateDB
 from repro.vm.contracts import default_registry
 from repro.workload import SmallBankConfig, SmallBankWorkload, initial_state

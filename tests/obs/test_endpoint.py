@@ -8,8 +8,13 @@ import urllib.request
 
 import pytest
 
-from repro.node.metrics import MetricsRegistry
-from repro.obs import FlightLedger, MetricsEndpoint, Tracer, parse_prometheus
+from repro.obs import (
+    FlightLedger,
+    MetricsEndpoint,
+    MetricsRegistry,
+    Tracer,
+    parse_prometheus,
+)
 
 
 def fetch(url: str):

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from repro.node.metrics import Histogram, MetricsRegistry
-from repro.obs import render_prometheus, write_prometheus
+from repro.obs import Histogram, MetricsRegistry, render_prometheus, write_prometheus
 from repro.obs.prom import escape_label_value, render_labels, sanitize_metric_name
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import threading
 
-from repro.obs import NULL_SPAN, Tracer, maybe_span
+from repro.obs import Span, Tracer, maybe_span
 
 
 class FakeClock:
@@ -127,10 +127,21 @@ class TestRingEviction:
 
 
 class TestMaybeSpan:
-    def test_none_tracer_yields_null_span(self):
-        with maybe_span(None, "anything", attr=1) as span:
-            span.set(more=2)  # must be a silent no-op
-        assert span is NULL_SPAN
+    def test_none_tracer_yields_an_unrecorded_timed_span(self):
+        """Untraced, ``maybe_span`` is the stopwatch: a real ``Span`` that
+        times its block and is recorded nowhere."""
+        tracer = Tracer()
+        with tracer.span("outer"):
+            with maybe_span(None, "anything", attr=1) as span:
+                span.set(more=2)
+        assert isinstance(span, Span)
+        assert span.name == "anything"
+        assert span.attrs == {"attr": 1, "more": 2}
+        assert span.end >= span.start
+        assert span.duration >= 0
+        # A live tracer on the same thread neither nests nor counts it.
+        assert [s.name for s in tracer.spans()] == ["outer"]
+        assert set(tracer.aggregates()) == {"outer"}
 
     def test_live_tracer_records(self):
         tracer = Tracer()
