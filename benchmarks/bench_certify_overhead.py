@@ -25,12 +25,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import NezhaScheduler
 from repro.dag import EpochCoordinator, Mempool, ParallelChains, PoWParams
+from repro.net import NodeSpec, build_node
 from repro.node import FullNode, PipelineConfig
-from repro.state import StateDB
-from repro.vm.contracts import default_registry
-from repro.workload import SmallBankConfig, SmallBankWorkload, initial_state
+from repro.workload import SmallBankConfig, SmallBankWorkload
 
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_certify_overhead.json"
 
@@ -54,14 +52,13 @@ WORKLOAD_CONFIG = SmallBankConfig(account_count=ACCOUNTS, skew=SKEW, seed=SEED)
 
 
 def _fresh_node(certify: bool) -> FullNode:
-    state = StateDB()
-    state.seed(initial_state(WORKLOAD_CONFIG))
-    return FullNode(
-        chains=ParallelChains(chain_count=OMEGA, pow_params=PoWParams(POW_BITS)),
-        state=state,
-        scheduler=NezhaScheduler(),
-        registry=default_registry(),
-        config=PipelineConfig(certify=certify),
+    return build_node(
+        NodeSpec(
+            chain_count=OMEGA,
+            workload=WORKLOAD_CONFIG,
+            pipeline=PipelineConfig(certify=certify),
+            pow=PoWParams(POW_BITS),
+        )
     )
 
 

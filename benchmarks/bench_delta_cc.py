@@ -26,8 +26,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.harness import make_scheme
-from repro.net import Cluster, ClusterConfig
+from repro.net import Cluster, ClusterConfig, NodeSpec
+from repro.node import PipelineConfig
+from repro.workload import SmallBankConfig
 
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_delta_cc.json"
 
@@ -44,15 +45,12 @@ ABORT_DROP_FLOOR = 0.40
 
 
 def _run_cluster(skew: float, delta_cc: bool, epochs: int) -> dict:
-    config = ClusterConfig(
-        block_concurrency=OMEGA,
-        block_size=BLOCK_SIZE,
-        skew=skew,
-        account_count=ACCOUNT_COUNT,
-        seed=SEED,
-        delta_cc=delta_cc,
+    spec = NodeSpec(
+        chain_count=OMEGA,
+        workload=SmallBankConfig(account_count=ACCOUNT_COUNT, skew=skew, seed=SEED),
+        pipeline=PipelineConfig(delta_cc=delta_cc),
     )
-    with Cluster(make_scheme("nezha"), config) as cluster:
+    with Cluster(spec, ClusterConfig(block_size=BLOCK_SIZE)) as cluster:
         cluster.feed_client(OMEGA * BLOCK_SIZE * epochs)
         run = cluster.run_epochs(epochs)
     reports = [outcome.report for outcome in run.outcomes]

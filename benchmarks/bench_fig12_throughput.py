@@ -17,38 +17,25 @@ for paper scale); the CG collapse then already appears at omega >= 8.
 
 from __future__ import annotations
 
-from repro.baselines import CGConfig, CGScheduler, SerialScheduler
 from repro.bench import render_series, render_table, scaled
-from repro.core import NezhaScheduler
-from repro.net import Cluster, ClusterConfig
+from repro.net import Cluster, ClusterConfig, NodeSpec
 from repro.vm.costmodel import ExecutionCostModel
+from repro.workload import SmallBankConfig
 
 SKEWS = (0.2, 0.6)
 CONCURRENCIES = (2, 4, 8, 12)
 BLOCK_SIZE = 100
 EPOCHS = 2
-CG_CYCLE_BUDGET = 150_000
-
-
-def make_schemes():
-    return {
-        "serial": SerialScheduler(),
-        "cg": CGScheduler(CGConfig(cycle_budget=CG_CYCLE_BUDGET)),
-        "nezha": NezhaScheduler(),
-    }
 
 
 def run_cell(scheme_name, omega, skew):
     cluster = Cluster(
-        make_schemes()[scheme_name],
-        ClusterConfig(
-            miner_count=12,
-            block_concurrency=omega,
-            block_size=scaled(BLOCK_SIZE),
-            skew=skew,
-            seed=7,
-            cost_model=ExecutionCostModel(),
+        NodeSpec(
+            scheme=scheme_name,
+            chain_count=omega,
+            workload=SmallBankConfig(skew=skew, seed=7),
         ),
+        ClusterConfig(block_size=scaled(BLOCK_SIZE), cost_model=ExecutionCostModel()),
     )
     return cluster.run_epochs(EPOCHS)
 
@@ -117,13 +104,8 @@ def test_fig12_effective_throughput(benchmark, report_table):
 def test_cluster_epoch_point(benchmark):
     """Micro-benchmark: one full Nezha epoch through the cluster."""
     cluster = Cluster(
-        NezhaScheduler(),
-        ClusterConfig(
-            block_concurrency=4,
-            block_size=scaled(50),
-            skew=0.2,
-            seed=3,
-        ),
+        NodeSpec(chain_count=4, workload=SmallBankConfig(skew=0.2, seed=3)),
+        ClusterConfig(block_size=scaled(50)),
     )
 
     def one_epoch():

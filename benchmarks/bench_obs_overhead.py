@@ -24,13 +24,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import NezhaScheduler
 from repro.dag import EpochCoordinator, Mempool, ParallelChains, PoWParams
-from repro.node import FullNode, PipelineConfig
+from repro.net import NodeSpec, build_node
+from repro.node import FullNode
 from repro.obs import FlightLedger, MetricsRegistry, Tracer
-from repro.state import StateDB
-from repro.vm.contracts import default_registry
-from repro.workload import SmallBankConfig, SmallBankWorkload, initial_state
+from repro.workload import SmallBankConfig, SmallBankWorkload
 
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_obs_overhead.json"
 
@@ -46,19 +44,14 @@ POW_BITS = 4
 OVERHEAD_CEILING = 0.05
 
 WORKLOAD_CONFIG = SmallBankConfig(account_count=ACCOUNTS, skew=SKEW, seed=SEED)
+SPEC = NodeSpec(chain_count=OMEGA, workload=WORKLOAD_CONFIG, pow=PoWParams(POW_BITS))
 
 
 def _fresh_node(mode: str) -> FullNode:
     """One replay node: ``bare``, ``traced``, or ``ledger``."""
-    state = StateDB()
-    state.seed(initial_state(WORKLOAD_CONFIG))
     traced = mode == "traced"
-    return FullNode(
-        chains=ParallelChains(chain_count=OMEGA, pow_params=PoWParams(POW_BITS)),
-        state=state,
-        scheduler=NezhaScheduler(),
-        registry=default_registry(),
-        config=PipelineConfig(),
+    return build_node(
+        SPEC,
         metrics=MetricsRegistry() if traced else None,
         tracer=Tracer() if traced else None,
         ledger=FlightLedger() if mode == "ledger" else None,

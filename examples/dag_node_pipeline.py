@@ -13,13 +13,9 @@ Run:  python examples/dag_node_pipeline.py
 
 from __future__ import annotations
 
-from repro.core import NezhaScheduler
 from repro.dag import EpochCoordinator, Mempool, ParallelChains, PoWParams
-from repro.node import FullNode
-from repro.state import StateDB
-from repro.storage import MemStore
-from repro.vm.contracts import default_registry
-from repro.workload import SmallBankConfig, SmallBankWorkload, initial_state
+from repro.net import NodeSpec, build_node
+from repro.workload import SmallBankConfig, SmallBankWorkload
 
 CHAINS = 6
 BLOCK_SIZE = 50
@@ -27,30 +23,27 @@ EPOCHS = 5
 
 
 def main() -> None:
-    workload_config = SmallBankConfig(account_count=2_000, skew=0.6, seed=2024)
-    pow_params = PoWParams(difficulty_bits=8)
+    spec = NodeSpec(
+        scheme="nezha",
+        chain_count=CHAINS,
+        workload=SmallBankConfig(account_count=2_000, skew=0.6, seed=2024),
+        pow=PoWParams(difficulty_bits=8),
+    )
 
     # The measuring full node (the paper's "full node to synchronize the
     # entire system state").
-    state = StateDB(store=MemStore())
-    genesis_root = state.seed(initial_state(workload_config))
-    node = FullNode(
-        chains=ParallelChains(chain_count=CHAINS, pow_params=pow_params),
-        state=state,
-        scheduler=NezhaScheduler(),
-        registry=default_registry(),
-    )
-    print(f"genesis state root: {genesis_root.hex()[:16]}...")
+    node = build_node(spec)
+    print(f"genesis state root: {node.state_root.hex()[:16]}...")
 
     # Miner-side chain view plus the shared mempool fed by the client.
-    miner_chains = ParallelChains(chain_count=CHAINS, pow_params=pow_params)
+    miner_chains = ParallelChains(chain_count=CHAINS, pow_params=spec.pow)
     coordinator = EpochCoordinator(
         chains=miner_chains,
         miners=[f"miner-{i:02d}" for i in range(12)],
         block_size=BLOCK_SIZE,
     )
     mempool = Mempool()
-    client = SmallBankWorkload(workload_config)
+    client = SmallBankWorkload(spec.workload)
 
     header = (
         f"{'epoch':>5} {'blocks':>6} {'txns':>5} {'committed':>9} "

@@ -14,22 +14,20 @@ Run:  python examples/replica_agreement.py
 from __future__ import annotations
 
 from repro.baselines import OCCScheduler
-from repro.core import NezhaScheduler
-from repro.net import ReplicaNetwork, ReplicaNetworkConfig
+from repro.net import NodeSpec, ReplicaNetwork, ReplicaNetworkConfig
+from repro.workload import SmallBankConfig
 
-CONFIG = ReplicaNetworkConfig(
-    replica_count=3,
+SPEC = NodeSpec(
+    scheme="nezha",
     chain_count=3,
-    block_size=30,
-    account_count=500,
-    skew=0.7,
-    seed=12,
+    workload=SmallBankConfig(account_count=500, skew=0.7, seed=12),
 )
+CONFIG = ReplicaNetworkConfig(replica_count=3, block_size=30)
 
 
 def healthy_fleet() -> None:
     print("=== Three replicas, identical scheme (Nezha) ===")
-    network = ReplicaNetwork(NezhaScheduler, CONFIG)
+    network = ReplicaNetwork(SPEC, CONFIG)
     for _ in range(3):
         agreement = network.run_epoch()
         deliveries = ", ".join(f"{t * 1000:.1f}ms" for t in agreement.delivery_times)
@@ -45,7 +43,7 @@ def healthy_fleet() -> None:
 
 def rogue_replica() -> None:
     print("=== One replica silently runs a different scheme (OCC) ===")
-    network = ReplicaNetwork(NezhaScheduler, CONFIG)
+    network = ReplicaNetwork(SPEC, CONFIG)
     rogue = OCCScheduler()
     network.replicas[2].scheduler = rogue
     network.replicas[2].pipeline.scheduler = rogue

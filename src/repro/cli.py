@@ -426,6 +426,21 @@ def _write_obs_outputs(args: argparse.Namespace, tracer, metrics, ledger=None) -
         print(f"ledger: {lines} lines -> {args.ledger_out}")
 
 
+def _node_spec(args: argparse.Namespace, **pipeline: bool):
+    """The node both cluster commands bring up, from their shared flags."""
+    from repro.net import NodeSpec
+    from repro.node import PipelineConfig
+
+    return NodeSpec(
+        scheme=args.scheme,
+        chain_count=args.omega,
+        workload=SmallBankConfig(
+            account_count=args.accounts, skew=args.skew, seed=args.seed
+        ),
+        pipeline=PipelineConfig(**pipeline),
+    )
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     from repro.analysis import race
     from repro.net import Cluster, ClusterConfig
@@ -437,16 +452,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     tracer, metrics, ledger = _make_obs(args)
     detector = race.enable() if args.sanitize else None
     cluster = Cluster(
-        make_scheme(args.scheme),
-        ClusterConfig(
-            block_concurrency=args.omega,
-            block_size=args.block_size,
-            skew=args.skew,
-            account_count=args.accounts,
-            seed=args.seed,
+        _node_spec(
+            args,
             delta_cc=args.delta_cc,
             streaming=args.streaming,
             certify=args.certify,
+        ),
+        ClusterConfig(
+            block_size=args.block_size,
             cost_model=ExecutionCostModel() if args.paper_costs else ZERO_COST,
         ),
         metrics=metrics,
@@ -540,21 +553,14 @@ def _write_certificates(out_dir: str, artifacts, certificates) -> int:
 
 
 def cmd_multinode(args: argparse.Namespace) -> int:
-    from repro.net.multinode import ReplicaNetwork, ReplicaNetworkConfig
+    from repro.net import ReplicaNetwork, ReplicaNetworkConfig
     from repro.obs import Tracer
 
     tracer = Tracer() if args.trace_out else None
     with_ledgers = bool(args.ledger_out) or args.metrics_port is not None
     network = ReplicaNetwork(
-        scheduler_factory=lambda: make_scheme(args.scheme),
-        config=ReplicaNetworkConfig(
-            replica_count=args.replicas,
-            chain_count=args.omega,
-            block_size=args.block_size,
-            account_count=args.accounts,
-            skew=args.skew,
-            seed=args.seed,
-        ),
+        _node_spec(args),
+        ReplicaNetworkConfig(replica_count=args.replicas, block_size=args.block_size),
         tracer=tracer,
         with_ledgers=with_ledgers,
     )

@@ -6,7 +6,6 @@ role over :class:`~repro.storage.api.KVStore` (use
 
     b:<block-hash>         -> RLP([header-fields, [encoded txn, ...]])
     c:<chain>:<height>     -> block hash (chain position index)
-    meta:tip:<chain>       -> hash of the chain's latest block
     meta:state_root        -> last committed world-state root
 
 which is enough to rebuild a :class:`~repro.dag.chain.ParallelChains`
@@ -16,6 +15,7 @@ after a restart (see :meth:`BlockStore.load_chains`).
 from __future__ import annotations
 
 import struct
+from typing import Sequence
 
 from repro.dag.block import Block, BlockHeader
 from repro.dag.chain import ParallelChains
@@ -72,12 +72,13 @@ class BlockStore:
     def __init__(self, store: KVStore) -> None:
         self._store = store
 
-    def put_block(self, block: Block) -> None:
-        """Persist one block and its chain-position index atomically."""
+    def put_blocks(self, blocks: Sequence[Block]) -> None:
+        """Persist blocks and their chain-position index in one atomic
+        write (a node archives each epoch's accepted blocks this way)."""
         batch = WriteBatch()
-        batch.put(b"b:" + block.hash, encode_block(block))
-        batch.put(self._position_key(block.chain_id, block.height), block.hash)
-        batch.put(f"meta:tip:{block.chain_id}".encode(), block.hash)
+        for block in blocks:
+            batch.put(b"b:" + block.hash, encode_block(block))
+            batch.put(self._position_key(block.chain_id, block.height), block.hash)
         self._store.write(batch)
 
     def get_block(self, block_hash: bytes) -> Block | None:
@@ -88,7 +89,17 @@ class BlockStore:
     def block_at(self, chain_id: int, height: int) -> Block | None:
         """Fetch the block at a chain position, or ``None``."""
         block_hash = self._store.get(self._position_key(chain_id, height))
-        return None if block_hash is None else self.get_block(block_hash)
+        if block_hash is None:
+            return None
+        block = self.get_block(block_hash)
+        if block is None:
+            raise StorageError(f"missing indexed block chain={chain_id} height={height}")
+        return block
+
+    def epoch_blocks(self, height: int, chain_count: int) -> list[Block]:
+        """The archived blocks of epoch ``height``, in chain order."""
+        blocks = (self.block_at(chain_id, height) for chain_id in range(chain_count))
+        return [block for block in blocks if block is not None]
 
     def set_state_root(self, root: bytes) -> None:
         """Record the latest committed world-state root."""
@@ -98,35 +109,26 @@ class BlockStore:
         """The recorded world-state root, or ``None`` on a fresh store."""
         return self._store.get(b"meta:state_root")
 
-    def chain_height(self, chain_id: int) -> int:
-        """Number of persisted blocks on one chain."""
-        height = 0
-        while self._store.has(self._position_key(chain_id, height)):
-            height += 1
-        return height
-
-    def load_chains(self, chain_count: int, pow_params: PoWParams | None = None) -> ParallelChains:
-        """Rebuild the parallel-chain state from persisted blocks.
-
-        Replays blocks in epoch-major order through full validation, so a
-        corrupted or tampered archive fails loudly rather than producing
-        an inconsistent chain view.
-        """
+    def load_chains(
+        self,
+        chain_count: int,
+        pow_params: PoWParams | None = None,
+        epochs: int | None = None,
+    ) -> ParallelChains:
+        """Rebuild the parallel chains from the first ``epochs`` archived
+        epochs (all by default), in epoch-major order through full
+        validation, so a tampered archive fails loudly."""
         chains = ParallelChains(
             chain_count=chain_count,
             pow_params=pow_params if pow_params is not None else PoWParams(),
         )
-        heights = [self.chain_height(chain_id) for chain_id in range(chain_count)]
-        for height in range(max(heights, default=0)):
-            for chain_id in range(chain_count):
-                if height >= heights[chain_id]:
-                    continue
-                block = self.block_at(chain_id, height)
-                if block is None:
-                    raise StorageError(
-                        f"missing indexed block chain={chain_id} height={height}"
-                    )
+        height = 0
+        while (epochs is None or height < epochs) and (
+            blocks := self.epoch_blocks(height, chain_count)
+        ):
+            for block in blocks:
                 chains.append(block)
+            height += 1
         return chains
 
     @staticmethod

@@ -8,6 +8,7 @@ from repro.net.multinode import (
     ReplicaNetworkConfig,
 )
 from repro.net.simulator import Simulator
+from repro.net.spec import NodeSpec, build_node
 from repro.net.sync import SyncReport, sync_from_archive
 
 __all__ = [
@@ -19,7 +20,9 @@ __all__ = [
     "ReplicaNetwork",
     "ReplicaNetworkConfig",
     "LinkModel",
+    "NodeSpec",
     "Simulator",
     "SyncReport",
+    "build_node",
     "sync_from_archive",
 ]

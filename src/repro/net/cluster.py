@@ -21,45 +21,32 @@ from dataclasses import dataclass, field
 from repro.dag.chain import ParallelChains
 from repro.dag.mempool import Mempool
 from repro.dag.ohie import EpochCoordinator
-from repro.dag.pow import PoWParams
 from repro.errors import NetworkError
 from repro.net.links import LinkModel
 from repro.net.simulator import Simulator
-from repro.node.node import FullNode
+from repro.net.spec import NodeSpec, build_node
 from repro.node.phases import EpochReport
-from repro.node.pipeline import PipelineConfig, Scheduler
 from repro.obs.ledger import FlightLedger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer, maybe_span
-from repro.state.statedb import StateDB
 from repro.storage.api import KVStore
-from repro.storage.memstore import MemStore
-from repro.vm.contracts.smallbank import default_registry
 from repro.vm.costmodel import ExecutionCostModel, ZERO_COST
-from repro.workload.smallbank import SmallBankConfig, SmallBankWorkload, initial_state
+from repro.workload.smallbank import SmallBankWorkload
 
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Shape of the simulated deployment (paper defaults)."""
+    """The simulated deployment around the node (paper defaults); what
+    the node itself is lives in its :class:`~repro.net.spec.NodeSpec`."""
 
     miner_count: int = 12
-    block_concurrency: int = 12
     block_size: int = 200
     block_interval: float = 1.0
-    account_count: int = 10_000
-    skew: float = 0.0
-    seed: int = 0
-    use_vm: bool = False
-    delta_cc: bool = False
-    streaming: bool = False
-    certify: bool = False
     cost_model: ExecutionCostModel = ZERO_COST
-    store: "KVStore | None" = None
 
     def __post_init__(self) -> None:
-        if self.block_concurrency <= 0 or self.miner_count <= 0:
-            raise NetworkError("cluster needs miners and at least one chain")
+        if self.miner_count <= 0:
+            raise NetworkError("cluster needs at least one miner")
         if self.block_interval <= 0:
             raise NetworkError("block_interval must be positive")
 
@@ -114,62 +101,30 @@ class Cluster:
 
     def __init__(
         self,
-        scheduler: Scheduler,
+        spec: NodeSpec,
         config: ClusterConfig | None = None,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         ledger: FlightLedger | None = None,
+        store: KVStore | None = None,
     ) -> None:
+        self.spec = spec
         self.config = config or ClusterConfig()
-        self.metrics = metrics
         self.tracer = tracer
-        self.ledger = ledger
-        workload_config = SmallBankConfig(
-            account_count=self.config.account_count,
-            skew=self.config.skew,
-            seed=self.config.seed,
-        )
-        self.workload = SmallBankWorkload(workload_config)
+        self.workload = SmallBankWorkload(spec.workload)
         self.mempool = Mempool()
         self.simulator = Simulator()
-        self.links = LinkModel(seed=self.config.seed)
-        pow_params = PoWParams()
-        self.miner_chains = ParallelChains(
-            chain_count=self.config.block_concurrency, pow_params=pow_params
-        )
+        self.links = LinkModel(seed=spec.workload.seed)
         self.coordinator = EpochCoordinator(
-            chains=self.miner_chains,
+            chains=ParallelChains(chain_count=spec.chain_count, pow_params=spec.pow),
             miners=[f"miner-{i}" for i in range(self.config.miner_count)],
             block_size=self.config.block_size,
         )
-        state = StateDB(
-            # An explicit store (e.g. an LSM-backed node) replaces the
-            # default in-memory trie-node store; roots are identical
-            # either way.
-            store=self.config.store if self.config.store is not None else MemStore(),
-            tracer=tracer,
-        )
-        state.seed(initial_state(workload_config))
-        self.node = FullNode(
-            chains=ParallelChains(
-                chain_count=self.config.block_concurrency, pow_params=pow_params
-            ),
-            state=state,
-            scheduler=scheduler,
-            # Delta-CC needs the assembled bytecode deployed even for
-            # native execution: the static classifier reads it.
-            registry=default_registry(
-                include_bytecode=self.config.use_vm or self.config.delta_cc
-            ),
-            config=PipelineConfig(
-                use_vm=self.config.use_vm,
-                delta_cc=self.config.delta_cc,
-                streaming=self.config.streaming,
-                certify=self.config.certify,
-            ),
-            metrics=metrics,
-            tracer=tracer,
-            ledger=ledger,
+        # An explicit store (e.g. an LSM-backed node) replaces the
+        # in-memory trie-node store and archives the blocks; roots are
+        # identical either way.
+        self.node = build_node(
+            spec, store=store, tracer=tracer, metrics=metrics, ledger=ledger
         )
 
     def close(self) -> None:
@@ -189,7 +144,7 @@ class Cluster:
     def run_epochs(self, epoch_count: int) -> ClusterRun:
         """Mine and process ``epoch_count`` epochs; refills the mempool."""
         run = ClusterRun()
-        per_epoch = self.config.block_concurrency * self.config.block_size
+        per_epoch = self.spec.chain_count * self.config.block_size
         for _ in range(epoch_count):
             if len(self.mempool) < per_epoch:
                 self.feed_client(per_epoch * 2)

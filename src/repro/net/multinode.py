@@ -18,21 +18,15 @@ from typing import Callable
 from repro.dag.chain import ParallelChains
 from repro.dag.mempool import Mempool
 from repro.dag.ohie import EpochCoordinator
-from repro.dag.pow import PoWParams
 from repro.errors import NetworkError
 from repro.net.links import LinkModel
 from repro.net.simulator import Simulator
-from repro.node.node import FullNode
+from repro.net.spec import NodeSpec, build_node
 from repro.node.phases import EpochReport
-from repro.node.pipeline import Scheduler
 from repro.obs.ledger import FlightLedger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer, maybe_span
-from repro.state.statedb import StateDB
-from repro.vm.contracts.smallbank import default_registry
-from repro.workload.smallbank import SmallBankConfig, SmallBankWorkload, initial_state
-
-SchedulerFactory = Callable[[], Scheduler]
+from repro.workload.smallbank import SmallBankWorkload
 
 
 @dataclass
@@ -52,14 +46,11 @@ class EpochAgreement:
 
 @dataclass
 class ReplicaNetworkConfig:
-    """Shape of the replica deployment."""
+    """Shape of the replica deployment; what each replica is lives in the
+    network's :class:`~repro.net.spec.NodeSpec`."""
 
     replica_count: int = 3
-    chain_count: int = 4
     block_size: int = 50
-    account_count: int = 1_000
-    skew: float = 0.5
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.replica_count < 1:
@@ -67,71 +58,49 @@ class ReplicaNetworkConfig:
 
 
 class ReplicaNetwork:
-    """N full nodes fed identical epochs through simulated links."""
+    """N full nodes of one spec, fed identical epochs through simulated
+    links.  Each replica is in memory: replicas cannot share a store."""
 
     def __init__(
         self,
-        scheduler_factory: SchedulerFactory,
+        spec: NodeSpec,
         config: ReplicaNetworkConfig | None = None,
         tracer: Tracer | None = None,
         with_ledgers: bool = False,
     ) -> None:
+        self.spec = spec
         self.config = config or ReplicaNetworkConfig()
         self.tracer = tracer
-        pow_params = PoWParams()
-        workload_config = SmallBankConfig(
-            account_count=self.config.account_count,
-            skew=self.config.skew,
-            seed=self.config.seed,
-        )
         self.simulator = Simulator()
         self.links = [
-            LinkModel(seed=self.config.seed + replica)
+            LinkModel(seed=spec.workload.seed + replica)
             for replica in range(self.config.replica_count)
         ]
         self.mempool = Mempool()
-        self.workload = SmallBankWorkload(workload_config)
-        self.miner_chains = ParallelChains(
-            chain_count=self.config.chain_count, pow_params=pow_params
-        )
+        self.workload = SmallBankWorkload(spec.workload)
         self.coordinator = EpochCoordinator(
-            chains=self.miner_chains,
+            chains=ParallelChains(chain_count=spec.chain_count, pow_params=spec.pow),
             miners=[f"miner-{i}" for i in range(4)],
             block_size=self.config.block_size,
         )
-        self.replicas: list[FullNode] = []
         # One registry per replica so per-replica abort/latency series stay
         # separable (agreement checks compare replicas; pooled counters
         # would hide a diverging one).
-        self.metrics: list[MetricsRegistry] = []
+        self.metrics = [MetricsRegistry() for _ in range(self.config.replica_count)]
         # One flight ledger per replica, same separability argument: a
         # replica that aborts differently should show its own lifecycle.
-        self.ledgers: list[FlightLedger | None] = []
-        for _ in range(self.config.replica_count):
-            state = StateDB()
-            state.seed(initial_state(workload_config))
-            registry = MetricsRegistry()
-            self.metrics.append(registry)
-            ledger = FlightLedger() if with_ledgers else None
-            self.ledgers.append(ledger)
-            self.replicas.append(
-                FullNode(
-                    chains=ParallelChains(
-                        chain_count=self.config.chain_count, pow_params=pow_params
-                    ),
-                    state=state,
-                    scheduler=scheduler_factory(),
-                    registry=default_registry(),
-                    metrics=registry,
-                    tracer=tracer,
-                    ledger=ledger,
-                )
-            )
+        self.ledgers: list[FlightLedger | None] = [
+            FlightLedger() if with_ledgers else None for _ in self.metrics
+        ]
+        self.replicas = [
+            build_node(spec, tracer=tracer, metrics=metrics, ledger=ledger)
+            for metrics, ledger in zip(self.metrics, self.ledgers)
+        ]
         self.agreements: list[EpochAgreement] = []
 
     def run_epoch(self) -> EpochAgreement:
         """Mine one epoch, broadcast to every replica, check agreement."""
-        per_epoch = self.config.chain_count * self.config.block_size
+        per_epoch = self.spec.chain_count * self.config.block_size
         if len(self.mempool) < per_epoch:
             self.mempool.submit_many(self.workload.generate(per_epoch * 2))
         blocks = self.coordinator.mine_epoch(

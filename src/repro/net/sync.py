@@ -26,11 +26,6 @@ class SyncReport:
     epochs_applied: int
     transactions_committed: int
 
-    @property
-    def caught_up(self) -> bool:
-        """True when at least one epoch was applied (or none were needed)."""
-        return self.epochs_applied >= 0
-
 
 def sync_from_archive(
     node: FullNode, archive: BlockStore, max_epochs: int | None = None
@@ -42,23 +37,16 @@ def sync_from_archive(
     root), so a corrupt or malicious archive cannot poison the node —
     it just fails the sync with :class:`~repro.errors.NetworkError`.
     """
-    chain_count = node.chains.chain_count
-    start = node._next_epoch
-    applied = 0
-    committed = 0
+    start = node.next_epoch
+    applied = committed = 0
     while max_epochs is None or applied < max_epochs:
-        height = node._next_epoch
-        blocks = []
-        for chain_id in range(chain_count):
-            try:
-                block = archive.block_at(chain_id, height)
-            except Exception as exc:  # noqa: BLE001 - rewrap with context
-                raise NetworkError(
-                    f"archive returned corrupt block chain={chain_id} "
-                    f"height={height}: {exc}"
-                ) from exc
-            if block is not None:
-                blocks.append(block)
+        height = node.next_epoch
+        try:
+            blocks = archive.epoch_blocks(height, node.chains.chain_count)
+        except Exception as exc:  # noqa: BLE001 - rewrap with context
+            raise NetworkError(
+                f"archive returned a corrupt block at height={height}: {exc}"
+            ) from exc
         if not blocks:
             break  # archive exhausted: caught up
         try:

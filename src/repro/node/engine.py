@@ -198,7 +198,7 @@ class StreamingEpochEngine:
         by the hash comparison at admission and falls back to the
         barrier path.
         """
-        index = self.node._next_epoch
+        index = self.node.next_epoch
         ordered = sorted(blocks, key=lambda b: b.chain_id)
         guess = Epoch(index=index, blocks=tuple(ordered))
         # Duplicate protection, tested in place: the node's set already

@@ -45,11 +45,6 @@ class BlockIngest:
     pending: dict[int, dict[int, Block]] = field(default_factory=dict)
     stats: IngestStats = field(default_factory=IngestStats)
 
-    @property
-    def next_height(self) -> int:
-        """The epoch the node is waiting to process."""
-        return self.node._next_epoch
-
     def receive_block(self, block: Block) -> list[EpochReport]:
         """Accept one block; returns reports for any epochs now complete.
 
@@ -58,7 +53,7 @@ class BlockIngest:
         Completing an epoch can cascade: buffered later epochs drain too.
         """
         height = block.height
-        if height < self.next_height:
+        if height < self.node.next_epoch:
             self.stats.stale += 1
             return []
         slot = self.pending.setdefault(height, {})
@@ -84,7 +79,7 @@ class BlockIngest:
         epoch.  Flushing can unblock buffered later epochs, which are
         drained by the next ``receive_block`` call (or another flush).
         """
-        height = self.next_height
+        height = self.node.next_epoch
         slot = self.pending.pop(height, None)
         if not slot:
             return None
@@ -100,7 +95,7 @@ class BlockIngest:
         reports: list[EpochReport] = []
         chain_count = self.node.chains.chain_count
         while True:
-            height = self.next_height
+            height = self.node.next_epoch
             slot = self.pending.get(height)
             if slot is None or len(slot) < chain_count:
                 break

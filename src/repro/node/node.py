@@ -17,13 +17,15 @@ from repro.dag.block import Block
 from repro.dag.blockstore import BlockStore
 from repro.dag.chain import ParallelChains
 from repro.dag.epochs import Epoch, extract_epoch
-from repro.errors import BlockValidationError
+from repro.dag.pow import PoWParams
+from repro.errors import BlockValidationError, StorageError
 from repro.node.phases import EpochReport
 from repro.node.pipeline import PipelineConfig, Scheduler, TransactionPipeline
 from repro.obs.ledger import FlightLedger
 from repro.obs.metrics import MetricsRegistry, record_epoch
 from repro.obs.tracer import Tracer, maybe_span
 from repro.state.statedb import StateDB
+from repro.storage.api import KVStore
 from repro.vm.native import ContractRegistry
 
 if TYPE_CHECKING:
@@ -77,29 +79,50 @@ class FullNode:
     @classmethod
     def restore(
         cls,
-        blockstore: BlockStore,
-        state: StateDB,
+        store: KVStore,
         scheduler: Scheduler,
         chain_count: int,
         registry: ContractRegistry | None = None,
         config: PipelineConfig | None = None,
-        pow_params=None,
+        pow_params: PoWParams | None = None,
+        tracer: "Tracer | None" = None,
+        metrics: "MetricsRegistry | None" = None,
+        ledger: "FlightLedger | None" = None,
     ) -> "FullNode":
-        """Rebuild a node from a persisted block archive.
+        """Reopen a node from a store holding its block archive and state.
 
-        The caller provides a ``StateDB`` opened at the archive's recorded
-        state root (``blockstore.state_root()``); chains are replayed from
-        the archive through full validation.
+        The state opens at the root recorded after the last seal or, if
+        the node died in its first epoch, at the root its first archived
+        epoch carries.  Archived epochs before the first one carrying that
+        root are loaded; the rest (admitted, never recorded as sealed) are
+        replayed through :func:`~repro.net.sync.sync_from_archive`.
         """
-        chains = blockstore.load_chains(chain_count, pow_params)
-        return cls(
-            chains=chains,
-            state=state,
+        from repro.net.sync import sync_from_archive
+
+        archive = BlockStore(store)
+        root = archive.state_root()
+        loaded = 0
+        while blocks := archive.epoch_blocks(loaded, chain_count):
+            carried = blocks[0].header.state_root
+            root = carried if root is None else root
+            if carried == root:
+                break
+            loaded += 1
+        if root is None:
+            raise StorageError("the store holds no block archive to restore")
+        node = cls(
+            chains=archive.load_chains(chain_count, pow_params, epochs=loaded),
+            state=StateDB(store=store, root=root, tracer=tracer),
             scheduler=scheduler,
             registry=registry,
             config=config or PipelineConfig(),
-            blockstore=blockstore,
+            blockstore=archive,
+            metrics=metrics,
+            tracer=tracer,
+            ledger=ledger,
         )
+        sync_from_archive(node, archive)
+        return node
 
     def receive_epoch(self, blocks: list[Block]) -> EpochReport:
         """Validate, append, and process one epoch's concurrent blocks.
@@ -126,13 +149,13 @@ class FullNode:
 
         Each block must carry the current (previous epoch's) state root
         and pass the chain layer's structural checks; survivors are
-        appended to the chains and archived, and the epoch they form is
-        sealed.  Raises when every block was discarded.  Returns the
-        epoch and the ``node.admit`` span's duration — the epoch's
-        validation phase on the barrier and streaming paths alike.
+        appended to the chains and archived in one write, and the epoch
+        they form is sealed.  Raises when every block was discarded.
+        Returns the epoch and the ``node.admit`` span's duration — the
+        epoch's validation phase on the barrier and streaming paths alike.
         """
         with maybe_span(self.tracer, "node.admit", epoch=self._next_epoch) as span:
-            accepted = 0
+            accepted: list[Block] = []
             for block in blocks:
                 if block.header.state_root != self.state.root:
                     continue  # Discard: stale or wrong state root.
@@ -140,12 +163,12 @@ class FullNode:
                     self.chains.append(block)
                 except BlockValidationError:
                     continue  # Discard: structural failure.
-                if self.blockstore is not None:
-                    self.blockstore.put_block(block)
-                accepted += 1
-            span.set(offered=len(blocks), accepted=accepted)
-            if accepted == 0:
+                accepted.append(block)
+            span.set(offered=len(blocks), accepted=len(accepted))
+            if not accepted:
                 raise BlockValidationError("every block of the epoch was discarded")
+            if self.blockstore is not None:
+                self.blockstore.put_blocks(accepted)
             epoch = extract_epoch(self.chains, self._next_epoch)
         if epoch is None:
             raise BlockValidationError(f"epoch {self._next_epoch} is empty")
@@ -247,6 +270,11 @@ class FullNode:
     def committed_total(self) -> int:
         """Transactions committed across all processed epochs."""
         return sum(report.committed for report in self.reports)
+
+    @property
+    def next_epoch(self) -> int:
+        """Index of the next epoch this node will admit."""
+        return self._next_epoch
 
     @property
     def state_root(self) -> bytes:

@@ -21,10 +21,10 @@ from repro.analysis.certify import (
     certify_epoch,
 )
 from repro.core.export import parse_epoch_artifact
-from repro.core.scheduler import NezhaScheduler
 from repro.errors import CertificationError
-from repro.net.cluster import Cluster, ClusterConfig
+from repro.net import Cluster, ClusterConfig, NodeSpec
 from repro.node.pipeline import PipelineConfig
+from repro.workload import SmallBankConfig
 
 
 def units(reads=(), writes=(), deltas=None):
@@ -221,17 +221,12 @@ SWEEP = [
 class TestPipelineCertification:
     @pytest.mark.parametrize("skew,omega,delta,streaming", SWEEP)
     def test_every_epoch_certifies(self, skew, omega, delta, streaming):
-        config = ClusterConfig(
-            block_concurrency=omega,
-            block_size=25,
-            account_count=150,
-            skew=skew,
-            seed=7,
-            delta_cc=delta,
-            streaming=streaming,
-            certify=True,
+        spec = NodeSpec(
+            chain_count=omega,
+            workload=SmallBankConfig(account_count=150, skew=skew, seed=7),
+            pipeline=PipelineConfig(delta_cc=delta, streaming=streaming, certify=True),
         )
-        with Cluster(NezhaScheduler(), config) as cluster:
+        with Cluster(spec, ClusterConfig(block_size=25)) as cluster:
             run = cluster.run_epochs(2)
             artifacts = list(cluster.node.pipeline.artifacts)
         assert len(run.outcomes) == 2
@@ -244,16 +239,12 @@ class TestPipelineCertification:
         assert len(artifacts) == 2
 
     def test_artifact_roundtrip_matches_live_certificate(self, tmp_path):
-        config = ClusterConfig(
-            block_concurrency=4,
-            block_size=30,
-            account_count=150,
-            skew=0.9,
-            seed=3,
-            delta_cc=True,
-            certify=True,
+        spec = NodeSpec(
+            chain_count=4,
+            workload=SmallBankConfig(account_count=150, skew=0.9, seed=3),
+            pipeline=PipelineConfig(delta_cc=True, certify=True),
         )
-        with Cluster(NezhaScheduler(), config) as cluster:
+        with Cluster(spec, ClusterConfig(block_size=30)) as cluster:
             run = cluster.run_epochs(2)
             artifacts = list(cluster.node.pipeline.artifacts)
         for payload, outcome in zip(artifacts, run.outcomes):
@@ -285,10 +276,8 @@ class TestPipelineCertification:
         assert issubclass(CertificationError, SchedulingError)
 
     def test_certify_off_attaches_nothing(self):
-        config = ClusterConfig(
-            block_concurrency=2, block_size=20, account_count=100, seed=1
-        )
-        with Cluster(NezhaScheduler(), config) as cluster:
+        spec = NodeSpec(chain_count=2, workload=SmallBankConfig(account_count=100, seed=1))
+        with Cluster(spec, ClusterConfig(block_size=20)) as cluster:
             run = cluster.run_epochs(1)
             assert cluster.node.pipeline.artifacts == []
         assert run.outcomes[0].report.certificate is None

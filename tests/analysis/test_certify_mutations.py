@@ -15,8 +15,9 @@ import pytest
 
 from repro.analysis.certify import certify_epoch
 from repro.core.export import parse_epoch_artifact
-from repro.core.scheduler import NezhaScheduler
-from repro.net.cluster import Cluster, ClusterConfig
+from repro.net import Cluster, ClusterConfig, NodeSpec
+from repro.node import PipelineConfig
+from repro.workload import SmallBankConfig
 
 CONFIGS = [
     # (skew, delta_cc)
@@ -32,16 +33,12 @@ def artifact_corpus():
     """One representative artifact payload per configuration."""
     corpus = {}
     for skew, delta in CONFIGS:
-        config = ClusterConfig(
-            block_concurrency=4,
-            block_size=40,
-            account_count=120,
-            skew=skew,
-            seed=11,
-            delta_cc=delta,
-            certify=True,
+        spec = NodeSpec(
+            chain_count=4,
+            workload=SmallBankConfig(account_count=120, skew=skew, seed=11),
+            pipeline=PipelineConfig(delta_cc=delta, certify=True),
         )
-        with Cluster(NezhaScheduler(), config) as cluster:
+        with Cluster(spec, ClusterConfig(block_size=40)) as cluster:
             cluster.run_epochs(2)
             artifacts = list(cluster.node.pipeline.artifacts)
         # Prefer an epoch that actually aborted something, so the

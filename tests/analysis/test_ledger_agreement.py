@@ -21,9 +21,9 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.certify import certify_epoch
-from repro.core import NezhaScheduler
 from repro.core.export import parse_epoch_artifact
-from repro.net.cluster import Cluster, ClusterConfig
+from repro.net import Cluster, ClusterConfig, NodeSpec
+from repro.node import PipelineConfig
 from repro.obs import FlightLedger
 from repro.obs.taxonomy import (
     DELTA_OVERFLOW,
@@ -36,6 +36,7 @@ from repro.obs.taxonomy import (
     UNKNOWN_PEER,
     UNSERIALIZABLE_WRITE,
 )
+from repro.workload import SmallBankConfig
 
 EPOCHS = 2
 
@@ -118,16 +119,12 @@ def _address_holds(kind, address, victim_units, peer_units):
 @pytest.mark.parametrize("skew,delta_cc", SWEEP)
 def test_ledger_edges_agree_with_rebuilt_conflict_graph(skew, delta_cc):
     ledger = FlightLedger()
-    config = ClusterConfig(
-        block_concurrency=3,
-        block_size=40,
-        account_count=150,
-        skew=skew,
-        seed=7,
-        delta_cc=delta_cc,
-        certify=True,
+    spec = NodeSpec(
+        chain_count=3,
+        workload=SmallBankConfig(account_count=150, skew=skew, seed=7),
+        pipeline=PipelineConfig(delta_cc=delta_cc, certify=True),
     )
-    with Cluster(NezhaScheduler(), config, ledger=ledger) as cluster:
+    with Cluster(spec, ClusterConfig(block_size=40), ledger=ledger) as cluster:
         run = cluster.run_epochs(EPOCHS)
         artifacts = {
             payload["epoch"]: parse_epoch_artifact(payload)

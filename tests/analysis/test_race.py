@@ -195,22 +195,20 @@ class TestInstrumentedRun:
 
     @pytest.mark.parametrize("delta_cc", [False, True])
     def test_streaming_cluster_is_race_free(self, delta_cc):
-        from repro.core.scheduler import NezhaScheduler
-        from repro.net.cluster import Cluster, ClusterConfig
+        from repro.net import Cluster, ClusterConfig, NodeSpec
+        from repro.node import PipelineConfig
         from repro.obs.tracer import Tracer
+        from repro.workload import SmallBankConfig
 
         detector = race.enable()
         try:
-            config = ClusterConfig(
-                block_concurrency=4,
-                block_size=30,
-                account_count=150,
-                skew=0.8,
-                seed=5,
-                delta_cc=delta_cc,
-                streaming=True,
+            spec = NodeSpec(
+                chain_count=4,
+                workload=SmallBankConfig(account_count=150, skew=0.8, seed=5),
+                pipeline=PipelineConfig(delta_cc=delta_cc, streaming=True),
             )
-            with Cluster(NezhaScheduler(), config, tracer=Tracer()) as cluster:
+            config = ClusterConfig(block_size=30)
+            with Cluster(spec, config, tracer=Tracer()) as cluster:
                 cluster.run_epochs(3)
         finally:
             race.disable()

@@ -270,10 +270,22 @@ class TestOneStatePath:
     def test_cluster_config_and_state_constructor(self):
         import inspect
 
-        from repro.net import ClusterConfig
+        from repro.net import ClusterConfig, NodeSpec, ReplicaNetworkConfig
         from repro.state import FlatStateDB, StateDB
 
-        assert len(dataclasses.fields(ClusterConfig)) == 13
+        # What a node is lives once, in NodeSpec; the deployment configs
+        # keep only the simulated deployment around it.
+        def names(cls):
+            return [f.name for f in dataclasses.fields(cls)]
+
+        assert names(ClusterConfig) == [
+            "miner_count",
+            "block_size",
+            "block_interval",
+            "cost_model",
+        ]
+        assert names(ReplicaNetworkConfig) == ["replica_count", "block_size"]
+        assert names(NodeSpec) == ["scheme", "chain_count", "workload", "pipeline", "pow"]
         params = list(inspect.signature(StateDB.__init__).parameters)
         assert params == ["self", "store", "root", "tracer"]
         assert FlatStateDB is StateDB

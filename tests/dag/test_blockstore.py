@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import NezhaScheduler
 from repro.dag import (
     BlockStore,
     EpochCoordinator,
@@ -14,11 +13,10 @@ from repro.dag import (
     decode_block,
     encode_block,
 )
-from repro.node import FullNode
+from repro.net import NodeSpec, build_node
 from repro.state import StateDB
 from repro.storage import LSMStore, MemStore
-from repro.vm.contracts import default_registry
-from repro.workload import SmallBankConfig, SmallBankWorkload, initial_state
+from repro.workload import SmallBankConfig, SmallBankWorkload
 
 POW = PoWParams(difficulty_bits=6)
 CONFIG = SmallBankConfig(account_count=200, skew=0.4, seed=77)
@@ -59,7 +57,7 @@ class TestBlockStore:
     def test_put_get(self):
         store = BlockStore(MemStore())
         block = mine_blocks(epochs=1)[0][0]
-        store.put_block(block)
+        store.put_blocks([block])
         fetched = store.get_block(block.hash)
         assert fetched.hash == block.hash
 
@@ -71,10 +69,9 @@ class TestBlockStore:
     def test_position_index(self):
         store = BlockStore(MemStore())
         for epoch in mine_blocks(epochs=2):
-            for block in epoch:
-                store.put_block(block)
-        assert store.chain_height(0) == 2
+            store.put_blocks(epoch)
         assert store.block_at(0, 1).height == 1
+        assert store.block_at(0, 2) is None
 
     def test_state_root_metadata(self):
         store = BlockStore(MemStore())
@@ -85,29 +82,18 @@ class TestBlockStore:
     def test_load_chains_validates(self):
         store = BlockStore(MemStore())
         for epoch in mine_blocks(epochs=3):
-            for block in epoch:
-                store.put_block(block)
+            store.put_blocks(epoch)
         chains = store.load_chains(2, POW)
         assert chains.total_blocks() == 6
         assert chains.height(0) == 3
 
 
 class TestNodeRecovery:
-    def make_node(self, kv):
-        state = StateDB(store=kv)
-        genesis = state.seed(initial_state(CONFIG))
-        node = FullNode(
-            chains=ParallelChains(chain_count=2, pow_params=POW),
-            state=state,
-            scheduler=NezhaScheduler(),
-            registry=default_registry(),
-            blockstore=BlockStore(kv),
-        )
-        return node, genesis
+    SPEC = NodeSpec(chain_count=2, workload=CONFIG, pow=POW)
 
     def test_restart_resumes_processing(self, tmp_path):
         kv = LSMStore(tmp_path / "db")
-        node, _ = self.make_node(kv)
+        node = build_node(self.SPEC, store=kv)
 
         miner_chains = ParallelChains(chain_count=2, pow_params=POW)
         coordinator = EpochCoordinator(chains=miner_chains, miners=["m"], block_size=10)
@@ -125,15 +111,7 @@ class TestNodeRecovery:
         kv2 = LSMStore(tmp_path / "db")
         blockstore = BlockStore(kv2)
         assert blockstore.state_root() == roots[-1]
-        state = StateDB(store=kv2, root=blockstore.state_root())
-        restored = FullNode.restore(
-            blockstore=blockstore,
-            state=state,
-            scheduler=NezhaScheduler(),
-            chain_count=2,
-            registry=default_registry(),
-            pow_params=POW,
-        )
+        restored = build_node(self.SPEC, store=kv2)
         assert restored.chains.total_blocks() == 4
         assert restored.state_root == roots[-1]
 
@@ -146,7 +124,7 @@ class TestNodeRecovery:
 
     def test_restored_state_matches_original(self, tmp_path):
         kv = LSMStore(tmp_path / "db")
-        node, _ = self.make_node(kv)
+        node = build_node(self.SPEC, store=kv)
         miner_chains = ParallelChains(chain_count=2, pow_params=POW)
         coordinator = EpochCoordinator(chains=miner_chains, miners=["m"], block_size=10)
         pool = Mempool()

@@ -110,13 +110,9 @@ class TestMixedContractEpochs:
         # --- restart from disk and continue ---
         kv2 = LSMStore(tmp_path / "db")
         archive = BlockStore(kv2)
+        assert archive.state_root() == roots[-1]
         restored = FullNode.restore(
-            blockstore=archive,
-            state=StateDB(store=kv2, root=archive.state_root()),
-            scheduler=NezhaScheduler(),
-            chain_count=2,
-            registry=build_registry(),
-            pow_params=POW,
+            kv2, NezhaScheduler(), 2, registry=build_registry(), pow_params=POW
         )
         assert restored.state_root == roots[-1]
         blocks = coordinator.mine_epoch(pool, state_root=restored.state_root)

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from repro.core import NezhaScheduler
-from repro.net import Cluster, ClusterConfig
+from repro.net import Cluster, ClusterConfig, NodeSpec
 from repro.net.cluster import ClusterRun, EpochOutcome
 from repro.node import EpochReport, PhaseLatencies
+from repro.workload import SmallBankConfig
 
 
 def make_outcome(committed=50, epoch_seconds=1.0, aborted=5):
@@ -55,8 +55,8 @@ class TestAggregation:
 class TestSimulatedClock:
     def test_simulated_time_advances_with_epochs(self):
         cluster = Cluster(
-            NezhaScheduler(),
-            ClusterConfig(block_concurrency=2, block_size=10, account_count=200, seed=1),
+            NodeSpec(chain_count=2, workload=SmallBankConfig(account_count=200, seed=1)),
+            ClusterConfig(block_size=10),
         )
         cluster.run_epochs(2)
         # At least two block intervals of simulated time elapsed.

@@ -9,17 +9,21 @@ state commitment, never part of it.
 
 from __future__ import annotations
 
-from repro.core import NezhaScheduler
-from repro.net import Cluster, ClusterConfig
+from repro.net import Cluster, ClusterConfig, NodeSpec
+from repro.node import PipelineConfig
 from repro.storage.lsm import LSMStore
+from repro.workload import SmallBankConfig
 
-SMALL = dict(
-    block_concurrency=2,
-    block_size=20,
-    account_count=500,
-    seed=5,
-)
 EPOCHS = 3
+
+
+def small_cluster(store=None, **pipeline):
+    spec = NodeSpec(
+        chain_count=2,
+        workload=SmallBankConfig(account_count=500, seed=5),
+        pipeline=PipelineConfig(**pipeline),
+    )
+    return Cluster(spec, ClusterConfig(block_size=20), store=store)
 
 
 def _roots(cluster: Cluster) -> list[str]:
@@ -32,34 +36,23 @@ class TestClusterOverLSM:
     def test_lsm_roots_match_memstore(self, tmp_path):
         """FlatStateDB over LSM vs. the default MemStore: same roots."""
         store = LSMStore(tmp_path / "lsm", flush_bytes=16 * 1024)
-        lsm_roots = _roots(
-            Cluster(NezhaScheduler(), ClusterConfig(**SMALL, store=store))
-        )
-        mem_roots = _roots(Cluster(NezhaScheduler(), ClusterConfig(**SMALL)))
+        lsm_roots = _roots(small_cluster(store))
+        mem_roots = _roots(small_cluster())
         assert lsm_roots == mem_roots
         assert len(lsm_roots) == EPOCHS
 
     def test_lsm_streaming_roots_match_memstore_barrier(self, tmp_path):
         """Streaming node over LSM == barrier node over MemStore."""
         store = LSMStore(tmp_path / "lsm", flush_bytes=16 * 1024)
-        streaming_roots = _roots(
-            Cluster(
-                NezhaScheduler(),
-                ClusterConfig(**SMALL, store=store, streaming=True),
-            )
-        )
-        barrier_roots = _roots(
-            Cluster(NezhaScheduler(), ClusterConfig(**SMALL))
-        )
+        streaming_roots = _roots(small_cluster(store, streaming=True))
+        barrier_roots = _roots(small_cluster())
         assert streaming_roots == barrier_roots
 
     def test_trie_nodes_persist_in_the_lsm(self, tmp_path):
         """The sealed trie's nodes actually land in the LSM directory."""
         directory = tmp_path / "lsm"
         store = LSMStore(directory, flush_bytes=4 * 1024)
-        cluster = Cluster(
-            NezhaScheduler(), ClusterConfig(**SMALL, store=store)
-        )
+        cluster = small_cluster(store)
         with cluster:
             run = cluster.run_epochs(EPOCHS)
         assert run.committed > 0

@@ -4,42 +4,28 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import NezhaScheduler
 from repro.dag import BlockStore, EpochCoordinator, Mempool, ParallelChains, PoWParams
 from repro.errors import NetworkError
-from repro.net import sync_from_archive
-from repro.node import FullNode
-from repro.state import StateDB
+from repro.net import NodeSpec, build_node, sync_from_archive
 from repro.storage import MemStore
-from repro.vm.contracts import default_registry
-from repro.workload import SmallBankConfig, SmallBankWorkload, initial_state
+from repro.workload import SmallBankConfig, SmallBankWorkload
 
-POW = PoWParams(difficulty_bits=6)
-CONFIG = SmallBankConfig(account_count=250, skew=0.5, seed=90)
-CHAINS = 2
-
-
-def fresh_node(blockstore=None):
-    state = StateDB()
-    state.seed(initial_state(CONFIG))
-    return FullNode(
-        chains=ParallelChains(chain_count=CHAINS, pow_params=POW),
-        state=state,
-        scheduler=NezhaScheduler(),
-        registry=default_registry(),
-        blockstore=blockstore,
-    )
+SPEC = NodeSpec(
+    chain_count=2,
+    workload=SmallBankConfig(account_count=250, skew=0.5, seed=90),
+    pow=PoWParams(difficulty_bits=6),
+)
 
 
 @pytest.fixture
 def network():
     """An up-to-date node with an archive, plus the mining side."""
-    archive = BlockStore(MemStore())
-    leader = fresh_node(blockstore=archive)
-    chains = ParallelChains(chain_count=CHAINS, pow_params=POW)
+    leader = build_node(SPEC, store=MemStore())
+    archive = leader.blockstore
+    chains = ParallelChains(chain_count=SPEC.chain_count, pow_params=SPEC.pow)
     coordinator = EpochCoordinator(chains=chains, miners=["m"], block_size=15)
     pool = Mempool()
-    pool.submit_many(SmallBankWorkload(CONFIG).generate(400))
+    pool.submit_many(SmallBankWorkload(SPEC.workload).generate(400))
 
     def advance(epochs):
         for _ in range(epochs):
@@ -53,7 +39,7 @@ class TestSync:
     def test_offline_replica_catches_up(self, network):
         leader, archive, advance = network
         advance(4)
-        replica = fresh_node()
+        replica = build_node(SPEC)
         report = sync_from_archive(replica, archive)
         assert report.start_epoch == 0
         assert report.epochs_applied == 4
@@ -63,10 +49,10 @@ class TestSync:
     def test_partial_sync_with_limit(self, network):
         leader, archive, advance = network
         advance(4)
-        replica = fresh_node()
+        replica = build_node(SPEC)
         report = sync_from_archive(replica, archive, max_epochs=2)
         assert report.epochs_applied == 2
-        assert replica._next_epoch == 2
+        assert replica.next_epoch == 2
         # Finish the job.
         sync_from_archive(replica, archive)
         assert replica.state_root == leader.state_root
@@ -80,7 +66,7 @@ class TestSync:
     def test_synced_replica_continues_live(self, network):
         leader, archive, advance = network
         advance(2)
-        replica = fresh_node()
+        replica = build_node(SPEC)
         sync_from_archive(replica, archive)
         # New live epoch processed identically on both.
         advance(1)
@@ -97,7 +83,7 @@ class TestSync:
         data = bytearray(store.get(b"b:" + block_hash))
         data[len(data) // 2] ^= 0xFF
         store.put(b"b:" + block_hash, bytes(data))
-        replica = fresh_node()
+        replica = build_node(SPEC)
         with pytest.raises(NetworkError):
             sync_from_archive(replica, archive)
 
@@ -110,6 +96,6 @@ class TestSync:
         # Point epoch-0/chain-0 at the epoch-1/chain-0 block.
         later = store.get(BlockStore._position_key(0, 1))
         store.put(BlockStore._position_key(0, 0), later)
-        replica = fresh_node()
+        replica = build_node(SPEC)
         with pytest.raises(NetworkError):
             sync_from_archive(replica, archive)

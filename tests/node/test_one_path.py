@@ -6,7 +6,10 @@ golden fingerprints below were recorded at the commit *before* the four
 report-building paths were merged into one (one fixed 3-epoch SmallBank
 run per scheme, ledger and certifier on), so they pin that the merge
 changed nothing observable: roots, counts, taxonomy, ledger timeline
-and certificate witnesses are bit-identical.
+and certificate witnesses are bit-identical.  They were recorded with
+the SmallBank bytecode deployed for every scheme; the nodes here come
+from ``build_node``, which deploys it only for the SVM or delta-CC, so
+the goldens also pin that the deployment is unobservable otherwise.
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ import inspect
 
 import pytest
 
-from repro.bench import make_scheme
 from repro.core import NezhaScheduler
 from repro.dag import EpochCoordinator, Mempool, ParallelChains, PoWParams
 from repro.errors import CertificationError
+from repro.net import NodeSpec, build_node
 from repro.node import (
     ConcurrentExecutor,
     FullNode,
@@ -29,8 +32,7 @@ from repro.node import (
 )
 from repro.obs import FlightLedger, timeline_digest, validate_ledger
 from repro.state import StateDB
-from repro.vm.contracts import default_registry
-from repro.workload import SmallBankConfig, SmallBankWorkload, initial_state
+from repro.workload import SmallBankConfig, SmallBankWorkload
 
 EPOCHS, CHAINS, BLOCK_SIZE = 3, 3, 40
 POW = PoWParams(6)
@@ -126,17 +128,18 @@ GOLDEN = {
 GOLDEN["nezha-streaming"] = GOLDEN["nezha"]
 
 
-def _node(scheme: str, flags: dict, ledger: FlightLedger) -> FullNode:
-    state = StateDB()
-    state.seed(initial_state(WORKLOAD))
-    return FullNode(
-        chains=ParallelChains(chain_count=CHAINS, pow_params=POW),
-        state=state,
-        scheduler=make_scheme(scheme),
-        registry=default_registry(include_bytecode=True),
-        config=PipelineConfig(certify=True, **flags),
-        ledger=ledger,
+def _spec(scheme: str, flags: dict) -> NodeSpec:
+    return NodeSpec(
+        scheme=scheme,
+        chain_count=CHAINS,
+        workload=WORKLOAD,
+        pipeline=PipelineConfig(certify=True, **flags),
+        pow=POW,
     )
+
+
+def _node(scheme: str, flags: dict, ledger: FlightLedger) -> FullNode:
+    return build_node(_spec(scheme, flags), ledger=ledger)
 
 
 def _run(case: str):

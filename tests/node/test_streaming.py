@@ -200,7 +200,7 @@ class TestReconcile:
             inner_speculate, inner_commit = engine._speculate, committer.commit
 
             def speculate(blocks):
-                index = replay._next_epoch
+                index = replay.next_epoch
                 spec = inner_speculate(blocks)
                 if index == 1:
                     speculated.set()
