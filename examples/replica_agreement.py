@@ -14,7 +14,7 @@ Run:  python examples/replica_agreement.py
 from __future__ import annotations
 
 from repro.baselines import OCCScheduler
-from repro.net import NodeSpec, ReplicaNetwork, ReplicaNetworkConfig
+from repro.net import Cluster, ClusterConfig, NodeSpec
 from repro.workload import SmallBankConfig
 
 SPEC = NodeSpec(
@@ -22,36 +22,35 @@ SPEC = NodeSpec(
     chain_count=3,
     workload=SmallBankConfig(account_count=500, skew=0.7, seed=12),
 )
-CONFIG = ReplicaNetworkConfig(replica_count=3, block_size=30)
+CONFIG = ClusterConfig(replica_count=3, miner_count=4, block_size=30)
 
 
 def healthy_fleet() -> None:
     print("=== Three replicas, identical scheme (Nezha) ===")
-    network = ReplicaNetwork(SPEC, CONFIG)
-    for _ in range(3):
-        agreement = network.run_epoch()
-        deliveries = ", ".join(f"{t * 1000:.1f}ms" for t in agreement.delivery_times)
+    run = Cluster(SPEC, CONFIG).run_epochs(3)
+    for outcome in run.outcomes:
+        deliveries = ", ".join(f"{t:.4f}s" for t in outcome.delivery_times)
         print(
-            f"  epoch {agreement.epoch_index}: delivered at [{deliveries}] -> "
-            f"root {agreement.state_roots[0].hex()[:12]}..., "
-            f"{agreement.committed[0]} committed, agreed={agreement.agreed}"
+            f"  epoch {outcome.report.epoch_index}: delivered at [{deliveries}] -> "
+            f"root {outcome.state_roots[0].hex()[:12]}..., "
+            f"{outcome.committed[0]} committed, agreed={outcome.agreed}"
         )
-    assert network.all_agreed
+    assert run.all_agreed
     print("  every replica derived the same state root despite different "
           "delivery times\n")
 
 
 def rogue_replica() -> None:
     print("=== One replica silently runs a different scheme (OCC) ===")
-    network = ReplicaNetwork(SPEC, CONFIG)
+    cluster = Cluster(SPEC, CONFIG)
     rogue = OCCScheduler()
-    network.replicas[2].scheduler = rogue
-    network.replicas[2].pipeline.scheduler = rogue
-    for agreement in network.run_epochs(3):
-        roots = [root.hex()[:10] for root in agreement.state_roots]
+    cluster.nodes[2].scheduler = rogue
+    cluster.nodes[2].pipeline.scheduler = rogue
+    for outcome in cluster.run_epochs(3).outcomes:
+        roots = [root.hex()[:10] for root in outcome.state_roots]
         print(
-            f"  epoch {agreement.epoch_index}: roots {roots} "
-            f"committed {agreement.committed} agreed={agreement.agreed}"
+            f"  epoch {outcome.report.epoch_index}: roots {roots} "
+            f"committed {outcome.committed} agreed={outcome.agreed}"
         )
     print("  divergence detected: concurrency control is consensus-critical — "
           "a node with a different scheme forks itself off the network")

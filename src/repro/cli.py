@@ -53,9 +53,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workload_args(compare)
 
     simulate = sub.add_parser("simulate", help="simulated cluster throughput")
-    _add_workload_args(simulate)
+    _add_shape_args(simulate)
     simulate.add_argument("--scheme", choices=sorted(SCHEMES), default="nezha")
     simulate.add_argument("--epochs", type=int, default=3, help="epochs to run")
+    simulate.add_argument(
+        "--replicas",
+        type=int,
+        default=1,
+        help="full nodes fed the same blocks; with more than one, print "
+        "per-epoch agreement (nonzero exit on disagreement)",
+    )
     simulate.add_argument(
         "--paper-costs",
         action="store_true",
@@ -98,20 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_obs_args(simulate)
     _add_ledger_args(simulate)
-
-    multinode = sub.add_parser(
-        "multinode", help="replica network: N full nodes, agreement per epoch"
-    )
-    multinode.add_argument("--scheme", choices=sorted(SCHEMES), default="nezha")
-    multinode.add_argument("--replicas", type=int, default=3, help="full nodes")
-    multinode.add_argument("--epochs", type=int, default=3, help="epochs to run")
-    multinode.add_argument("--omega", type=int, default=4, help="block concurrency")
-    multinode.add_argument("--block-size", type=int, default=50, help="txns per block")
-    multinode.add_argument("--skew", type=float, default=0.5, help="Zipfian exponent")
-    multinode.add_argument("--accounts", type=int, default=1_000, help="population")
-    multinode.add_argument("--seed", type=int, default=0, help="PRNG seed")
-    _add_obs_args(multinode)
-    _add_ledger_args(multinode)
 
     conflicts = sub.add_parser("conflicts", help="conflict analysis (Table I)")
     _add_workload_args(conflicts)
@@ -236,6 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_workload_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workload", choices=WORKLOADS, default="smallbank")
+    _add_shape_args(parser)
+
+
+def _add_shape_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--omega", type=int, default=4, help="block concurrency")
     parser.add_argument("--block-size", type=int, default=100, help="txns per block")
     parser.add_argument("--skew", type=float, default=0.0, help="Zipfian exponent")
@@ -427,7 +424,7 @@ def _write_obs_outputs(args: argparse.Namespace, tracer, metrics, ledger=None) -
 
 
 def _node_spec(args: argparse.Namespace, **pipeline: bool):
-    """The node both cluster commands bring up, from their shared flags."""
+    """The node `simulate` brings up on every replica, from its flags."""
     from repro.net import NodeSpec
     from repro.node import PipelineConfig
 
@@ -446,9 +443,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from repro.net import Cluster, ClusterConfig
     from repro.vm.costmodel import ExecutionCostModel, ZERO_COST
 
-    if args.workload != "smallbank":
-        print("simulate currently drives the SmallBank cluster only", file=sys.stderr)
-        return 2
     tracer, metrics, ledger = _make_obs(args)
     detector = race.enable() if args.sanitize else None
     cluster = Cluster(
@@ -459,6 +453,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             certify=args.certify,
         ),
         ClusterConfig(
+            replica_count=args.replicas,
             block_size=args.block_size,
             cost_model=ExecutionCostModel() if args.paper_costs else ZERO_COST,
         ),
@@ -473,6 +468,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         ledger,
         health=lambda: {
             "scheme": args.scheme,
+            "replicas": args.replicas,
             "epochs_processed": len(cluster.node.reports),
             "epochs_target": args.epochs,
         },
@@ -517,18 +513,34 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             rows,
         )
     )
+    if args.replicas > 1:
+        print(
+            render_table(
+                f"replica agreement: {args.replicas} replicas",
+                ["epoch", "agreed", "committed", "slowest delivery"],
+                [
+                    [
+                        outcome.report.epoch_index,
+                        "yes" if outcome.agreed else "NO",
+                        outcome.report.committed,
+                        f"{max(outcome.delivery_times):.3f} s",
+                    ]
+                    for outcome in run.outcomes
+                ],
+            )
+        )
     _write_obs_outputs(args, tracer, metrics, ledger)
+    races = []
     if detector is not None:
         summary = detector.summary()
+        races = summary["races"]
         print(
             f"sanitizer: {summary['accesses']} accesses across "
-            f"{summary['locations']} locations, {len(summary['races'])} races"
+            f"{summary['locations']} locations, {len(races)} races"
         )
         for finding in detector.report():
             print(f"  {finding.render()}", file=sys.stderr)
-        if summary["races"]:
-            return 1
-    return 0
+    return 0 if run.all_agreed and not races else 1
 
 
 def _write_certificates(out_dir: str, artifacts, certificates) -> int:
@@ -550,57 +562,6 @@ def _write_certificates(out_dir: str, artifacts, certificates) -> int:
         )
         written += 1
     return written
-
-
-def cmd_multinode(args: argparse.Namespace) -> int:
-    from repro.net import ReplicaNetwork, ReplicaNetworkConfig
-    from repro.obs import Tracer
-
-    tracer = Tracer() if args.trace_out else None
-    with_ledgers = bool(args.ledger_out) or args.metrics_port is not None
-    network = ReplicaNetwork(
-        _node_spec(args),
-        ReplicaNetworkConfig(replica_count=args.replicas, block_size=args.block_size),
-        tracer=tracer,
-        with_ledgers=with_ledgers,
-    )
-    # The network keeps one registry/ledger per replica; the endpoint and
-    # artifact files export replica 0's (agreement makes them equivalent).
-    endpoint = _start_endpoint(
-        args,
-        network.metrics[0],
-        tracer,
-        network.ledgers[0],
-        health=lambda: {
-            "scheme": args.scheme,
-            "replicas": args.replicas,
-            "epochs_processed": len(network.agreements),
-            "agreed": network.all_agreed,
-        },
-    )
-    try:
-        agreements = network.run_epochs(args.epochs)
-    finally:
-        if endpoint is not None:
-            endpoint.stop()
-    rows = [
-        [
-            agreement.epoch_index,
-            "yes" if agreement.agreed else "NO",
-            agreement.committed[0],
-            f"{max(agreement.delivery_times):.3f} s",
-        ]
-        for agreement in agreements
-    ]
-    print(
-        render_table(
-            f"replica network: {args.scheme}, {args.replicas} replicas",
-            ["epoch", "agreed", "committed", "slowest delivery"],
-            rows,
-        )
-    )
-    _write_obs_outputs(args, tracer, network.metrics[0], network.ledgers[0])
-    return 0 if network.all_agreed else 1
 
 
 def cmd_top(args: argparse.Namespace) -> int:
@@ -1010,7 +971,6 @@ COMMANDS = {
     "schedule": cmd_schedule,
     "compare": cmd_compare,
     "simulate": cmd_simulate,
-    "multinode": cmd_multinode,
     "conflicts": cmd_conflicts,
     "analyze": cmd_analyze,
     "trace": cmd_trace,

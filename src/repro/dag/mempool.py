@@ -10,6 +10,7 @@ defensively).
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import Iterable
 
 from repro.errors import ChainError
 from repro.txn.transaction import Transaction
@@ -52,6 +53,10 @@ class Mempool:
         for txn in reversed(txns):
             self._pending[txn.txid] = txn
             self._pending.move_to_end(txn.txid, last=False)
+
+    def refuse(self, txids: Iterable[int]) -> None:
+        """Refuse these ids from now on (e.g. ones already on chain)."""
+        self._seen.update(txids)
 
     def forget(self, txids: set[int]) -> None:
         """Allow ids to be resubmitted (e.g. permanently rejected ones)."""

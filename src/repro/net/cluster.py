@@ -1,11 +1,19 @@
 """The simulated evaluation cluster (the paper's 14-node testbed).
 
 Twelve miners propose blocks in parallel (one epoch per block interval),
-one client submits SmallBank transactions, and one full node validates,
-schedules, and commits — the node the paper measures.  Simulated time
-covers block intervals and broadcast delays; the full node's *processing*
-time is real measured wall-clock, because that is precisely the quantity
-the paper's latency/throughput plots report.
+one client submits SmallBank transactions, and every full node (replica)
+validates, schedules, and commits the same blocks.  Replica 0 is the
+node the paper measures; the others check that it is not alone in its
+result: Nezha has no vote after execution, so every node must derive the
+same state root from the same concurrent blocks (Section III-B: "each
+node commits a batch of transactions deterministically based on the
+proposed scheduling information").  A run stops at the first epoch the
+replicas disagree on.
+
+Simulated time covers block intervals and broadcast delays on one clock;
+the measured node's *processing* time is real measured wall-clock,
+because that is precisely the quantity the paper's latency/throughput
+plots report.
 
 Effective throughput of an epoch is ``committed / max(block_interval,
 processing_time)``: when processing outpaces mining, mining is the
@@ -18,13 +26,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.dag.blockstore import BlockStore
 from repro.dag.chain import ParallelChains
 from repro.dag.mempool import Mempool
 from repro.dag.ohie import EpochCoordinator
 from repro.errors import NetworkError
 from repro.net.links import LinkModel
-from repro.net.simulator import Simulator
 from repro.net.spec import NodeSpec, build_node
+from repro.net.sync import sync_from_archive
+from repro.node.node import FullNode
 from repro.node.phases import EpochReport
 from repro.obs.ledger import FlightLedger
 from repro.obs.metrics import MetricsRegistry
@@ -36,15 +46,18 @@ from repro.workload.smallbank import SmallBankWorkload
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """The simulated deployment around the node (paper defaults); what
-    the node itself is lives in its :class:`~repro.net.spec.NodeSpec`."""
+    """The simulated deployment around the nodes (paper defaults); what
+    each node is lives in its :class:`~repro.net.spec.NodeSpec`."""
 
+    replica_count: int = 1
     miner_count: int = 12
     block_size: int = 200
     block_interval: float = 1.0
     cost_model: ExecutionCostModel = ZERO_COST
 
     def __post_init__(self) -> None:
+        if self.replica_count < 1:
+            raise NetworkError("cluster needs at least one replica")
         if self.miner_count <= 0:
             raise NetworkError("cluster needs at least one miner")
         if self.block_interval <= 0:
@@ -53,16 +66,25 @@ class ClusterConfig:
 
 @dataclass
 class EpochOutcome:
-    """One epoch's report plus its simulated timeline."""
+    """One epoch: the measured node's report, its simulated timeline, and
+    what every replica derived (index 0 is the measured node)."""
 
     report: EpochReport
     processing_seconds: float
     epoch_seconds: float
+    state_roots: list[bytes] = field(default_factory=list)
+    committed: list[int] = field(default_factory=list)
+    delivery_times: list[float] = field(default_factory=list)
 
     @property
     def effective_tps(self) -> float:
         """Committed transactions per (simulated) second for this epoch."""
         return self.report.committed / self.epoch_seconds if self.epoch_seconds else 0.0
+
+    @property
+    def agreed(self) -> bool:
+        """True when every replica derived the same root and commit count."""
+        return len(set(self.state_roots)) <= 1 and len(set(self.committed)) <= 1
 
 
 @dataclass
@@ -95,9 +117,20 @@ class ClusterRun:
             self.outcomes
         )
 
+    @property
+    def all_agreed(self) -> bool:
+        """True when the replicas agreed on every epoch of the run."""
+        return all(outcome.agreed for outcome in self.outcomes)
+
 
 class Cluster:
-    """Builds and drives the full simulated deployment."""
+    """Builds and drives the full simulated deployment.
+
+    Replica 0 takes the store, tracer, metrics and ledger; the other
+    replicas are in memory.  Over a store that already holds an archive,
+    replica 0 restarts, the others catch up from the archive, and the
+    miners and client go on from where it ends.
+    """
 
     def __init__(
         self,
@@ -112,24 +145,41 @@ class Cluster:
         self.config = config or ClusterConfig()
         self.tracer = tracer
         self.workload = SmallBankWorkload(spec.workload)
+        self.links = [
+            LinkModel(seed=spec.workload.seed + replica)
+            for replica in range(self.config.replica_count)
+        ]
+        self.nodes = [
+            build_node(spec, store=store, tracer=tracer, metrics=metrics, ledger=ledger)
+        ]
+        self.nodes += [build_node(spec) for _ in range(1, self.config.replica_count)]
+        if store is None:
+            chains = ParallelChains(chain_count=spec.chain_count, pow_params=spec.pow)
+        else:
+            archive = BlockStore(store)
+            for replica in self.nodes[1:]:
+                sync_from_archive(replica, archive)
+            chains = archive.load_chains(spec.chain_count, spec.pow)
         self.mempool = Mempool()
-        self.simulator = Simulator()
-        self.links = LinkModel(seed=spec.workload.seed)
+        self.mempool.refuse(
+            txn.txid for block in chains.blocks.values() for txn in block.transactions
+        )
         self.coordinator = EpochCoordinator(
-            chains=ParallelChains(chain_count=spec.chain_count, pow_params=spec.pow),
+            chains=chains,
             miners=[f"miner-{i}" for i in range(self.config.miner_count)],
             block_size=self.config.block_size,
         )
-        # An explicit store (e.g. an LSM-backed node) replaces the
-        # in-memory trie-node store and archives the blocks; roots are
-        # identical either way.
-        self.node = build_node(
-            spec, store=store, tracer=tracer, metrics=metrics, ledger=ledger
-        )
+        self.now = 0.0  # the simulated clock: the start of the next epoch
+
+    @property
+    def node(self) -> FullNode:
+        """The measured node (replica 0)."""
+        return self.nodes[0]
 
     def close(self) -> None:
-        """Close the measuring node (idempotent)."""
-        self.node.close()
+        """Close every replica (idempotent)."""
+        for node in self.nodes:
+            node.close()
 
     def __enter__(self) -> "Cluster":
         return self
@@ -142,13 +192,17 @@ class Cluster:
         return self.mempool.submit_many(self.workload.generate(transaction_count))
 
     def run_epochs(self, epoch_count: int) -> ClusterRun:
-        """Mine and process ``epoch_count`` epochs; refills the mempool."""
+        """Mine and process up to ``epoch_count`` epochs, refilling the
+        mempool; stops after the first epoch the replicas disagree on."""
         run = ClusterRun()
         per_epoch = self.spec.chain_count * self.config.block_size
         for _ in range(epoch_count):
-            if len(self.mempool) < per_epoch:
+            while len(self.mempool) < per_epoch:
                 self.feed_client(per_epoch * 2)
-            run.outcomes.append(self._run_one_epoch())
+            outcome = self._run_one_epoch()
+            run.outcomes.append(outcome)
+            if not outcome.agreed:
+                break
         return run
 
     def _run_one_epoch(self) -> EpochOutcome:
@@ -157,16 +211,18 @@ class Cluster:
                 self.mempool, state_root=self.node.state_root
             )
             span.set(blocks=len(blocks))
-        # Simulated time: the block interval elapses, then broadcasts land.
-        broadcast_delay = max(
-            self.links.block_delay(block.size) for block in blocks
-        )
-        self.simulator.run(until=self.simulator.now + self.config.block_interval)
-        self.simulator.run(until=self.simulator.now + broadcast_delay)
-        # Real time: the full node's measured processing cost.
-        with maybe_span(self.tracer, "net.receive_epoch") as span:
-            report = self.node.receive_epoch(blocks)
-        measured = span.duration
+        # Simulated time: the block interval elapses, then each replica's
+        # copy of the epoch lands after its own link's broadcast delay.
+        # Real time: the measured node's processing cost.
+        reports: list[EpochReport] = []
+        delays: list[float] = []
+        for replica, (node, link) in enumerate(zip(self.nodes, self.links)):
+            delays.append(max(link.block_delay(block.size) for block in blocks))
+            with maybe_span(self.tracer, "net.receive_epoch", replica=replica) as span:
+                reports.append(node.receive_epoch(blocks))
+            if replica == 0:
+                measured = span.duration
+        report = reports[0]
         # Simulated execution charge at the paper's calibrated EVM rate
         # (0 by default): serial executes everything one by one, the
         # concurrent schemes only pay the parallel speculative phase.
@@ -179,15 +235,14 @@ class Cluster:
                 report.input_transactions
             )
         processing = measured + modelled
-        epoch_seconds = max(
-            self.config.block_interval + broadcast_delay, processing
-        )
-        self.simulator.run(
-            until=self.simulator.now
-            + max(0.0, processing - self.config.block_interval)
-        )
+        mined = self.now + self.config.block_interval
+        epoch_seconds = max(self.config.block_interval + delays[0], processing)
+        self.now += epoch_seconds
         return EpochOutcome(
             report=report,
             processing_seconds=processing,
             epoch_seconds=epoch_seconds,
+            state_roots=[r.state_root for r in reports],
+            committed=[r.committed for r in reports],
+            delivery_times=[mined + delay for delay in delays],
         )

@@ -3,20 +3,17 @@
 from repro.node.committer import CommitReport, Committer, SerialExecutorCommitter
 from repro.node.engine import EngineStats, StreamingEpochEngine
 from repro.node.executor import ConcurrentExecutor, caller_id
-from repro.node.ingest import BlockIngest, IngestStats
 from repro.node.node import FullNode
 from repro.node.phases import EpochReport, PhaseLatencies
 from repro.node.pipeline import PipelineConfig, TransactionPipeline
 
 __all__ = [
-    "BlockIngest",
     "CommitReport",
     "Committer",
     "ConcurrentExecutor",
     "EngineStats",
     "EpochReport",
     "FullNode",
-    "IngestStats",
     "PhaseLatencies",
     "PipelineConfig",
     "SerialExecutorCommitter",

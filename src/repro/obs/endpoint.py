@@ -1,7 +1,7 @@
 """Live ``/metrics`` + ``/healthz`` endpoint over ``http.server``.
 
 Exports used to be write-at-exit only (``--metrics-out``): a long
-simulate/multinode run was a black box until it finished.
+simulate run was a black box until it finished.
 :class:`MetricsEndpoint` serves the same Prometheus text exposition
 *live* from a daemon thread, so ``curl :9464/metrics`` mid-run answers
 "how far along is it, what is aborting, and why" — stdlib only, like

@@ -270,21 +270,24 @@ class TestOneStatePath:
     def test_cluster_config_and_state_constructor(self):
         import inspect
 
-        from repro.net import ClusterConfig, NodeSpec, ReplicaNetworkConfig
+        import repro.net
+        from repro.net import ClusterConfig, NodeSpec
         from repro.state import FlatStateDB, StateDB
 
-        # What a node is lives once, in NodeSpec; the deployment configs
-        # keep only the simulated deployment around it.
+        # What a node is lives once, in NodeSpec; the cluster config keeps
+        # only the simulated deployment around it, one replica or many.
         def names(cls):
             return [f.name for f in dataclasses.fields(cls)]
 
         assert names(ClusterConfig) == [
+            "replica_count",
             "miner_count",
             "block_size",
             "block_interval",
             "cost_model",
         ]
-        assert names(ReplicaNetworkConfig) == ["replica_count", "block_size"]
+        gone = {"ReplicaNetwork", "ReplicaNetworkConfig", "EpochAgreement", "Simulator"}
+        assert not gone & set(repro.net.__all__)
         assert names(NodeSpec) == ["scheme", "chain_count", "workload", "pipeline", "pow"]
         params = list(inspect.signature(StateDB.__init__).parameters)
         assert params == ["self", "store", "root", "tracer"]

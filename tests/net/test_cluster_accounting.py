@@ -60,4 +60,4 @@ class TestSimulatedClock:
         )
         cluster.run_epochs(2)
         # At least two block intervals of simulated time elapsed.
-        assert cluster.simulator.now >= 2.0
+        assert cluster.now >= 2.0

@@ -9,6 +9,8 @@ state commitment, never part of it.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.net import Cluster, ClusterConfig, NodeSpec
 from repro.node import PipelineConfig
 from repro.storage.lsm import LSMStore
@@ -61,3 +63,35 @@ class TestClusterOverLSM:
         root = cluster.node.state_root
         assert store.get(b"n:" + root) is not None
         assert directory.exists()
+
+    @pytest.mark.parametrize("replicas", [1, 2])
+    def test_reopened_store_resumes(self, tmp_path, replicas):
+        """Close after two epochs, reopen the store: the third epoch is
+        epoch 2, extends the archived tips, and re-runs no archived txn.
+        A second, in-memory replica catches up from the archive first."""
+        directory = tmp_path / "lsm"
+        with small_cluster(LSMStore(directory, flush_bytes=16 * 1024)) as cluster:
+            first = cluster.run_epochs(2)
+        assert len(first.outcomes) == 2
+        archived = {
+            txn.txid
+            for block in cluster.node.chains.blocks.values()
+            for txn in block.transactions
+        }
+        tips = cluster.node.chains.tips()
+        reopened = Cluster(
+            cluster.spec,
+            ClusterConfig(replica_count=replicas, block_size=20),
+            store=LSMStore(directory, flush_bytes=16 * 1024),
+        )
+        with reopened:
+            run = reopened.run_epochs(1)
+            blocks = [
+                reopened.node.chains.block_at(chain_id, 2) for chain_id in range(2)
+            ]
+        report = run.outcomes[0].report
+        assert report.epoch_index == 2
+        assert report.committed > 0
+        assert run.all_agreed
+        assert [block.header.parent for block in blocks] == tips
+        assert not archived & {t.txid for block in blocks for t in block.transactions}

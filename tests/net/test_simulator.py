@@ -1,88 +1,11 @@
-"""Unit tests for the discrete-event simulator and link model."""
+"""Unit tests for the cluster's link model."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import NetworkError
-from repro.net import LinkModel, Simulator
-
-
-class TestSimulator:
-    def test_events_run_in_time_order(self):
-        sim = Simulator()
-        seen = []
-        sim.schedule(3.0, lambda: seen.append("late"))
-        sim.schedule(1.0, lambda: seen.append("early"))
-        sim.schedule(2.0, lambda: seen.append("middle"))
-        sim.run()
-        assert seen == ["early", "middle", "late"]
-
-    def test_ties_run_in_schedule_order(self):
-        sim = Simulator()
-        seen = []
-        sim.schedule(1.0, lambda: seen.append("first"))
-        sim.schedule(1.0, lambda: seen.append("second"))
-        sim.run()
-        assert seen == ["first", "second"]
-
-    def test_clock_advances_to_event_time(self):
-        sim = Simulator()
-        sim.schedule(5.0, lambda: None)
-        sim.run()
-        assert sim.now == 5.0
-
-    def test_run_until_stops_and_advances_clock(self):
-        sim = Simulator()
-        seen = []
-        sim.schedule(1.0, lambda: seen.append(1))
-        sim.schedule(10.0, lambda: seen.append(10))
-        sim.run(until=5.0)
-        assert seen == [1]
-        assert sim.now == 5.0
-        sim.run()
-        assert seen == [1, 10]
-
-    def test_events_can_schedule_events(self):
-        sim = Simulator()
-        seen = []
-
-        def first():
-            seen.append("first")
-            sim.schedule(1.0, lambda: seen.append("chained"))
-
-        sim.schedule(1.0, first)
-        sim.run()
-        assert seen == ["first", "chained"]
-        assert sim.now == 2.0
-
-    def test_cancel(self):
-        sim = Simulator()
-        seen = []
-        handle = sim.schedule(1.0, lambda: seen.append("cancelled"))
-        sim.schedule(2.0, lambda: seen.append("kept"))
-        sim.cancel(handle)
-        sim.run()
-        assert seen == ["kept"]
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(NetworkError):
-            Simulator().schedule(-1.0, lambda: None)
-
-    def test_step(self):
-        sim = Simulator()
-        seen = []
-        sim.schedule(1.0, lambda: seen.append(1))
-        assert sim.step()
-        assert not sim.step()
-        assert seen == [1]
-
-    def test_processed_counter(self):
-        sim = Simulator()
-        for delay in (1.0, 2.0, 3.0):
-            sim.schedule(delay, lambda: None)
-        sim.run()
-        assert sim.processed == 3
+from repro.net import LinkModel
 
 
 class TestLinkModel:

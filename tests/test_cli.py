@@ -105,10 +105,14 @@ class TestCommands:
         assert "effective throughput" in out
 
     def test_simulate_rejects_token_workload(self, capsys):
-        code = main(
-            ["simulate", "--workload", "token", "--epochs", "1", "--omega", "2"]
-        )
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--workload", "token", "--epochs", "1", "--omega", "2"])
+        assert exc.value.code == 2
+
+    def test_multinode_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["multinode", "--replicas", "2"])
+        assert exc.value.code == 2
 
 
 class TestTraceCommands:
@@ -317,7 +321,7 @@ class TestCertifyCLI:
 
 
 class TestFlightRecorder:
-    """The observability CLI surface: --trace-out/--metrics-out, multinode, top."""
+    """The observability CLI surface: --trace-out/--metrics-out, replicas, top."""
 
     def run(self, argv, capsys):
         code = main(argv)
@@ -367,17 +371,25 @@ class TestFlightRecorder:
         assert "invalid trace" in capsys.readouterr().err
 
     def test_multinode_agreement_and_outputs(self, tmp_path, capsys):
+        import json
+
         trace_file = tmp_path / "mn.json"
         metrics_file = tmp_path / "mn.prom"
         code, out = self.run(
-            ["multinode", "--replicas", "2", "--epochs", "2", "--omega", "2",
-             "--block-size", "10", "--accounts", "200",
+            ["simulate", "--replicas", "2", "--epochs", "2", "--omega", "2",
+             "--block-size", "10", "--accounts", "200", "--skew", "0.5",
              "--trace-out", str(trace_file), "--metrics-out", str(metrics_file)],
             capsys,
         )
         assert code == 0
         assert "yes" in out
-        assert "net.replica_deliver" in trace_file.read_text()
+        # The delivery to the unmeasured replica is traced too.
+        deliveries = [
+            event["args"]["replica"]
+            for event in json.loads(trace_file.read_text())["traceEvents"]
+            if event["name"] == "net.receive_epoch"
+        ]
+        assert deliveries == [0, 1, 0, 1]
         assert "epochs_total 2" in metrics_file.read_text()
 
     def test_trace_run_writes_obs_outputs(self, tmp_path, capsys):
@@ -502,8 +514,8 @@ class TestFlightLedgerCLI:
     def test_multinode_ledger_out(self, tmp_path, capsys):
         path = tmp_path / "replica0.jsonl"
         code, out, _err = self.run(
-            ["multinode", "--replicas", "2", "--epochs", "1", "--omega", "2",
-             "--block-size", "10", "--accounts", "200",
+            ["simulate", "--replicas", "2", "--epochs", "1", "--omega", "2",
+             "--block-size", "10", "--accounts", "200", "--skew", "0.5",
              "--ledger-out", str(path)],
             capsys,
         )
