@@ -2,8 +2,8 @@
 
 Not a paper figure: proves the observability subsystem is cheap enough
 to leave on.  The same pre-mined epochs are replayed through
-identically-seeded full nodes — one bare, one with a live ``Tracer``
-plus a ``MetricsRegistry``, one with a ``FlightLedger`` — interleaved
+identically-seeded full nodes — one bare, one with a live ``Tracer``,
+one with a ``FlightLedger`` — interleaved
 round by round so machine drift hits every arm alike.  The headline is
 the relative gap between each instrumented arm's p50 epoch-processing
 latency and the bare one's, which must stay under
@@ -27,7 +27,7 @@ import pytest
 from repro.dag import EpochCoordinator, Mempool, ParallelChains, PoWParams
 from repro.net import NodeSpec, build_node
 from repro.node import FullNode
-from repro.obs import FlightLedger, MetricsRegistry, Tracer
+from repro.obs import FlightLedger, Tracer
 from repro.workload import SmallBankConfig, SmallBankWorkload
 
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_obs_overhead.json"
@@ -49,11 +49,9 @@ SPEC = NodeSpec(chain_count=OMEGA, workload=WORKLOAD_CONFIG, pow=PoWParams(POW_B
 
 def _fresh_node(mode: str) -> FullNode:
     """One replay node: ``bare``, ``traced``, or ``ledger``."""
-    traced = mode == "traced"
     return build_node(
         SPEC,
-        metrics=MetricsRegistry() if traced else None,
-        tracer=Tracer() if traced else None,
+        tracer=Tracer() if mode == "traced" else None,
         ledger=FlightLedger() if mode == "ledger" else None,
     )
 

@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--epochs", type=int, default=3, help="epochs to run")
     simulate.add_argument(
         "--replicas",
-        type=int,
+        type=positive_int,
         default=1,
         help="full nodes fed the same blocks; with more than one, print "
         "per-epoch agreement (nonzero exit on disagreement)",
@@ -232,11 +232,21 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
     _add_shape_args(parser)
 
 
+def positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_shape_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--omega", type=int, default=4, help="block concurrency")
-    parser.add_argument("--block-size", type=int, default=100, help="txns per block")
+    parser.add_argument("--omega", type=positive_int, default=4, help="block concurrency")
+    parser.add_argument(
+        "--block-size", type=positive_int, default=100, help="txns per block"
+    )
     parser.add_argument("--skew", type=float, default=0.0, help="Zipfian exponent")
-    parser.add_argument("--accounts", type=int, default=10_000, help="population")
+    parser.add_argument("--accounts", type=positive_int, default=10_000, help="population")
     parser.add_argument("--seed", type=int, default=0, help="PRNG seed")
 
 
@@ -368,55 +378,44 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _make_obs(args: argparse.Namespace):
-    """(tracer, metrics, ledger) per the observability flags.
+    """(tracer, ledger) per the observability flags.
 
-    A live ``--metrics-port`` endpoint needs a registry (and records the
-    ledger's volume counters), so either flag materialises the registry;
-    the flight ledger exists when anything will read it.
+    The flight ledger exists when anything will read it: its export, or
+    the live endpoint's volume counters.
     """
-    from repro.obs import FlightLedger, MetricsRegistry, Tracer
+    from repro.obs import FlightLedger, Tracer
 
-    metrics_port = getattr(args, "metrics_port", None)
     tracer = Tracer() if args.trace_out else None
-    metrics = (
-        MetricsRegistry()
-        if args.metrics_out or metrics_port is not None
-        else None
-    )
     ledger = (
         FlightLedger()
-        if getattr(args, "ledger_out", None) or metrics_port is not None
+        if getattr(args, "ledger_out", None)
+        or getattr(args, "metrics_port", None) is not None
         else None
     )
-    return tracer, metrics, ledger
+    return tracer, ledger
 
 
-def _start_endpoint(args: argparse.Namespace, metrics, tracer, ledger, health):
+def _start_endpoint(args: argparse.Namespace, render, health):
     """Bind the live /metrics endpoint when ``--metrics-port`` is given."""
     if getattr(args, "metrics_port", None) is None:
         return None
     from repro.obs import MetricsEndpoint
 
-    endpoint = MetricsEndpoint(
-        metrics,
-        tracer=tracer,
-        ledger=ledger,
-        port=args.metrics_port,
-        health=health,
-    ).start()
+    endpoint = MetricsEndpoint(render, health=health, port=args.metrics_port).start()
     print(f"metrics endpoint: {endpoint.url}/metrics (and /healthz)")
     return endpoint
 
 
-def _write_obs_outputs(args: argparse.Namespace, tracer, metrics, ledger=None) -> None:
-    """Flush the flight recorder to the requested artifact files."""
+def _write_obs_outputs(args: argparse.Namespace, tracer, families, ledger=None) -> None:
+    """Flush the flight recorder to the requested artifact files;
+    ``families`` is called for the metric families only when written."""
     from repro.obs import write_chrome_trace, write_prometheus
 
     if tracer is not None and args.trace_out:
         count = write_chrome_trace(args.trace_out, tracer.spans())
         print(f"trace: {count} spans -> {args.trace_out}")
-    if metrics is not None and args.metrics_out:
-        lines = write_prometheus(args.metrics_out, metrics, tracer, ledger)
+    if args.metrics_out:
+        lines = write_prometheus(args.metrics_out, families(), tracer, ledger)
         print(f"metrics: {lines} lines -> {args.metrics_out}")
     if ledger is not None and getattr(args, "ledger_out", None):
         lines = ledger.write_jsonl(args.ledger_out)
@@ -441,9 +440,10 @@ def _node_spec(args: argparse.Namespace, **pipeline: bool):
 def cmd_simulate(args: argparse.Namespace) -> int:
     from repro.analysis import race
     from repro.net import Cluster, ClusterConfig
+    from repro.obs import node_families, render_prometheus
     from repro.vm.costmodel import ExecutionCostModel, ZERO_COST
 
-    tracer, metrics, ledger = _make_obs(args)
+    tracer, ledger = _make_obs(args)
     detector = race.enable() if args.sanitize else None
     cluster = Cluster(
         _node_spec(
@@ -457,15 +457,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             block_size=args.block_size,
             cost_model=ExecutionCostModel() if args.paper_costs else ZERO_COST,
         ),
-        metrics=metrics,
         tracer=tracer,
         ledger=ledger,
     )
+
+    def families():
+        node = cluster.node
+        return node_families(list(node.reports), node.engine and node.engine.stats)
+
     endpoint = _start_endpoint(
         args,
-        metrics,
-        tracer,
-        ledger,
+        lambda: render_prometheus(families(), tracer, ledger),
         health=lambda: {
             "scheme": args.scheme,
             "replicas": args.replicas,
@@ -503,7 +505,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
         if args.certify_out:
             written = _write_certificates(
-                args.certify_out, cluster.node.pipeline.artifacts, certificates
+                args.certify_out, certificates, cluster.node.pipeline.artifacts
             )
             rows.append(["certificate files", f"{written} -> {args.certify_out}"])
     print(
@@ -529,7 +531,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 ],
             )
         )
-    _write_obs_outputs(args, tracer, metrics, ledger)
+    _write_obs_outputs(args, tracer, families, ledger)
     races = []
     if detector is not None:
         summary = detector.summary()
@@ -543,25 +545,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0 if run.all_agreed and not races else 1
 
 
-def _write_certificates(out_dir: str, artifacts, certificates) -> int:
-    """Write per-epoch artifact + certificate JSON files; return the count."""
+def _write_certificates(out_dir: str, certificates, artifacts=()) -> int:
+    """Write ``epoch-NNNN.certificate.json`` per certificate, and
+    ``epoch-NNNN.artifact.json`` per artifact payload, into ``out_dir``
+    (created if missing); return the count."""
     import json
     from pathlib import Path
 
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    written = 0
-    for payload in artifacts:
-        path = directory / f"epoch-{payload['epoch']:04d}.artifact.json"
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        written += 1
-    for certificate in certificates:
-        path = directory / f"epoch-{certificate.epoch_index:04d}.certificate.json"
-        path.write_text(
-            json.dumps(certificate.to_json(), indent=2, sort_keys=True) + "\n"
+    files = [(f"epoch-{p['epoch']:04d}.artifact.json", p) for p in artifacts]
+    files += [
+        (f"epoch-{cert.epoch_index:04d}.certificate.json", cert.to_json())
+        for cert in certificates
+    ]
+    for name, payload in files:
+        (directory / name).write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n"
         )
-        written += 1
-    return written
+    return len(files)
 
 
 def cmd_top(args: argparse.Namespace) -> int:
@@ -886,13 +888,7 @@ def _analyze_certify(args: argparse.Namespace) -> int:
         )
         certificates.append((path, certificate))
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for path, certificate in certificates:
-            target = out_dir / f"epoch-{certificate.epoch_index:04d}.certificate.json"
-            target.write_text(
-                json.dumps(certificate.to_json(), indent=2, sort_keys=True) + "\n"
-            )
+        _write_certificates(args.out, [cert for _, cert in certificates])
     if args.json:
         print(
             json.dumps(
@@ -934,7 +930,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         return 0
     # run
     transactions = load_trace(args.file)
-    tracer, metrics, _ = _make_obs(args)
+    tracer, _ = _make_obs(args)
     scheme = make_scheme(args.scheme)
     if tracer is not None:
         scheme.tracer = tracer
@@ -954,16 +950,24 @@ def cmd_trace(args: argparse.Namespace) -> int:
             f"{args.scheme} on trace {args.file}", ["metric", "value"], rows
         )
     )
-    if metrics is not None:
-        metrics.counter("txns_committed_total").inc(run.schedule.committed_count)
-        metrics.counter("txns_aborted_total").inc(run.schedule.aborted_count)
-        for reason, count in sorted(run.abort_reasons.items()):
-            metrics.counter(
-                "txns_abort_reason_total", labels={"reason": reason}
-            ).inc(count)
-        metrics.histogram("schedule_latency_seconds").observe(run.total_seconds)
-    _write_obs_outputs(args, tracer, metrics)
+    _write_obs_outputs(args, tracer, lambda: _scheme_run_families(run))
     return 0
+
+
+def _scheme_run_families(run):
+    """The metric families of one scheduled batch, sorted by name."""
+    from repro.obs.prom import Family
+
+    return [
+        Family("schedule_latency_seconds", "summary", [({}, [run.total_seconds])]),
+        Family(
+            "txns_abort_reason_total",
+            "counter",
+            [({"reason": reason}, n) for reason, n in sorted(run.abort_reasons.items())],
+        ),
+        Family("txns_aborted_total", "counter", [({}, run.schedule.aborted_count)]),
+        Family("txns_committed_total", "counter", [({}, run.schedule.committed_count)]),
+    ]
 
 
 COMMANDS = {

@@ -37,7 +37,6 @@ from repro.net.sync import sync_from_archive
 from repro.node.node import FullNode
 from repro.node.phases import EpochReport
 from repro.obs.ledger import FlightLedger
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer, maybe_span
 from repro.storage.api import KVStore
 from repro.vm.costmodel import ExecutionCostModel, ZERO_COST
@@ -126,7 +125,7 @@ class ClusterRun:
 class Cluster:
     """Builds and drives the full simulated deployment.
 
-    Replica 0 takes the store, tracer, metrics and ledger; the other
+    Replica 0 takes the store, tracer and ledger; the other
     replicas are in memory.  Over a store that already holds an archive,
     replica 0 restarts, the others catch up from the archive, and the
     miners and client go on from where it ends.
@@ -136,7 +135,6 @@ class Cluster:
         self,
         spec: NodeSpec,
         config: ClusterConfig | None = None,
-        metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         ledger: FlightLedger | None = None,
         store: KVStore | None = None,
@@ -149,9 +147,7 @@ class Cluster:
             LinkModel(seed=spec.workload.seed + replica)
             for replica in range(self.config.replica_count)
         ]
-        self.nodes = [
-            build_node(spec, store=store, tracer=tracer, metrics=metrics, ledger=ledger)
-        ]
+        self.nodes = [build_node(spec, store=store, tracer=tracer, ledger=ledger)]
         self.nodes += [build_node(spec) for _ in range(1, self.config.replica_count)]
         if store is None:
             chains = ParallelChains(chain_count=spec.chain_count, pow_params=spec.pow)

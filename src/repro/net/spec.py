@@ -2,7 +2,7 @@
 
 :class:`NodeSpec` holds the value objects a deployment's full nodes
 share; :func:`build_node` turns it into a :class:`~repro.node.node.FullNode`.
-The live objects (store, tracer, metrics, ledger) stay arguments.
+The live objects (store, tracer, ledger) stay arguments.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from repro.dag.pow import PoWParams
 from repro.node.node import FullNode
 from repro.node.pipeline import PipelineConfig
 from repro.obs.ledger import FlightLedger
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.state.statedb import StateDB
 from repro.storage.api import KVStore
@@ -48,7 +47,6 @@ def build_node(
     *,
     store: KVStore | None = None,
     tracer: Tracer | None = None,
-    metrics: MetricsRegistry | None = None,
     ledger: FlightLedger | None = None,
 ) -> FullNode:
     """Bring one node of ``spec`` up.
@@ -64,7 +62,6 @@ def build_node(
         registry=default_registry(include_bytecode=pipeline.use_vm or pipeline.delta_cc),
         config=pipeline,
         tracer=tracer,
-        metrics=metrics,
         ledger=ledger,
     )
     scheduler = SCHEMES[spec.scheme]()

@@ -166,7 +166,6 @@ class StreamingEpochEngine:
             self._last_delta = None
             report = self.node.process_epoch(epoch, validation)
             self._inflight = _Inflight(epoch=epoch, future=None, report=report)
-        self._export_metrics()
         return previous
 
     def drain(self) -> list[EpochReport]:
@@ -315,24 +314,6 @@ class StreamingEpochEngine:
             snapshot_root=state.root,
         )
         return batch, spec.seconds + span.duration
-
-    def _export_metrics(self) -> None:
-        """Publish speculation accounting into the node's registry."""
-        metrics = self.node.metrics
-        if metrics is None:
-            return
-        metrics.gauge("engine_speculation_hit_rate").set(self.stats.hit_rate)
-        metrics.gauge("engine_speculated_total").set(float(self.stats.speculated))
-        metrics.gauge("engine_kept_total").set(float(self.stats.kept))
-        metrics.gauge("engine_reexecuted_total").set(
-            float(self.stats.reexecuted)
-        )
-        metrics.gauge("engine_epochs_streamed").set(
-            float(self.stats.epochs_streamed)
-        )
-        metrics.gauge("engine_epochs_fallback").set(
-            float(self.stats.epochs_fallback)
-        )
 
     # --------------------------------------------------------- back stage
 

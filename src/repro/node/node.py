@@ -22,7 +22,6 @@ from repro.errors import BlockValidationError, StorageError
 from repro.node.phases import EpochReport
 from repro.node.pipeline import PipelineConfig, Scheduler, TransactionPipeline
 from repro.obs.ledger import FlightLedger
-from repro.obs.metrics import MetricsRegistry, record_epoch
 from repro.obs.tracer import Tracer, maybe_span
 from repro.state.statedb import StateDB
 from repro.storage.api import KVStore
@@ -43,7 +42,6 @@ class FullNode:
     config: PipelineConfig = field(default_factory=PipelineConfig)
     reports: list[EpochReport] = field(default_factory=list)
     blockstore: BlockStore | None = None
-    metrics: "MetricsRegistry | None" = None
     tracer: "Tracer | None" = None
     ledger: "FlightLedger | None" = None
 
@@ -86,7 +84,6 @@ class FullNode:
         config: PipelineConfig | None = None,
         pow_params: PoWParams | None = None,
         tracer: "Tracer | None" = None,
-        metrics: "MetricsRegistry | None" = None,
         ledger: "FlightLedger | None" = None,
     ) -> "FullNode":
         """Reopen a node from a store holding its block archive and state.
@@ -117,7 +114,6 @@ class FullNode:
             registry=registry,
             config=config or PipelineConfig(),
             blockstore=archive,
-            metrics=metrics,
             tracer=tracer,
             ledger=ledger,
         )
@@ -242,11 +238,9 @@ class FullNode:
             self.ledger.record_many(events)
 
     def _record_report(self, report: EpochReport) -> None:
-        """Book a completed epoch: report history, metrics, and the
-        archive's state-root watermark (barrier and streaming join)."""
+        """Book a completed epoch: report history and the archive's
+        state-root watermark (barrier and streaming join)."""
         self.reports.append(report)
-        if self.metrics is not None:
-            record_epoch(self.metrics, report)
         if self.blockstore is not None:
             self.blockstore.set_state_root(report.state_root)
 

@@ -2,7 +2,7 @@
 
 Dependency-free by design — every other layer (core, node, net) imports
 from here, so nothing in this package may import from them at module
-scope (``metrics.record_epoch`` type-checks against
+scope (``prom.node_families`` type-checks against
 ``repro.node.phases.EpochReport`` under ``TYPE_CHECKING`` only).
 """
 
@@ -25,15 +25,8 @@ from repro.obs.ledger import (
     timeline_digest,
     validate_ledger,
 )
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsError,
-    MetricsRegistry,
-    record_epoch,
-)
 from repro.obs.prom import (
+    node_families,
     parse_prometheus,
     render_ledger_counters,
     render_prometheus,
@@ -59,7 +52,6 @@ from repro.obs.tracer import Span, SpanAggregate, Tracer, maybe_span
 
 __all__ = [
     "ABORT_REASONS",
-    "Counter",
     "DELTA_OVERFLOW",
     "DOOMED_REORDER",
     "EDGE_DELTA_GUARD",
@@ -70,11 +62,7 @@ __all__ = [
     "EDGE_WW",
     "EVENT_KINDS",
     "FlightLedger",
-    "Gauge",
-    "Histogram",
     "MetricsEndpoint",
-    "MetricsError",
-    "MetricsRegistry",
     "SCHEME_CONFLICT",
     "Span",
     "SpanAggregate",
@@ -87,9 +75,9 @@ __all__ = [
     "estimate_skew",
     "iter_timeline",
     "maybe_span",
+    "node_families",
     "parse_prometheus",
     "read_jsonl",
-    "record_epoch",
     "render_ledger_counters",
     "render_prometheus",
     "render_top",

@@ -10,20 +10,17 @@ everything else in ``repro.obs``.
 Routes
 ------
 ``/metrics``
-    The registry rendered by :func:`repro.obs.prom.render_prometheus`,
-    plus the tracer's cumulative span aggregates and the flight ledger's
-    volume counters when attached (``text/plain; version=0.0.4``).
+    Whatever the ``render`` callable returns — for a node, its families
+    rendered by :func:`repro.obs.prom.render_prometheus` from a snapshot
+    of its reports (``text/plain; version=0.0.4``).
 ``/healthz``
     A small JSON liveness document: ``{"status": "ok", ...}`` merged
     with whatever the ``health`` callable reports (epoch progress,
     scheme, ...).
 
 The server binds lazily on :meth:`start` (port ``0`` picks an ephemeral
-port — tests use this), serves each request on its own thread
-(``ThreadingHTTPServer``), and tolerates scrapes racing the pipeline's
-registry writes by retrying the render a few times (the registry is
-deliberately lock-free on the hot path; a concurrent family insertion
-can surface as ``RuntimeError: dictionary changed size`` mid-iteration).
+port — tests use this) and serves each request on its own thread
+(``ThreadingHTTPServer``).
 """
 
 from __future__ import annotations
@@ -31,21 +28,13 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import TYPE_CHECKING, Any, Callable, Mapping
-
-from repro.obs.metrics import MetricsRegistry
-
-if TYPE_CHECKING:
-    from repro.obs.ledger import FlightLedger
-    from repro.obs.tracer import Tracer
+from typing import Any, Callable, Mapping
 
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
-_RENDER_RETRIES = 5
-
 
 class MetricsEndpoint:
-    """Background HTTP server exposing a registry, tracer, and ledger.
+    """Background HTTP server exposing a rendered exposition.
 
     Use as a context manager or call :meth:`start`/:meth:`stop`;
     :attr:`port` holds the bound port after ``start`` (useful with
@@ -54,19 +43,16 @@ class MetricsEndpoint:
 
     def __init__(
         self,
-        registry: "MetricsRegistry",
-        tracer: "Tracer | None" = None,
-        ledger: "FlightLedger | None" = None,
+        render: Callable[[], str],
+        *,
+        health: Callable[[], Mapping[str, Any]] | None = None,
         host: str = "127.0.0.1",
         port: int = 9464,
-        health: Callable[[], Mapping[str, Any]] | None = None,
     ) -> None:
-        self.registry = registry
-        self.tracer = tracer
-        self.ledger = ledger
+        self.render = render
+        self.health = health
         self.host = host
         self.port = port
-        self.health = health
         self._server: ThreadingHTTPServer | None = None
         self._thread: threading.Thread | None = None
 
@@ -125,7 +111,7 @@ class MetricsEndpoint:
         path = request.path.split("?", 1)[0]
         if path == "/metrics":
             try:
-                body = self._render_metrics().encode()
+                body = self.render().encode()
             except Exception as exc:  # pragma: no cover - defensive
                 self._respond(
                     request, 500, f"render failed: {exc}\n".encode(),
@@ -146,21 +132,6 @@ class MetricsEndpoint:
             self._respond(
                 request, 404, b"not found\n", "text/plain; charset=utf-8"
             )
-
-    def _render_metrics(self) -> str:
-        from repro.obs.prom import render_prometheus
-
-        last_error: RuntimeError | None = None
-        for _ in range(_RENDER_RETRIES):
-            try:
-                return render_prometheus(
-                    self.registry, self.tracer, self.ledger
-                )
-            except RuntimeError as exc:
-                # The pipeline inserted a new family mid-iteration;
-                # re-render against the settled registry.
-                last_error = exc
-        raise last_error if last_error is not None else RuntimeError()
 
     @staticmethod
     def _respond(

@@ -29,8 +29,7 @@ through the node:
     abort names its killer.
 
 Events live in a bounded ring (oldest evicted first; ``evicted`` counts
-the loss so truncation is detectable), while the per-address contention
-aggregates are cumulative and survive eviction.  ``write_jsonl`` exports
+the loss so truncation is detectable).  ``write_jsonl`` exports
 one JSON object per line behind a schema-versioned meta line;
 ``validate_ledger`` is the independent checker CI runs against exported
 files.
@@ -96,8 +95,7 @@ class FlightLedger:
     thread speculates the next epoch).  The ring drops oldest events
     when full — ``evicted`` counts the drops and ``recorded`` the total
     ever recorded, so exporters can tell a complete ledger from a
-    truncated one.  Per-address abort attribution aggregates are
-    cumulative: they keep counting after the ring wraps.
+    truncated one.
     """
 
     def __init__(self, max_events: int = DEFAULT_MAX_EVENTS) -> None:
@@ -108,7 +106,6 @@ class FlightLedger:
         self._lock = threading.Lock()
         self._recorded = 0
         self._evicted = 0
-        self._addr_aborts: dict[str, dict[str, int]] = {}
 
     # -- recording ---------------------------------------------------------
 
@@ -134,11 +131,6 @@ class FlightLedger:
             self._evicted += 1
         self._events.append(event)
         self._recorded += 1
-        if event["kind"] == "abort":
-            for edge in event.get("edges", ()):
-                _peer, address, edge_kind = edge
-                per_kind = self._addr_aborts.setdefault(str(address), {})
-                per_kind[edge_kind] = per_kind.get(edge_kind, 0) + 1
 
     # -- introspection -----------------------------------------------------
 
@@ -167,12 +159,6 @@ class FlightLedger:
         """Retained events of one transaction, oldest first."""
         with self._lock:
             return [e for e in self._events if e["txid"] == txid]
-
-    def contention(self) -> dict[str, dict[str, int]]:
-        """Cumulative per-address abort attribution: address -> edge-kind
-        counts.  Survives ring eviction."""
-        with self._lock:
-            return {a: dict(kinds) for a, kinds in self._addr_aborts.items()}
 
     # -- export ------------------------------------------------------------
 

@@ -1,30 +1,35 @@
-"""Prometheus text-exposition rendering of a :class:`MetricsRegistry`.
+"""Prometheus text exposition of what the node already records.
 
-The node's registry was write-only — nothing ever exported it.  This
-module renders it in the Prometheus text exposition format (version
-0.0.4): exactly one ``# HELP`` and one ``# TYPE`` header per metric
-family, one sample line per label set, with label values escaped per the
-spec (backslash, double quote, and newline).  Histograms export as
-Prometheus *summaries* — quantiles over the retained sample ring plus
-cumulative ``_sum`` and ``_count`` over every observation ever made.
+:func:`node_families` builds the node's metric families at render time
+from its epoch reports and its streaming engine's stats: there is no
+second, mutable copy of the numbers to keep in step or to race a scrape
+against.  :func:`render_prometheus` renders a family list in the
+Prometheus text exposition format (version 0.0.4): exactly one
+``# HELP`` and one ``# TYPE`` header per family, one sample line per
+label set, with label values escaped per the spec (backslash, double
+quote, and newline).  Summaries carry quantiles, ``_sum`` and ``_count``
+over every observation.
 
 Written via ``--metrics-out`` on the CLI, served live by the
 ``--metrics-port`` endpoint (:mod:`repro.obs.endpoint`), or however the
-caller likes — the renderer is just registry -> text.
-:func:`parse_prometheus` is the conformance half: a small exposition
-parser the round-trip test pins the renderer against (every family
-headered exactly once, every sample attributable to a declared family).
+caller likes.  :func:`parse_prometheus` is the conformance half: a small
+exposition parser the round-trip test pins the renderer against (every
+family headered exactly once, every sample attributable to a declared
+family).
 """
 
 from __future__ import annotations
 
 import re
-from typing import TYPE_CHECKING, Mapping
+from collections import Counter
+from pathlib import Path
+from typing import TYPE_CHECKING, Any, Mapping, NamedTuple, Sequence
 
 from repro.analysis.metrics import percentile
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 if TYPE_CHECKING:
+    from repro.node.engine import EngineStats
+    from repro.node.phases import EpochReport
     from repro.obs.ledger import FlightLedger
     from repro.obs.tracer import Tracer
 
@@ -35,7 +40,7 @@ _SUMMARY_QUANTILES = (0.5, 0.95, 0.99)
 
 
 def sanitize_metric_name(name: str) -> str:
-    """Coerce a registry name into a legal Prometheus metric name."""
+    """Coerce a family name into a legal Prometheus metric name."""
     if _NAME_OK.match(name):
         return name
     cleaned = _NAME_BAD_CHARS.sub("_", name)
@@ -67,9 +72,9 @@ def _format_value(value: float) -> str:
 
 
 def _summary_lines(
-    name: str, labels: Mapping[str, str], histogram: "Histogram"
+    name: str, labels: Mapping[str, str], observations: Sequence[float]
 ) -> list[str]:
-    ordered = sorted(histogram.samples)
+    ordered = sorted(observations)
     lines = []
     for quantile in _SUMMARY_QUANTILES:
         merged = dict(labels)
@@ -78,9 +83,90 @@ def _summary_lines(
             f"{name}{render_labels(merged)} {_format_value(percentile(ordered, quantile))}"
         )
     suffix = render_labels(labels)
-    lines.append(f"{name}_sum{suffix} {_format_value(histogram.observed_sum)}")
-    lines.append(f"{name}_count{suffix} {_format_value(float(histogram.observed_count))}")
+    lines.append(f"{name}_sum{suffix} {_format_value(sum(observations))}")
+    lines.append(f"{name}_count{suffix} {len(observations)}")
     return lines
+
+
+class Family(NamedTuple):
+    """One metric family: name, Prometheus type and ``(labels, value)``
+    series.  A summary's value is its list of observations; a family
+    without series renders nothing."""
+
+    name: str
+    kind: str
+    series: list[tuple[dict[str, str], Any]]
+
+
+def _single(name: str, kind: str, value: Any) -> Family:
+    return Family(name, kind, [({}, value)])
+
+
+def _labelled(name: str, kind: str, label: str, values: Mapping[str, Any]) -> Family:
+    return Family(name, kind, [({label: key}, values[key]) for key in sorted(values)])
+
+
+def node_families(
+    reports: Sequence["EpochReport"], engine: "EngineStats | None" = None
+) -> list[Family]:
+    """The node's families, from its epoch reports and engine stats.
+
+    Counters sum over ``reports``; ``last_*`` gauges read the newest
+    report; summaries observe every report.  The revival, delta-commute
+    and scheduler-failure counters appear once nonzero, each abort
+    reason once reported, and the ``engine_*`` gauges once the engine
+    has taken an epoch.  Families come sorted by name.
+    """
+    families: list[Family] = []
+    if reports:
+        reasons: Counter[str] = Counter()
+        for report in reports:
+            reasons.update(report.abort_reasons)
+        phases = [report.phases.as_dict() for report in reports]
+        families += [
+            _single("epochs_total", "counter", len(reports)),
+            _labelled(
+                "epochs_by_scheme_total",
+                "counter",
+                "scheme",
+                Counter(report.scheme for report in reports),
+            ),
+            _labelled("txns_abort_reason_total", "counter", "reason", reasons),
+            _single("last_epoch_index", "gauge", reports[-1].epoch_index),
+            _single("last_abort_rate", "gauge", reports[-1].abort_rate),
+            _single("epoch_latency_seconds", "summary", [r.phases.total for r in reports]),
+            _labelled(
+                "phase_latency_seconds",
+                "summary",
+                "phase",
+                {phase: [seconds[phase] for seconds in phases] for phase in phases[0]},
+            ),
+            _single(
+                "commit_group_count", "summary", [r.commit_group_count for r in reports]
+            ),
+        ]
+        for name, field, always in (
+            ("txns_input_total", "input_transactions", True),
+            ("txns_committed_total", "committed", True),
+            ("txns_aborted_total", "aborted", True),
+            ("txns_failed_simulation_total", "failed_simulation", True),
+            ("txns_revived_total", "revived", False),
+            ("txns_delta_commuted_total", "delta_commuted", False),
+            ("scheduler_failures_total", "scheduler_failed", False),
+        ):
+            total = sum(getattr(report, field) for report in reports)
+            if always or total:
+                families.append(_single(name, "counter", total))
+    if engine is not None and engine.epochs_streamed + engine.epochs_fallback:
+        families += [
+            _single("engine_speculation_hit_rate", "gauge", engine.hit_rate),
+            _single("engine_speculated_total", "gauge", engine.speculated),
+            _single("engine_kept_total", "gauge", engine.kept),
+            _single("engine_reexecuted_total", "gauge", engine.reexecuted),
+            _single("engine_epochs_streamed", "gauge", engine.epochs_streamed),
+            _single("engine_epochs_fallback", "gauge", engine.epochs_fallback),
+        ]
+    return sorted(families, key=lambda family: family.name)
 
 
 _HELP_TEXT = {
@@ -158,18 +244,18 @@ def render_ledger_counters(ledger: "FlightLedger") -> str:
 
 
 def render_prometheus(
-    registry: "MetricsRegistry",
+    families: Sequence[Family],
     tracer: "Tracer | None" = None,
     ledger: "FlightLedger | None" = None,
 ) -> str:
-    """The whole registry in Prometheus text-exposition format.
+    """``families`` in Prometheus text-exposition format.
 
-    With a ``tracer``, its cumulative span aggregates are appended as
+    With a ``tracer``, its cumulative span aggregates come first as
     ``repro_span_count`` / ``repro_span_seconds_total`` /
     ``tracer_spans_evicted_total`` families; with a ``ledger``, its
-    volume counters follow.  Every family carries exactly one ``# HELP``
-    and one ``# TYPE`` header (pinned by the :func:`parse_prometheus`
-    round-trip test).
+    volume counters follow; then ``families`` in the order given.
+    Every family carries exactly one ``# HELP`` and one ``# TYPE``
+    header (pinned by the :func:`parse_prometheus` round-trip test).
     """
     blocks: list[str] = []
     if tracer is not None:
@@ -178,24 +264,16 @@ def render_prometheus(
             blocks.append(rendered.rstrip("\n"))
     if ledger is not None:
         blocks.append(render_ledger_counters(ledger).rstrip("\n"))
-    for name, kind, samples in registry.families():
-        metric_name = sanitize_metric_name(name)
-        if kind is Counter:
-            type_name = "counter"
-        elif kind is Gauge:
-            type_name = "gauge"
-        elif kind is Histogram:
-            type_name = "summary"
-        else:  # pragma: no cover - registry only holds the three kinds
+    for family in families:
+        if not family.series:
             continue
-        lines = _family_header(metric_name, type_name)
-        for labels, metric in samples:
-            if isinstance(metric, Histogram):
-                lines.extend(_summary_lines(metric_name, labels, metric))
+        name = sanitize_metric_name(family.name)
+        lines = _family_header(name, family.kind)
+        for labels, value in family.series:
+            if family.kind == "summary":
+                lines.extend(_summary_lines(name, labels, value))
             else:
-                lines.append(
-                    f"{metric_name}{render_labels(labels)} {_format_value(metric.value)}"
-                )
+                lines.append(f"{name}{render_labels(labels)} {_format_value(value)}")
         blocks.append("\n".join(lines))
     return "\n".join(blocks) + ("\n" if blocks else "")
 
@@ -283,14 +361,12 @@ def parse_prometheus(
 
 
 def write_prometheus(
-    path: str,
-    registry: "MetricsRegistry",
+    path: str | Path,
+    families: Sequence[Family],
     tracer: "Tracer | None" = None,
     ledger: "FlightLedger | None" = None,
 ) -> int:
     """Write the exposition to ``path``; returns the number of lines."""
-    text = render_prometheus(registry, tracer, ledger)
-    from pathlib import Path
-
+    text = render_prometheus(families, tracer, ledger)
     Path(path).write_text(text)
     return text.count("\n")

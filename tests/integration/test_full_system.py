@@ -13,7 +13,7 @@ import pytest
 from repro.core import NezhaScheduler
 from repro.dag import BlockStore, EpochCoordinator, Mempool, ParallelChains, PoWParams
 from repro.node import FullNode
-from repro.obs import MetricsRegistry
+from repro.obs import node_families, parse_prometheus, render_prometheus
 from repro.state import StateDB
 from repro.storage import LSMStore
 from repro.vm.contracts import default_registry, register_token
@@ -75,14 +75,12 @@ class TestMixedContractEpochs:
         kv = LSMStore(tmp_path / "db")
         state = StateDB(store=kv)
         seed_state(state)
-        metrics = MetricsRegistry()
         node = FullNode(
             chains=ParallelChains(chain_count=2, pow_params=POW),
             state=state,
             scheduler=NezhaScheduler(),
             registry=build_registry(),
             blockstore=BlockStore(kv),
-            metrics=metrics,
         )
         chains = ParallelChains(chain_count=2, pow_params=POW)
         coordinator = EpochCoordinator(chains=chains, miners=["m0", "m1"], block_size=20)
@@ -96,7 +94,8 @@ class TestMixedContractEpochs:
             roots.append(report.state_root)
             assert report.committed > 0
         assert len(set(roots)) == 3
-        assert metrics.snapshot()["epochs_total"] == 3
+        rendered = parse_prometheus(render_prometheus(node_families(node.reports)))
+        assert rendered["epochs_total"]["samples"][0][2] == 3
 
         # Both contracts actually executed.
         functions = {

@@ -19,7 +19,9 @@ from repro.obs import (
     DOOMED_REORDER,
     SCHEME_CONFLICT,
     UNSERIALIZABLE_WRITE,
-    MetricsRegistry,
+    node_families,
+    parse_prometheus,
+    render_prometheus,
     taxonomy_counts,
 )
 from repro.state import StateDB
@@ -189,30 +191,28 @@ class TestDeltaCCConservation:
 
 
 class TestMetricsLabels:
-    def test_record_epoch_emits_reason_labelled_counters(self):
-        metrics = MetricsRegistry()
+    def test_rendered_reason_labelled_counters(self):
         node = build_node(NezhaScheduler())
-        node.metrics = metrics
         reports = mine_epochs(node, epochs=2)
+        families = parse_prometheus(render_prometheus(node_families(node.reports)))
         total_aborted = sum(report.aborted for report in reports)
-        assert metrics.counter("txns_aborted_total").value == total_aborted
+        assert families["txns_aborted_total"]["samples"][0][2] == total_aborted
         labelled_total = sum(
-            metric.value
-            for name, _, series in metrics.families()
-            if name == "txns_abort_reason_total"
-            for _, metric in series
+            value for _, _, value in families["txns_abort_reason_total"]["samples"]
         )
         assert labelled_total == total_aborted
 
     def test_phase_histograms_per_phase_label(self):
-        metrics = MetricsRegistry()
         node = build_node(NezhaScheduler())
-        node.metrics = metrics
         mine_epochs(node, epochs=1)
-        snapshot = metrics.snapshot()
-        for phase in ("validation", "execution", "concurrency_control", "commitment"):
-            key = f'phase_latency_seconds{{phase="{phase}"}}'
-            assert key in snapshot
-        # CC latency is the concurrency_control series; no second histogram
+        families = parse_prometheus(render_prometheus(node_families(node.reports)))
+        phases = {
+            labels["phase"]
+            for _, labels, _ in families["phase_latency_seconds"]["samples"]
+        }
+        assert phases == {
+            "validation", "execution", "concurrency_control", "commitment"
+        }
+        # CC latency is the concurrency_control series; no second summary
         # carries the same samples.
-        assert "cc_latency_seconds" not in snapshot
+        assert "cc_latency_seconds" not in families

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import json
-
-import pytest
+from collections import Counter
 
 from repro.core import NezhaScheduler
 from repro.dag import EpochCoordinator, Mempool, ParallelChains, PoWParams
 from repro.node import FullNode, PipelineConfig
-from repro.obs import MetricsError, MetricsRegistry
+from repro.obs import node_families, parse_prometheus, render_prometheus
 from repro.state import StateDB
 from repro.vm.contracts import default_registry
 from repro.workload import SmallBankConfig, SmallBankWorkload, initial_state
@@ -18,64 +16,15 @@ POW = PoWParams(difficulty_bits=6)
 CONFIG = SmallBankConfig(account_count=300, skew=0.4, seed=61)
 
 
-class TestMetricsRegistry:
-    def test_counter_increments(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc()
-        registry.counter("c").inc(4)
-        assert registry.snapshot()["c"] == 5
-
-    def test_counter_cannot_decrease(self):
-        with pytest.raises(MetricsError):
-            MetricsRegistry().counter("c").inc(-1)
-
-    def test_gauge_moves_both_ways(self):
-        gauge = MetricsRegistry().gauge("g")
-        gauge.set(10)
-        gauge.add(-3)
-        assert gauge.value == 7
-
-    def test_histogram_summary(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("h")
-        for value in (1.0, 2.0, 3.0, 4.0):
-            histogram.observe(value)
-        summary = registry.snapshot()["h"]
-        assert summary["count"] == 4
-        assert summary["mean"] == 2.5
-        assert summary["max"] == 4.0
-
-    def test_histogram_bounds_retention(self):
-        histogram = MetricsRegistry().histogram("h")
-        histogram.max_samples = 10
-        for value in range(100):
-            histogram.observe(float(value))
-        assert histogram.count == 10
-        assert min(histogram.samples) == 90.0
-
-    def test_type_collision_rejected(self):
-        registry = MetricsRegistry()
-        registry.counter("m")
-        with pytest.raises(MetricsError):
-            registry.gauge("m")
-
-    def test_json_roundtrip(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc(2)
-        assert json.loads(registry.to_json()) == {"c": 2}
-
-
 class TestNodeMetrics:
     def test_epoch_processing_updates_metrics(self):
         state = StateDB()
         state.seed(initial_state(CONFIG))
-        metrics = MetricsRegistry()
         node = FullNode(
             chains=ParallelChains(chain_count=2, pow_params=POW),
             state=state,
             scheduler=NezhaScheduler(),
             registry=default_registry(),
-            metrics=metrics,
         )
         chains = ParallelChains(chain_count=2, pow_params=POW)
         coordinator = EpochCoordinator(chains=chains, miners=["m"], block_size=15)
@@ -84,16 +33,22 @@ class TestNodeMetrics:
         for _ in range(2):
             blocks = coordinator.mine_epoch(pool, state_root=node.state_root)
             node.receive_epoch(blocks)
-        snapshot = metrics.snapshot()
-        assert snapshot["epochs_total"] == 2
-        assert snapshot["txns_input_total"] == 60
+        families = parse_prometheus(render_prometheus(node_families(node.reports)))
+        value = {
+            sample: value
+            for family in families.values()
+            for sample, labels, value in family["samples"]
+            if not labels
+        }
+        assert value["epochs_total"] == 2
+        assert value["txns_input_total"] == 60
         assert (
-            snapshot["txns_committed_total"]
-            + snapshot["txns_aborted_total"]
-            + snapshot["txns_failed_simulation_total"]
+            value["txns_committed_total"]
+            + value["txns_aborted_total"]
+            + value["txns_failed_simulation_total"]
             == 60
         )
-        assert snapshot["epoch_latency_seconds"]["count"] == 2
+        assert value["epoch_latency_seconds_count"] == 2
 
 
 class TestCrossEpochDedup:
@@ -174,3 +129,64 @@ class TestCrossEpochDedup:
         half = set(list(all_ids)[:10])
         remaining = {t.txid for t in epoch.transactions(exclude=half)}
         assert remaining == all_ids - half
+
+
+class TestRenderedFromReports:
+    def test_counters_sum_reports_and_gauges_read_engine_stats(self):
+        from repro.net import Cluster, ClusterConfig, NodeSpec
+
+        spec = NodeSpec(
+            chain_count=2,
+            workload=SmallBankConfig(account_count=200, skew=0.9, seed=5),
+            pipeline=PipelineConfig(streaming=True, certify=True, delta_cc=True),
+            pow=POW,
+        )
+        with Cluster(spec, ClusterConfig(block_size=30)) as cluster:
+            cluster.run_epochs(3)
+        node = cluster.node
+        reports, stats = node.reports, node.engine.stats
+        families = parse_prometheus(render_prometheus(node_families(reports, stats)))
+
+        def total(field):
+            return sum(getattr(report, field) for report in reports)
+
+        reasons = Counter()
+        for report in reports:
+            reasons.update(report.abort_reasons)
+        expected = {
+            ("epochs_total", ()): 3,
+            ("epochs_by_scheme_total", ("nezha",)): 3,
+            ("txns_input_total", ()): total("input_transactions"),
+            ("txns_committed_total", ()): total("committed"),
+            ("txns_aborted_total", ()): total("aborted"),
+            ("txns_failed_simulation_total", ()): total("failed_simulation"),
+            ("txns_delta_commuted_total", ()): total("delta_commuted"),
+        }
+        expected.update(
+            {("txns_abort_reason_total", (reason,)): n for reason, n in reasons.items()}
+        )
+        if total("revived"):  # appears once nonzero, like delta_commuted
+            expected["txns_revived_total", ()] = total("revived")
+        counters = {
+            (sample, tuple(labels.values())): value
+            for family in families.values()
+            if family["type"] == "counter"
+            for sample, labels, value in family["samples"]
+        }
+        assert total("aborted") and total("delta_commuted")
+        assert counters == expected
+
+        gauges = {
+            name: family["samples"][0][2]
+            for name, family in families.items()
+            if name.startswith("engine_")
+        }
+        assert gauges == {
+            "engine_speculation_hit_rate": stats.hit_rate,
+            "engine_speculated_total": stats.speculated,
+            "engine_kept_total": stats.kept,
+            "engine_reexecuted_total": stats.reexecuted,
+            "engine_epochs_streamed": stats.epochs_streamed,
+            "engine_epochs_fallback": stats.epochs_fallback,
+        }
+        assert stats.epochs_streamed == 3

@@ -8,13 +8,20 @@ import urllib.request
 
 import pytest
 
+from repro.node.phases import EpochReport
 from repro.obs import (
     FlightLedger,
     MetricsEndpoint,
-    MetricsRegistry,
     Tracer,
+    node_families,
     parse_prometheus,
+    render_prometheus,
 )
+
+
+def report(epoch_index):
+    # epoch, scheme, chains, input, committed, aborted, failed, root
+    return EpochReport(epoch_index, "nezha", 2, 10, 8, 2, 0, b"")
 
 
 def fetch(url: str):
@@ -24,22 +31,19 @@ def fetch(url: str):
 
 @pytest.fixture()
 def served():
-    registry = MetricsRegistry()
-    registry.counter("epochs_total").inc(2)
+    reports = [report(0), report(1)]
     tracer = Tracer()
     with tracer.span("pipeline.epoch"):
         pass
     ledger = FlightLedger()
     ledger.record(0, 1, "ingest")
-    endpoint = MetricsEndpoint(
-        registry,
-        tracer=tracer,
-        ledger=ledger,
-        port=0,
-        health=lambda: {"epochs_processed": 2},
-    )
+
+    def render():
+        return render_prometheus(node_families(list(reports)), tracer, ledger)
+
+    endpoint = MetricsEndpoint(render, health=lambda: {"epochs_processed": 2}, port=0)
     with endpoint:
-        yield endpoint, registry
+        yield endpoint, reports
 
 
 class TestEndpoint:
@@ -59,8 +63,8 @@ class TestEndpoint:
         assert "ledger_events_total" in families
 
     def test_metrics_reflect_live_updates(self, served):
-        endpoint, registry = served
-        registry.counter("epochs_total").inc(3)
+        endpoint, reports = served
+        reports += [report(2), report(3), report(4)]
         _, _, body = fetch(endpoint.url + "/metrics")
         samples = parse_prometheus(body)["epochs_total"]["samples"]
         assert samples[0][2] == 5.0
@@ -83,14 +87,14 @@ class TestEndpoint:
         def broken():
             raise RuntimeError("state unavailable")
 
-        with MetricsEndpoint(MetricsRegistry(), port=0, health=broken) as endpoint:
+        with MetricsEndpoint(lambda: "", port=0, health=broken) as endpoint:
             _, _, body = fetch(endpoint.url + "/healthz")
         payload = json.loads(body)
         assert payload["status"] == "degraded"
         assert "state unavailable" in payload["error"]
 
     def test_stop_is_idempotent_and_releases_port(self):
-        endpoint = MetricsEndpoint(MetricsRegistry(), port=0).start()
+        endpoint = MetricsEndpoint(lambda: "", port=0).start()
         url = endpoint.url
         endpoint.stop()
         endpoint.stop()
@@ -98,7 +102,7 @@ class TestEndpoint:
             fetch(url + "/metrics")
 
     def test_start_twice_is_a_no_op(self):
-        endpoint = MetricsEndpoint(MetricsRegistry(), port=0)
+        endpoint = MetricsEndpoint(lambda: "", port=0)
         try:
             first = endpoint.start()
             port = endpoint.port

@@ -67,16 +67,19 @@ class TestRing:
         with pytest.raises(ValueError):
             FlightLedger(max_events=0)
 
-    def test_contention_aggregates_survive_eviction(self):
+    def test_contention_aggregates_the_retained_events(self):
         ledger = FlightLedger(max_events=2)
         for txid in range(6):
             ledger.record_many(
                 [abort(0, txid, edges=[(txid + 1, "hot", "ww")])]
             )
-        # Only two abort events remain in the ring...
+        # Only two abort events remain in the ring, and the contention
+        # table is built from them; ``evicted`` says four were lost.
         assert len(ledger) == 2
-        # ...but the cumulative attribution kept counting all six.
-        assert ledger.contention() == {"hot": {"ww": 6}}
+        assert ledger.evicted == 4
+        table = aggregate_contention(ledger.events())
+        assert table["hot"]["aborts"] == 2
+        assert table["hot"]["kinds"] == {"ww": 2}
 
 
 class TestExport:

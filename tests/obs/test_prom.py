@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
-from repro.obs import Histogram, MetricsRegistry, render_prometheus, write_prometheus
-from repro.obs.prom import escape_label_value, render_labels, sanitize_metric_name
+from repro.obs import render_prometheus, write_prometheus
+from repro.obs.prom import Family, escape_label_value, render_labels, sanitize_metric_name
+
+
+def single(name, kind, value):
+    return Family(name, kind, [({}, value)])
 
 
 class TestEscaping:
@@ -37,96 +41,56 @@ class TestNamesAndLabels:
         assert render_labels({}) == ""
 
 
+ABORTS = Family(
+    "aborts_total",
+    "counter",
+    [({"reason": "doomed_reorder"}, 2), ({"reason": "unserializable_write"}, 5)],
+)
+
+
 class TestRenderRegistry:
     def test_counter_and_gauge_lines(self):
-        registry = MetricsRegistry()
-        registry.counter("epochs_total").inc(3)
-        registry.gauge("last_epoch_index").set(2)
-        text = render_prometheus(registry)
+        text = render_prometheus(
+            [single("epochs_total", "counter", 3), single("last_epoch_index", "gauge", 2)]
+        )
         assert "# TYPE epochs_total counter" in text
         assert "epochs_total 3" in text
         assert "# TYPE last_epoch_index gauge" in text
         assert "last_epoch_index 2" in text
 
     def test_labelled_series_one_line_each(self):
-        registry = MetricsRegistry()
-        registry.counter("aborts_total", labels={"reason": "doomed_reorder"}).inc(2)
-        registry.counter(
-            "aborts_total", labels={"reason": "unserializable_write"}
-        ).inc(5)
-        text = render_prometheus(registry)
+        text = render_prometheus([ABORTS])
         assert text.count("# TYPE aborts_total counter") == 1
         assert 'aborts_total{reason="doomed_reorder"} 2' in text
         assert 'aborts_total{reason="unserializable_write"} 5' in text
 
     def test_histogram_renders_as_summary(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("latency_seconds")
-        for value in (1.0, 2.0, 3.0, 4.0):
-            histogram.observe(value)
-        text = render_prometheus(registry)
+        text = render_prometheus([single("latency_seconds", "summary", [1.0, 2.0, 3.0, 4.0])])
         assert "# TYPE latency_seconds summary" in text
         assert 'latency_seconds{quantile="0.5"}' in text
         assert 'latency_seconds{quantile="0.95"}' in text
         assert "latency_seconds_sum 10" in text
         assert "latency_seconds_count 4" in text
 
-    def test_summary_count_is_cumulative_past_eviction(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("h")
-        histogram.max_samples = 2
-        for value in (1.0, 2.0, 3.0):
-            histogram.observe(value)
-        text = render_prometheus(registry)
-        # _sum/_count cover all three observations, not the retained two.
+    def test_summary_covers_every_observation(self):
+        text = render_prometheus([single("h", "summary", [3.0, 1.0, 2.0])])
+        # Quantiles, _sum and _count all read every observation.
+        assert 'h{quantile="0.5"} 2' in text
         assert "h_sum 6" in text
         assert "h_count 3" in text
 
     def test_empty_registry_renders_empty(self):
-        assert render_prometheus(MetricsRegistry()) == ""
+        assert render_prometheus([]) == ""
+        # A family without series renders no headers either.
+        assert render_prometheus([Family("c", "counter", [])]) == ""
 
     def test_write_returns_line_count(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.counter("c").inc()
         path = tmp_path / "metrics.prom"
-        lines = write_prometheus(path, registry)
+        lines = write_prometheus(path, [single("c", "counter", 1)])
         content = path.read_text()
         # One # HELP line, one # TYPE line, one sample line.
         assert lines == content.count("\n") == 3
         assert content.endswith("c 1\n")
-
-
-class TestHistogramFix:
-    """Satellite 1: O(1) total/mean plus cumulative observed_* fields."""
-
-    def test_total_and_mean_track_retained_samples(self):
-        histogram = Histogram(max_samples=3)
-        for value in (1.0, 2.0, 3.0):
-            histogram.observe(value)
-        assert histogram.total == 6.0
-        assert histogram.mean == 2.0
-        histogram.observe(10.0)  # evicts 1.0
-        assert histogram.samples == [2.0, 3.0, 10.0]
-        assert histogram.total == 15.0
-        assert histogram.mean == 5.0
-
-    def test_observed_fields_never_reset(self):
-        histogram = Histogram(max_samples=2)
-        for value in range(10):
-            histogram.observe(float(value))
-        assert histogram.observed_count == 10
-        assert histogram.observed_sum == sum(range(10))
-        assert histogram.count == 2
-
-    def test_summary_matches_legacy_shape(self):
-        histogram = Histogram()
-        for value in (1.0, 2.0, 3.0, 4.0):
-            histogram.observe(value)
-        summary = histogram.summary()
-        assert set(summary) == {"count", "mean", "p50", "p95", "max"}
-        assert summary["count"] == 4.0
-        assert summary["mean"] == 2.5
-        assert summary["max"] == 4.0
 
 
 class TestTracerAggregateExport:
@@ -138,9 +102,7 @@ class TestTracerAggregateExport:
             pass
         with tracer.span("engine.speculate"):
             pass
-        registry = MetricsRegistry()
-        registry.gauge("plain").set(1.0)
-        text = render_prometheus(registry, tracer)
+        text = render_prometheus([single("plain", "gauge", 1.0)], tracer)
         assert "# TYPE repro_span_count counter" in text
         assert 'repro_span_count{name="engine.speculate"} 2' in text
         assert "# TYPE repro_span_seconds_total counter" in text
@@ -154,13 +116,12 @@ class TestTracerAggregateExport:
         for _ in range(25):
             with tracer.span("evicted.name"):
                 pass
-        text = render_prometheus(MetricsRegistry(), tracer)
+        text = render_prometheus([], tracer)
         assert 'repro_span_count{name="evicted.name"} 25' in text
 
     def test_no_tracer_keeps_output_unchanged(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc()
-        assert render_prometheus(registry) == render_prometheus(registry, None)
+        families = [single("c", "counter", 1)]
+        assert render_prometheus(families) == render_prometheus(families, None)
 
 
 class TestConformance:
@@ -170,22 +131,19 @@ class TestConformance:
     def _full_exposition(self):
         from repro.obs import FlightLedger, Tracer
 
-        registry = MetricsRegistry()
-        registry.counter("epochs_total").inc(3)
-        registry.counter("aborts_total", labels={"reason": "doomed_reorder"}).inc(2)
-        registry.counter(
-            "aborts_total", labels={"reason": "unserializable_write"}
-        ).inc(5)
-        registry.gauge("last_epoch_index").set(7)
-        registry.histogram("epoch_latency_seconds").observe(0.25)
-        registry.histogram("epoch_latency_seconds").observe(0.75)
+        families = [
+            ABORTS,
+            single("epoch_latency_seconds", "summary", [0.25, 0.75]),
+            single("epochs_total", "counter", 3),
+            single("last_epoch_index", "gauge", 7),
+        ]
         tracer = Tracer()
         with tracer.span("pipeline.epoch"):
             pass
         ledger = FlightLedger(max_events=2)
         for txid in range(5):
             ledger.record(0, txid, "ingest")
-        return render_prometheus(registry, tracer, ledger)
+        return render_prometheus(families, tracer, ledger)
 
     def test_round_trip_accepts_full_exposition(self):
         from repro.obs import parse_prometheus
@@ -221,7 +179,7 @@ class TestConformance:
         ledger = FlightLedger(max_events=2)
         for txid in range(5):
             ledger.record(0, txid, "ingest")
-        families = parse_prometheus(render_prometheus(MetricsRegistry(), ledger=ledger))
+        families = parse_prometheus(render_prometheus([], ledger=ledger))
         total = families["ledger_events_total"]["samples"][0]
         evicted = families["ledger_events_evicted_total"]["samples"][0]
         assert total[2] == 5.0
@@ -230,9 +188,9 @@ class TestConformance:
     def test_summary_samples_attributed_to_family(self):
         from repro.obs import parse_prometheus
 
-        registry = MetricsRegistry()
-        registry.histogram("latency_seconds").observe(1.0)
-        families = parse_prometheus(render_prometheus(registry))
+        families = parse_prometheus(
+            render_prometheus([single("latency_seconds", "summary", [1.0])])
+        )
         names = [s[0] for s in families["latency_seconds"]["samples"]]
         assert "latency_seconds_sum" in names
         assert "latency_seconds_count" in names
@@ -269,8 +227,10 @@ class TestConformance:
     def test_parser_unescapes_label_values(self):
         from repro.obs import parse_prometheus
 
-        registry = MetricsRegistry()
-        registry.counter("c", labels={"reason": 'say "no"\nplease'}).inc()
-        families = parse_prometheus(render_prometheus(registry))
+        families = parse_prometheus(
+            render_prometheus(
+                [Family("c", "counter", [({"reason": 'say "no"\nplease'}, 1)])]
+            )
+        )
         _, labels, _ = families["c"]["samples"][0]
         assert labels["reason"] == 'say "no"\nplease'

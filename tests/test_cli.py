@@ -38,6 +38,25 @@ class TestParser:
         assert args.workload == "smallbank"
         assert args.omega == 4
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [command, flag]
+            for command in ("simulate", "schedule", "compare", "conflicts")
+            for flag in ("--omega", "--block-size", "--accounts")
+        ]
+        + [["simulate", "--replicas"], ["trace", "record", "--out", "t.json", "--omega"]],
+        ids=" ".join,
+    )
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_counts_must_be_positive(self, argv, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [value])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert f"must be a positive integer, got {value}" in err
+        assert "Traceback" not in err
+
 
 class TestCommands:
     def run(self, argv, capsys):
