@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="simulated cluster throughput")
     _add_shape_args(simulate)
     simulate.add_argument("--scheme", choices=sorted(SCHEMES), default="nezha")
-    simulate.add_argument("--epochs", type=int, default=3, help="epochs to run")
+    simulate.add_argument("--epochs", type=positive_int, default=3, help="epochs to run")
     simulate.add_argument(
         "--replicas",
         type=positive_int,
@@ -440,7 +440,7 @@ def _node_spec(args: argparse.Namespace, **pipeline: bool):
 def cmd_simulate(args: argparse.Namespace) -> int:
     from repro.analysis import race
     from repro.net import Cluster, ClusterConfig
-    from repro.obs import node_families, render_prometheus
+    from repro.obs import collector_family, node_families, render_prometheus
     from repro.vm.costmodel import ExecutionCostModel, ZERO_COST
 
     tracer, ledger = _make_obs(args)
@@ -463,7 +463,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     def families():
         node = cluster.node
-        return node_families(list(node.reports), node.engine and node.engine.stats)
+        stats = node.engine and node.engine.stats
+        return [*node_families(list(node.reports), stats), collector_family()]
 
     endpoint = _start_endpoint(
         args,
@@ -915,6 +916,7 @@ def _analyze_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
+    from repro.errors import WorkloadError
     from repro.workload.trace import load_trace, save_trace, trace_info
 
     if args.trace_command == "record":
@@ -922,14 +924,20 @@ def cmd_trace(args: argparse.Namespace) -> int:
         count = save_trace(args.out, transactions)
         print(f"recorded {count} transactions to {args.out}")
         return 0
+    try:
+        if args.trace_command == "info":
+            info = trace_info(args.file)
+        else:
+            transactions = load_trace(args.file)
+    except (OSError, WorkloadError) as exc:
+        print(f"invalid trace {args.file}: {exc}", file=sys.stderr)
+        return 2
     if args.trace_command == "info":
-        info = trace_info(args.file)
         rows = [["transactions", info["count"]], ["distinct addresses", info["distinct_addresses"]]]
         rows.extend([f"  {name}", count] for name, count in info["functions"].items())
         print(render_table(f"trace {args.file}", ["metric", "value"], rows))
         return 0
     # run
-    transactions = load_trace(args.file)
     tracer, _ = _make_obs(args)
     scheme = make_scheme(args.scheme)
     if tracer is not None:
@@ -955,10 +963,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _scheme_run_families(run):
-    """The metric families of one scheduled batch, sorted by name."""
-    from repro.obs.prom import Family
+    """The metric families of one scheduled batch and the process's
+    collector counter, sorted by name."""
+    from repro.obs.prom import Family, collector_family
 
     return [
+        collector_family(),
         Family("schedule_latency_seconds", "summary", [({}, [run.total_seconds])]),
         Family(
             "txns_abort_reason_total",

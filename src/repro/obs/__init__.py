@@ -26,6 +26,7 @@ from repro.obs.ledger import (
     validate_ledger,
 )
 from repro.obs.prom import (
+    collector_family,
     node_families,
     parse_prometheus,
     render_ledger_counters,
@@ -71,6 +72,7 @@ __all__ = [
     "UNSERIALIZABLE_WRITE",
     "aggregate_contention",
     "chrome_trace",
+    "collector_family",
     "delta_promotion_candidates",
     "estimate_skew",
     "iter_timeline",

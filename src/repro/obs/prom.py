@@ -3,7 +3,8 @@
 :func:`node_families` builds the node's metric families at render time
 from its epoch reports and its streaming engine's stats: there is no
 second, mutable copy of the numbers to keep in step or to race a scrape
-against.  :func:`render_prometheus` renders a family list in the
+against; :func:`collector_family` reads the process's garbage-collector
+counts the same way.  :func:`render_prometheus` renders a family list in the
 Prometheus text exposition format (version 0.0.4): exactly one
 ``# HELP`` and one ``# TYPE`` header per family, one sample line per
 label set, with label values escaped per the spec (backslash, double
@@ -20,6 +21,7 @@ family).
 
 from __future__ import annotations
 
+import gc
 import re
 from collections import Counter
 from pathlib import Path
@@ -169,7 +171,22 @@ def node_families(
     return sorted(families, key=lambda family: family.name)
 
 
+def collector_family() -> Family:
+    """``gc_collections_total{generation}``: the process's cyclic-GC
+    collections per generation, read from :func:`gc.get_stats` when
+    rendered (nothing is counted on the epoch path)."""
+    return Family(
+        "gc_collections_total",
+        "counter",
+        [
+            ({"generation": str(generation)}, stats["collections"])
+            for generation, stats in enumerate(gc.get_stats())
+        ],
+    )
+
+
 _HELP_TEXT = {
+    "gc_collections_total": "Cyclic-GC collections per generation since the process started",
     "repro_span_count": "Spans finished per name (survives ring eviction)",
     "repro_span_seconds_total": "Cumulative span seconds per name",
     "tracer_spans_evicted_total": (

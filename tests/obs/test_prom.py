@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from repro.obs import render_prometheus, write_prometheus
+import gc
+
+from repro.obs import collector_family, parse_prometheus, render_prometheus, write_prometheus
 from repro.obs.prom import Family, escape_label_value, render_labels, sanitize_metric_name
 
 
@@ -122,6 +124,25 @@ class TestTracerAggregateExport:
     def test_no_tracer_keeps_output_unchanged(self):
         families = [single("c", "counter", 1)]
         assert render_prometheus(families) == render_prometheus(families, None)
+
+
+class TestCollectorFamily:
+    def _counts(self) -> dict[str, float]:
+        family = parse_prometheus(render_prometheus([collector_family()]))[
+            "gc_collections_total"
+        ]
+        assert family["type"] == "counter"
+        return {labels["generation"]: value for _, labels, value in family["samples"]}
+
+    def test_one_series_per_generation(self):
+        assert sorted(self._counts()) == [str(g) for g in range(len(gc.get_stats()))]
+
+    def test_counts_do_not_decrease_between_renders(self):
+        first = self._counts()
+        gc.collect(0)
+        second = self._counts()
+        assert all(second[g] >= first[g] for g in first)
+        assert second["0"] > first["0"]
 
 
 class TestConformance:

@@ -45,7 +45,11 @@ class TestParser:
             for command in ("simulate", "schedule", "compare", "conflicts")
             for flag in ("--omega", "--block-size", "--accounts")
         ]
-        + [["simulate", "--replicas"], ["trace", "record", "--out", "t.json", "--omega"]],
+        + [
+            ["simulate", "--replicas"],
+            ["simulate", "--epochs"],
+            ["trace", "record", "--out", "t.json", "--omega"],
+        ],
         ids=" ".join,
     )
     @pytest.mark.parametrize("value", ["0", "-2"])
@@ -151,6 +155,14 @@ class TestTraceCommands:
         assert main(["trace", "run", trace_file, "--scheme", "occ"]) == 0
         out = capsys.readouterr().out
         assert "committed" in out
+
+    @pytest.mark.parametrize("command", ["info", "run"])
+    def test_missing_trace_file_is_one_error_line(self, command, tmp_path, capsys):
+        missing = str(tmp_path / "nonexist.json")
+        assert main(["trace", command, missing]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"invalid trace {missing}: trace file {missing} does not exist\n"
+        assert captured.out == ""
 
     def test_trace_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -369,6 +381,7 @@ class TestFlightRecorder:
         assert "cc.sorting" in names
         prom = metrics_file.read_text()
         assert "# TYPE epochs_total counter" in prom
+        assert "# TYPE gc_collections_total counter" in prom
         assert "txns_abort_reason_total" in prom or "txns_aborted_total 0" in prom
 
     def test_top_summarises_trace(self, tmp_path, capsys):
@@ -427,7 +440,9 @@ class TestFlightRecorder:
         )
         assert code == 0
         assert "cc.sorting" in trace_file.read_text()
-        assert "txns_committed_total" in metrics_file.read_text()
+        prom = metrics_file.read_text()
+        assert "txns_committed_total" in prom
+        assert 'gc_collections_total{generation="0"}' in prom
 
 
 class TestFlightLedgerCLI:
