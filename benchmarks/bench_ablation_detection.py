@@ -63,15 +63,3 @@ def test_ablation_detection_cost(benchmark, report_table):
     assert ratios[-1] > ratios[0] * 2
     # And CG construction is slower at every non-trivial size.
     assert all(r > 1.0 for r in ratios[1:])
-
-
-def test_acg_construction_point(benchmark):
-    transactions = smallbank_epoch(4, scaled(200), skew=0.4, seed=9)
-    benchmark(lambda: dense_acg_from_transactions(transactions))
-
-
-def test_cg_construction_point(benchmark):
-    transactions = smallbank_epoch(4, scaled(200), skew=0.4, seed=9)
-    benchmark.pedantic(
-        lambda: build_conflict_graph(transactions), rounds=3, iterations=1
-    )

@@ -67,22 +67,3 @@ def test_ablation_validation_pass(benchmark, report_table):
         assert float(row[1].rstrip("%")) < 60.0
     # And it is not vacuous: under contention it catches real violations.
     assert caught_total > 0
-
-
-def test_validation_latency_point(benchmark):
-    from repro.core import (
-        dense_acg_from_transactions,
-        divide_ranks_dense,
-        sort_transactions_dense,
-        validate_sort_dense,
-    )
-
-    transactions = smallbank_epoch(OMEGA, scaled(BLOCK_SIZE), skew=1.0, seed=502)
-    dense = dense_acg_from_transactions(transactions)
-    order = divide_ranks_dense(dense)
-
-    def run_validation():
-        state = sort_transactions_dense(dense, order)
-        return validate_sort_dense(dense, state, enable_reorder=True)
-
-    benchmark(run_validation)

@@ -8,29 +8,20 @@ are statically proven commutative, promoted to delta units, and folded
 at commit — so the write-write conflicts that dominate under skew simply
 stop being conflicts.
 
-Emits ``benchmarks/results/BENCH_delta_cc.json`` with per-skew abort
-counts, committed counts, and commuted-unit counts for both modes.  The
-headline gate: at skew 0.9 the ``unserializable_write`` abort count must
-drop by at least 40% versus the baseline run of the same epochs.
-
-Run directly (``PYTHONPATH=src python benchmarks/bench_delta_cc.py``)
-to refresh the JSON, or via pytest where the ``perf_smoke``-marked test
-asserts the abort-drop floor.
+The gate writes per-skew abort counts, committed counts, and
+commuted-unit counts for both modes to
+``benchmarks/results/smoke/delta_cc.json`` and asserts the headline: at
+skew 0.9 the ``unserializable_write`` abort count must drop by at least
+40% versus the baseline run of the same epochs.
 """
 
 from __future__ import annotations
-
-import json
-import sys
-from pathlib import Path
 
 import pytest
 
 from repro.net import Cluster, ClusterConfig, NodeSpec
 from repro.node import PipelineConfig
 from repro.workload import SmallBankConfig
-
-RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_delta_cc.json"
 
 SKEWS = (0.0, 0.6, 0.9, 0.99)
 GATED_SKEW = 0.9
@@ -44,15 +35,15 @@ UNSERIALIZABLE = "unserializable_write"
 ABORT_DROP_FLOOR = 0.40
 
 
-def _run_cluster(skew: float, delta_cc: bool, epochs: int) -> dict:
+def _run_cluster(skew: float, delta_cc: bool) -> dict:
     spec = NodeSpec(
         chain_count=OMEGA,
         workload=SmallBankConfig(account_count=ACCOUNT_COUNT, skew=skew, seed=SEED),
         pipeline=PipelineConfig(delta_cc=delta_cc),
     )
     with Cluster(spec, ClusterConfig(block_size=BLOCK_SIZE)) as cluster:
-        cluster.feed_client(OMEGA * BLOCK_SIZE * epochs)
-        run = cluster.run_epochs(epochs)
+        cluster.feed_client(OMEGA * BLOCK_SIZE * EPOCHS)
+        run = cluster.run_epochs(EPOCHS)
     reports = [outcome.report for outcome in run.outcomes]
     return {
         "committed": run.committed,
@@ -67,12 +58,12 @@ def _run_cluster(skew: float, delta_cc: bool, epochs: int) -> dict:
     }
 
 
-def measure_delta_cc(epochs: int = EPOCHS) -> dict:
-    """Sweep the skews in both modes; return the BENCH json payload."""
+def measure_delta_cc() -> dict:
+    """Sweep the skews in both modes; return the gate's payload."""
     sweep = []
     for skew in SKEWS:
-        baseline = _run_cluster(skew, delta_cc=False, epochs=epochs)
-        delta = _run_cluster(skew, delta_cc=True, epochs=epochs)
+        baseline = _run_cluster(skew, delta_cc=False)
+        delta = _run_cluster(skew, delta_cc=True)
         drop = (
             1.0 - delta[UNSERIALIZABLE] / baseline[UNSERIALIZABLE]
             if baseline[UNSERIALIZABLE]
@@ -95,7 +86,7 @@ def measure_delta_cc(epochs: int = EPOCHS) -> dict:
             "omega": OMEGA,
             "block_size": BLOCK_SIZE,
             "seed": SEED,
-            "epochs": epochs,
+            "epochs": EPOCHS,
         },
         "sweep": sweep,
         "gated_skew": GATED_SKEW,
@@ -103,16 +94,11 @@ def measure_delta_cc(epochs: int = EPOCHS) -> dict:
     }
 
 
-def write_results(payload: dict, path: Path = RESULTS_PATH) -> None:
-    """Persist the machine-readable benchmark artifact."""
-    path.parent.mkdir(exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 @pytest.mark.perf_smoke
-def test_delta_cc_abort_drop(report_table):
+def test_delta_cc_abort_drop(report_table, record_smoke):
     """Delta-CC must dissolve >= 40% of hot-key write aborts at skew 0.9."""
     payload = measure_delta_cc()
+    record_smoke("delta_cc", payload)
     lines = [
         "skew | uw base | uw delta | drop | committed base->delta | commuted"
     ]
@@ -131,18 +117,3 @@ def test_delta_cc_abort_drop(report_table):
         f"the {ABORT_DROP_FLOOR:.0%} floor"
     )
 
-
-def main() -> int:
-    payload = measure_delta_cc()
-    write_results(payload)
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    drop = payload["unserializable_drop_at_gated_skew"]
-    print(
-        f"\nunserializable_write drop at skew {GATED_SKEW}: {drop:.1%} "
-        f"(floor {ABORT_DROP_FLOOR:.0%})"
-    )
-    return 0 if drop >= ABORT_DROP_FLOOR else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -63,12 +63,3 @@ def test_fig10_subphase_latency(benchmark, report_table):
     assert phase_ms(0.6, "nezha", "transaction_sorting") < 10 * max(
         phase_ms(0.5, "nezha", "transaction_sorting"), 0.5
     )
-
-
-def test_nezha_rank_division_point(benchmark):
-    """Micro-benchmark: rank division alone on a contended epoch."""
-    from repro.core import dense_acg_from_transactions, divide_ranks_dense
-
-    transactions = smallbank_epoch(OMEGA, scaled(BLOCK_SIZE), skew=0.6, seed=10)
-    dense = dense_acg_from_transactions(transactions)
-    benchmark(lambda: divide_ranks_dense(dense))

@@ -98,10 +98,3 @@ def test_fig11_abort_rate(benchmark, report_table):
     for row in rows:
         if row[4] == row[4]:  # not NaN
             assert row[1] <= row[4] + 2.0
-
-
-def test_nezha_abort_point(benchmark):
-    """Micro-benchmark: full Nezha run at the paper's hardest skew."""
-    transactions = smallbank_epoch(OMEGA, scaled(BLOCK_SIZE), skew=1.0, seed=104)
-    scheduler = make_scheme("nezha")
-    benchmark(lambda: scheduler.schedule(transactions))

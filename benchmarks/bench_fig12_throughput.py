@@ -67,7 +67,7 @@ def sweep():
 def test_fig12_effective_throughput(benchmark, report_table):
     rows, series = benchmark.pedantic(sweep, rounds=1, iterations=1)
     table = render_table(
-        "Figure 12: effective throughput (tps) vs block concurrency",
+        "Figure 12: effective throughput vs block concurrency (tps, simulated seconds)",
         ["skew", "omega", "serial", "cg", "nezha"],
         rows,
         note="1 s block interval; execution charged at the paper-calibrated EVM rate",
@@ -75,7 +75,7 @@ def test_fig12_effective_throughput(benchmark, report_table):
     report_table("fig12_throughput", table)
     for skew in SKEWS:
         chart = render_series(
-            f"Figure 12 (skew={skew}): effective throughput vs omega",
+            f"Figure 12 (skew={skew}): effective throughput vs omega (simulated seconds)",
             list(CONCURRENCIES),
             {
                 name: [value for value in series[(name, skew)]]
@@ -99,17 +99,3 @@ def test_fig12_effective_throughput(benchmark, report_table):
     cg_skewed = series[("cg", 0.6)]
     nezha_skewed = series[("nezha", 0.6)]
     assert cg_skewed[-1] < nezha_skewed[-1] * 0.7
-
-
-def test_cluster_epoch_point(benchmark):
-    """Micro-benchmark: one full Nezha epoch through the cluster."""
-    cluster = Cluster(
-        NodeSpec(chain_count=4, workload=SmallBankConfig(skew=0.2, seed=3)),
-        ClusterConfig(block_size=scaled(50)),
-    )
-
-    def one_epoch():
-        cluster.feed_client(4 * scaled(50))
-        return cluster.run_epochs(1).committed
-
-    benchmark.pedantic(one_epoch, rounds=3, iterations=1)

@@ -52,7 +52,7 @@ def sweep():
 def test_framework_comparison(benchmark, report_table):
     rows, ratios = benchmark.pedantic(sweep, rounds=1, iterations=1)
     table = render_table(
-        "Figure 2 (quantified): validator cost per epoch (ms)",
+        "Figure 2 (quantified): validator cost per epoch (ms; execution in simulated seconds)",
         [
             "omega",
             "txns",
@@ -68,10 +68,3 @@ def test_framework_comparison(benchmark, report_table):
     # not shrink as omega grows (replay is inherently serial).
     assert all(r > 2.0 for r in ratios)
     assert ratios[-1] >= ratios[0] * 0.8
-
-
-def test_deferred_pipeline_point(benchmark):
-    """Micro-benchmark: the deferred framework's real (non-modelled) cost."""
-    transactions = smallbank_epoch(4, scaled(BLOCK_SIZE), skew=0.2, seed=601)
-    scheduler = make_scheme("nezha")
-    benchmark(lambda: scheduler.schedule(transactions))

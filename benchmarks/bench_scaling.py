@@ -56,9 +56,3 @@ def test_nezha_scales_linearly(benchmark, report_table):
     per_txn_small = means[0] / SIZES[0]
     per_txn_large = means[-1] / SIZES[-1]
     assert per_txn_large < per_txn_small * 4
-
-
-def test_nezha_large_batch_point(benchmark):
-    transactions = smallbank_epoch(1, scaled(2_000), skew=SKEW, seed=77)
-    scheduler = make_scheme("nezha")
-    benchmark.pedantic(lambda: scheduler.schedule(transactions), rounds=3, iterations=1)

@@ -70,7 +70,7 @@ def sweep():
 def test_table4_latency(benchmark, report_table):
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     table = render_table(
-        "Table IV: processing latency, uniform workload (ms)",
+        "Table IV: processing latency, uniform workload (ms; serial and e in simulated seconds)",
         [
             "omega",
             "txns",
@@ -91,12 +91,3 @@ def test_table4_latency(benchmark, report_table):
     control_by_omega = [float(r[6]) for r in rows]
     assert all(s > c * 10 for s, c in zip(serial_by_omega, control_by_omega))
     assert serial_by_omega[-1] > serial_by_omega[0] * 4  # linear in omega
-
-
-def test_nezha_control_point(benchmark):
-    """Micro-benchmark: Nezha CC over one omega=4 uniform epoch."""
-    from repro.bench import make_scheme
-
-    transactions = smallbank_epoch(4, scaled(BLOCK_SIZE), skew=0.0, seed=1)
-    scheduler = make_scheme("nezha")
-    benchmark(lambda: scheduler.schedule(transactions))

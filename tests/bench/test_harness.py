@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.bench import (
@@ -142,3 +147,25 @@ class TestSeriesRenderer:
 
         chart = render_series("z", [1, 2], {"s": [0.0, 0.0]})
         assert "== z ==" in chart
+
+
+class TestPerfSmokeGates:
+    def test_collect_without_pythonpath(self):
+        """``pytest benchmarks -m perf_smoke`` finds the program and its three gates."""
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+        done = subprocess.run(
+            # addopts adds a -q, and -qq prints per-file counts instead of ids.
+            [sys.executable, "-m", "pytest", "benchmarks", "--collect-only", "-q",
+             "-o", "addopts=", "-m", "perf_smoke", "-p", "no:cacheprovider"],
+            cwd=Path(__file__).resolve().parents[2],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert sorted(line for line in done.stdout.splitlines() if "::" in line) == [
+            "benchmarks/bench_delta_cc.py::test_delta_cc_abort_drop",
+            "benchmarks/bench_overhead.py::test_certify_overhead_under_ceiling",
+            "benchmarks/bench_overhead.py::test_obs_overhead_under_ceiling",
+        ]
