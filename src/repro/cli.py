@@ -342,6 +342,13 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         ["mean group size", f"{run.schedule.mean_group_size:.2f}"],
         ["latency", f"{run.total_seconds * 1000:.2f} ms"],
     ]
+    if args.scheme == "nezha":
+        from repro.core import intern_batch
+
+        # Transactions sharing no address commit at the first sequence
+        # number without entering the ACG.
+        isolated = len(intern_batch(transactions).isolated)
+        rows.insert(1, ["isolated (skip CC)", isolated])
     for phase, seconds in run.phase_seconds.items():
         rows.append([f"  {phase}", f"{seconds * 1000:.2f} ms"])
     if run.failed:

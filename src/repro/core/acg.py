@@ -96,6 +96,10 @@ def _csr(lists: list[list[int]]) -> tuple[array, array]:
 class DenseACG:
     """The ACG of one batch on dense integer ids, stored CSR-style.
 
+    Only the batch's non-isolated transactions and the addresses they
+    touch are vertices and units; the isolated ones are listed in
+    ``batch.isolated`` (see :func:`~repro.core.interner.intern_batch`).
+
     Every structure is a parallel ``(indptr, indices)`` pair of flat
     ``array('q')`` buffers — no per-vertex dicts or sets, so the sorting
     and validation passes iterate plain integer slices.

@@ -56,6 +56,7 @@ def dense_acg_equal(left: DenseACG, right: DenseACG) -> bool:
     """Structural bit-equality of two dense graphs (test helper)."""
     return (
         left.batch.txids == right.batch.txids
+        and left.batch.isolated == right.batch.isolated
         and left.batch.addresses == right.batch.addresses
         and _csr_equal(
             (left.read_indptr, left.read_txns),

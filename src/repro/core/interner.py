@@ -17,12 +17,23 @@ one (see ``tests/core/test_fastpath.py``):
   deterministic write-write ordering rule (ascending txid) is preserved
   by plain integer comparison.
 
+Interning also splits off the batch's **isolated** transactions: those
+whose every read, write and delta address is touched by no other
+transaction of the batch.  An isolated transaction adds no dependency, so
+full Nezha would commit it at the first sequence number whatever the rest
+of the batch does; it is recorded in ``isolated`` and never numbered.
+Every dense id above ranges over the remaining transactions and the
+addresses they touch only.
+
 The mapping back to strings is applied only at the ``Schedule`` boundary.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, compress
+from operator import not_
 from typing import Iterable, Sequence
 
 from repro.errors import SchedulingError
@@ -37,8 +48,8 @@ class InternedBatch:
     Attributes
     ----------
     transactions:
-        The batch in ascending txid order; a transaction's position in
-        this list is its dense index.
+        The batch's non-isolated transactions in ascending txid order; a
+        transaction's position in this list is its dense index.
     txids:
         Dense index -> txid (ascending).
     txn_index:
@@ -47,6 +58,9 @@ class InternedBatch:
         Dense address id -> address string, in sorted address order.
     addr_ids:
         Address string -> dense address id.
+    isolated:
+        Txids (ascending) of the transactions that share no address with
+        any other transaction of the batch; they have no dense index.
     """
 
     transactions: list[Transaction]
@@ -54,15 +68,16 @@ class InternedBatch:
     txn_index: dict[int, int]
     addresses: list[Address]
     addr_ids: dict[Address, int]
+    isolated: list[int]
 
     @property
     def txn_count(self) -> int:
-        """Number of transactions in the batch."""
+        """Number of non-isolated transactions (dense indices 0..N-1)."""
         return len(self.transactions)
 
     @property
     def addr_count(self) -> int:
-        """Number of distinct addresses the batch touches."""
+        """Number of distinct addresses the non-isolated transactions touch."""
         return len(self.addresses)
 
     def address_of(self, addr_id: int) -> Address:
@@ -77,30 +92,37 @@ class InternedBatch:
 def intern_batch(
     transactions: Sequence[Transaction] | Iterable[Transaction],
 ) -> InternedBatch:
-    """Intern one batch: sort by txid, reject duplicates, number addresses.
+    """Intern one batch: sort by txid, reject duplicates, split off the
+    isolated transactions, number the rest and their addresses.
 
-    Runs in ``O(N log N + U log U)`` for ``N`` transactions touching ``U``
-    distinct addresses — both sorts are single C-level passes; every
-    subsequent phase then works on ints only.
+    Runs in ``O(N log N + u * N + U log U)`` for ``N`` transactions with
+    ``u`` units touching ``U`` distinct addresses; the classification is
+    one C-level count over the per-transaction footprints.
     """
     ordered = sorted(transactions, key=lambda t: t.txid)
-    txids: list[int] = []
-    txn_index: dict[int, int] = {}
-    seen: set[Address] = set()
-    for position, txn in enumerate(ordered):
-        if txn.txid in txn_index:
-            raise SchedulingError(f"duplicate txid {txn.txid} in batch")
-        txn_index[txn.txid] = position
-        txids.append(txn.txid)
-        seen.update(txn.rwset.reads)
-        seen.update(txn.rwset.writes)
-        seen.update(txn.rwset.deltas)
-    addresses = sorted(seen)
-    addr_ids = {address: i for i, address in enumerate(addresses)}
+    txids = [txn.txid for txn in ordered]
+    if len(set(txids)) != len(txids):
+        duplicate = next(a for a, b in zip(txids, txids[1:]) if a == b)
+        raise SchedulingError(f"duplicate txid {duplicate} in batch")
+    footprints = [
+        {*txn.rwset.reads, *txn.rwset.writes, *txn.rwset.deltas} for txn in ordered
+    ]
+    touches = Counter(chain.from_iterable(footprints))
+    shared = {address for address, count in touches.items() if count > 1}
+    lone = list(map(shared.isdisjoint, footprints))
+    isolated = list(compress(txids, lone))
+    if isolated:
+        kept = list(map(not_, lone))
+        ordered = list(compress(ordered, kept))
+        txids = list(compress(txids, kept))
+        addresses = sorted(touches.keys() - set().union(*compress(footprints, lone)))
+    else:
+        addresses = sorted(touches)
     return InternedBatch(
         transactions=ordered,
         txids=txids,
-        txn_index=txn_index,
+        txn_index={txid: index for index, txid in enumerate(txids)},
         addresses=addresses,
-        addr_ids=addr_ids,
+        addr_ids={address: i for i, address in enumerate(addresses)},
+        isolated=isolated,
     )

@@ -61,7 +61,10 @@ class NezhaResult(SchemeResult):
     ``acg`` is materialised lazily: scheduling runs on ``dense_acg`` only,
     so the first attribute access converts the CSR structures into the
     string-keyed :class:`~repro.core.acg.ACG` view (outside the timed
-    phases).  ``rank_order`` is Algorithm 1's address order (rank 1 first).
+    phases).  Both cover only what entered the ACG: the batch's isolated
+    transactions (``dense_acg.batch.isolated``) commit at ``initial_seq``
+    without it, and the addresses only they touch appear in neither.
+    ``rank_order`` is Algorithm 1's address order (rank 1 first).
     ``phase_seconds()`` is the Figure 10 sub-phase breakdown.
     """
 
@@ -144,7 +147,11 @@ class NezhaScheduler:
         """
         with maybe_span(self.tracer, "cc.acg_build") as span:
             dense = build_dense_acg(intern_batch(transactions))
-            span.set(txns=dense.txn_count, addresses=dense.addr_count)
+            span.set(
+                txns=dense.txn_count,
+                addresses=dense.addr_count,
+                isolated=len(dense.batch.isolated),
+            )
         return self._finish_dense(dense, span.duration)
 
     def schedule_dense(
@@ -163,7 +170,12 @@ class NezhaScheduler:
         return self._finish_dense(dense, graph_seconds)
 
     def _finish_dense(self, dense: DenseACG, graph_seconds: float) -> NezhaResult:
-        """Rank + sort + validate an already-built dense graph."""
+        """Rank + sort + validate an already-built dense graph.
+
+        The batch's isolated transactions commit at ``initial_seq``, the
+        number full Nezha gives a transaction every address of which is
+        its own.
+        """
         with maybe_span(self.tracer, "cc.rank_division") as rank_span:
             rank_ids = divide_ranks_dense(dense, policy=self.config.rank_policy)
 
@@ -199,6 +211,7 @@ class NezhaScheduler:
             for i in range(dense.txn_count)
             if alive[i] and seq[i] != UNASSIGNED
         }
+        sequences.update(dict.fromkeys(dense.batch.isolated, self.config.initial_seq))
         aborted = {txids[i] for i in range(dense.txn_count) if not alive[i]}
         reordered = {txids[i] for i in state.reordered}
         schedule = schedule_from_sequences(

@@ -127,6 +127,10 @@ def sort_transactions_dense(
       owner gets ``initial_seq``; an assigned owner is left untouched
       (``max_read`` is 0 or its own number, so neither the bump, the
       unserializability test, nor the duplicate test can fire).
+
+    Every transaction of a dense batch holds a unit (``intern_batch``
+    splits empty footprints off as isolated), so each live one leaves
+    with a number.
     """
     txn_count = dense.txn_count
     state = DenseSortState(
@@ -178,9 +182,6 @@ def sort_transactions_dense(
         _sort_address_dense(
             dense, addr_id, reads, writes, [], state, enable_reorder, initial_seq
         )
-    for txn_idx in range(txn_count):
-        if alive[txn_idx] and seq[txn_idx] == UNASSIGNED:
-            seq[txn_idx] = initial_seq
     return state
 
 

@@ -335,7 +335,11 @@ class StreamingEpochEngine:
             acg = IncrementalACG()
             acg.add_block(batch.transactions())
             dense = acg.seal()
-            span.set(txns=dense.txn_count, addresses=dense.addr_count)
+            span.set(
+                txns=dense.txn_count,
+                addresses=dense.addr_count,
+                isolated=len(dense.batch.isolated),
+            )
         # Fork edge: everything the main thread wrote before the submit
         # happens-before the back stage's first access.
         race.hb_release(("engine-stage", id(self)))

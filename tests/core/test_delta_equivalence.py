@@ -151,7 +151,8 @@ class TestPathAgreementOnDeltaBatches:
         assert fast.schedule.groups == ref.schedule.groups
         assert fast.schedule.aborted == ref.schedule.aborted
         assert fast.schedule.reordered == ref.schedule.reordered
-        assert fast.rank_order == ref.rank_order
+        entered = fast.dense_acg.batch.addr_ids
+        assert fast.rank_order == [a for a in ref.rank_order if a in entered]
         assert fast.schedule.sequences() == ref.schedule.sequences()
         assert fast.delta_commuted == ref.delta_commuted
 

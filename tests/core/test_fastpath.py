@@ -4,7 +4,9 @@ The dense-id pipeline ``NezhaScheduler`` runs must be *bit-identical* to
 the string-keyed reference stage functions (chained by
 ``tests.reference.schedule_reference``): same sequence numbers, same
 aborts, same reorder decisions and the same rank order after id ->
-address translation, on every workload and under any input permutation.
+address translation (over the addresses that entered the ACG: the
+reference ranks the whole epoch, isolated transactions included), on
+every workload and under any input permutation.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ def assert_identical(fast, ref):
     assert fast.schedule.groups == ref.schedule.groups
     assert fast.schedule.aborted == ref.schedule.aborted
     assert fast.schedule.reordered == ref.schedule.reordered
-    assert fast.rank_order == ref.rank_order
+    entered = fast.dense_acg.batch.addr_ids
+    assert fast.rank_order == [a for a in ref.rank_order if a in entered]
     assert fast.schedule.sequences() == ref.schedule.sequences()
     assert fast.abort_edges == ref.abort_edges
     assert fast.revived_txids == ref.revived_txids
@@ -68,22 +71,59 @@ class TestInterner:
     def test_address_ids_follow_sort_order(self):
         txns = [
             make_transaction(1, reads=["b", "a"], writes=["c"]),
-            make_transaction(2, writes=["aa"]),
+            make_transaction(2, reads=["c"], writes=["aa"]),
         ]
         batch = intern_batch(txns)
         assert batch.addresses == ["a", "aa", "b", "c"]
         assert batch.addr_ids == {"a": 0, "aa": 1, "b": 2, "c": 3}
+        assert batch.isolated == []
 
     def test_txn_indices_follow_txid_order(self):
-        txns = [make_transaction(9), make_transaction(3), make_transaction(7)]
+        txns = [
+            make_transaction(9, writes=["x"]),
+            make_transaction(3, reads=["x"]),
+            make_transaction(7, writes=["x"]),
+        ]
         batch = intern_batch(txns)
         assert batch.txids == [3, 7, 9]
         assert batch.txn_index == {3: 0, 7: 1, 9: 2}
         assert [t.txid for t in batch.transactions] == [3, 7, 9]
 
+    def test_isolated_txids_ascending_and_unnumbered(self):
+        txns = [
+            make_transaction(8, reads=["p"], writes=["q"]),
+            make_transaction(5, reads=["x"], writes=["y"]),
+            make_transaction(4, reads=["y"], writes=["z"]),
+            make_transaction(2, writes=["w"]),
+            make_transaction(6, reads=["r"], writes=["r"]),
+        ]
+        batch = intern_batch(txns)
+        assert batch.isolated == [2, 6, 8]
+        assert batch.txids == [4, 5]
+        assert batch.addresses == ["x", "y", "z"]
+        assert batch.txn_index == {4: 0, 5: 1}
+
+    def test_empty_footprint_is_isolated(self):
+        batch = intern_batch(
+            [
+                make_transaction(3),
+                make_transaction(1, writes=["a"]),
+                make_transaction(2, reads=["a"]),
+            ]
+        )
+        assert batch.isolated == [3]
+        assert batch.txids == [1, 2]
+
     def test_duplicate_txid_rejected(self):
         with pytest.raises(SchedulingError):
             intern_batch([make_transaction(1), make_transaction(1)])
+
+    def test_duplicate_isolated_txid_rejected(self):
+        # Each copy alone would be isolated: the duplicate check runs first.
+        with pytest.raises(SchedulingError, match="duplicate txid 4"):
+            intern_batch(
+                [make_transaction(4, writes=["a"]), make_transaction(4, writes=["b"])]
+            )
 
 
 class TestDenseACG:

@@ -90,6 +90,21 @@ class TestSealBitIdentity:
             acg.add_block(block)
         assert dense_acg_equal(acg.seal(), reference)
 
+    def test_isolated_transactions_are_compared(self):
+        """Two epochs that differ only in an isolated transaction build the
+        same CSR arrays; the helper must still tell them apart."""
+        shared = [
+            make_transaction(1, reads=["a"], writes=["b"]),
+            make_transaction(2, reads=["b"], writes=["a"]),
+        ]
+        left = build_dense_acg(intern_batch([*shared, make_transaction(3)]))
+        right = build_dense_acg(intern_batch([*shared, make_transaction(4)]))
+        assert left.batch.isolated == [3]
+        assert right.batch.isolated == [4]
+        assert not dense_acg_equal(left, right)
+        again = build_dense_acg(intern_batch([make_transaction(3), *shared[::-1]]))
+        assert dense_acg_equal(left, again)
+
     def test_duplicate_txid_rejected(self):
         acg = IncrementalACG()
         acg.add_block([make_transaction(1, reads=["a"])])

@@ -157,7 +157,10 @@ def check_scope(n_txns: int, n_addrs: int, deltas: int = 0) -> ScopeStats:
         result = nezha[True].schedule(txns)
         reference = schedule_reference(txns, nezha[True].config)
         assert result.schedule == reference.schedule, render(txns)
-        assert result.rank_order == reference.rank_order, render(txns)
+        entered = result.dense_acg.batch.addr_ids
+        assert result.rank_order == [
+            a for a in reference.rank_order if a in entered
+        ], render(txns)
         assert result.abort_edges == reference.abort_edges, render(txns)
         results = {True: result, False: nezha[False].schedule_dense(result.dense_acg)}
         # Each distinct schedule once, with the scheme that produced it.

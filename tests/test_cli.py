@@ -82,6 +82,7 @@ class TestCommands:
         assert code == 0
         assert "committed" in out
         assert "graph_construction" in out
+        assert "isolated (skip CC)" in out
 
     def test_schedule_token_workload(self, capsys):
         code, out = self.run(
