@@ -13,7 +13,7 @@ import time
 
 from repro.baselines import build_conflict_graph
 from repro.bench import render_table, scaled, smallbank_epoch
-from repro.core import dense_acg_from_transactions
+from repro.core import build_dense_acg, intern_batch
 
 BATCH_SIZES = (100, 200, 400, 800, 1600)
 SKEW = 0.4
@@ -31,7 +31,7 @@ def sweep():
     for size in BATCH_SIZES:
         transactions = smallbank_epoch(1, scaled(size), skew=SKEW, seed=size)
         acg_seconds = min(
-            time_once(lambda: dense_acg_from_transactions(transactions))
+            time_once(lambda: build_dense_acg(intern_batch(transactions)))
             for _ in range(3)
         )
         cg_seconds = min(

@@ -12,7 +12,8 @@ mirroring the paper's last measurable point.
 
 from __future__ import annotations
 
-from repro.bench import make_scheme, render_table, run_scheme, scaled, smallbank_epoch
+from repro.bench import render_table, run_scheme, scaled, smallbank_epoch
+from repro.node import make_scheme
 
 SKEWS = (0.5, 0.6)
 OMEGA = 4

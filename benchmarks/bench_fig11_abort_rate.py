@@ -16,7 +16,8 @@ must, just like CG's cycle-removal does.
 
 from __future__ import annotations
 
-from repro.bench import make_scheme, render_table, run_scheme, scaled, smallbank_epoch
+from repro.bench import render_table, run_scheme, scaled, smallbank_epoch
+from repro.node import make_scheme
 
 SKEWS = (0.6, 0.7, 0.8, 0.9, 1.0)
 OMEGA = 1

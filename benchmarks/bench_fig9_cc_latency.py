@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from repro.analysis import Summary
 from repro.bench import (
-    make_scheme,
     print_table,
     render_series,
     render_table,
@@ -24,6 +23,7 @@ from repro.bench import (
     scaled,
     smallbank_epoch,
 )
+from repro.node import make_scheme
 
 SKEWS = (0.2, 0.4, 0.6, 0.8)
 CONCURRENCIES = (2, 4, 8, 12)

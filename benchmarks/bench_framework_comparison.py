@@ -17,7 +17,8 @@ This bench quantifies that argument with the calibrated cost model:
 
 from __future__ import annotations
 
-from repro.bench import make_scheme, render_table, run_scheme, scaled, smallbank_epoch
+from repro.bench import render_table, run_scheme, scaled, smallbank_epoch
+from repro.node import make_scheme
 from repro.vm.costmodel import ExecutionCostModel
 
 CONCURRENCIES = (2, 4, 8, 12)

@@ -11,7 +11,8 @@ in contrast to the pairwise CG construction measured in
 from __future__ import annotations
 
 from repro.analysis import Summary
-from repro.bench import make_scheme, render_table, run_scheme, scaled, smallbank_epoch
+from repro.bench import render_table, run_scheme, scaled, smallbank_epoch
+from repro.node import make_scheme
 
 SIZES = (250, 500, 1_000, 2_000, 4_000)
 SKEW = 0.4

@@ -8,7 +8,8 @@ This is the one-stop comparison Table II gestures at qualitatively.
 
 from __future__ import annotations
 
-from repro.bench import make_scheme, render_table, run_scheme, scaled
+from repro.bench import render_table, run_scheme, scaled
+from repro.node import make_scheme
 from repro.workload import (
     SmallBankConfig,
     SmallBankWorkload,

@@ -11,7 +11,8 @@ Run:  python examples/scheme_comparison.py
 from __future__ import annotations
 
 from repro.analysis.certify import certify_epoch
-from repro.bench import SCHEMES, make_scheme, run_scheme, smallbank_epoch
+from repro.bench import run_scheme, smallbank_epoch
+from repro.node import SCHEMES, make_scheme
 
 SKEWS = (0.0, 0.6, 1.0)
 OMEGA = 4

@@ -12,9 +12,9 @@ Run:  python examples/token_transfers.py
 
 from __future__ import annotations
 
-from repro.bench import make_scheme, run_scheme
+from repro.bench import run_scheme
 from repro.core import NezhaScheduler
-from repro.node import Committer, ConcurrentExecutor
+from repro.node import Committer, ConcurrentExecutor, make_scheme
 from repro.state import StateDB
 from repro.vm.contracts import register_token
 from repro.vm.native import ContractRegistry

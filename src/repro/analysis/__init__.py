@@ -16,7 +16,6 @@ _EXPORTS: dict[str, str] = {
     "measure_conflicts": "repro.analysis.conflicts",
     "pairwise_conflict_count": "repro.analysis.conflicts",
     "Summary": "repro.analysis.metrics",
-    "geometric_mean": "repro.analysis.metrics",
     "percentile": "repro.analysis.metrics",
     "speedup": "repro.analysis.metrics",
     "CertFinding": "repro.analysis.certify",

@@ -55,11 +55,3 @@ def percentile(ordered: Sequence[float], fraction: float) -> float:
 def speedup(baseline: float, improved: float) -> float:
     """How many times faster ``improved`` is than ``baseline``."""
     return baseline / improved if improved else math.inf
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean of positive values (0 when empty)."""
-    positives = [v for v in values if v > 0]
-    if not positives:
-        return 0.0
-    return math.exp(sum(math.log(v) for v in positives) / len(positives))

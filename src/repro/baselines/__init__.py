@@ -11,7 +11,6 @@ from repro.baselines.conflict_graph import (
 )
 from repro.baselines.johnson import (
     DEFAULT_CYCLE_BUDGET,
-    count_cycles,
     find_elementary_cycles,
 )
 from repro.baselines.occ import OCCScheduler
@@ -29,7 +28,6 @@ __all__ = [
     "PCCScheduler",
     "SerialScheduler",
     "build_conflict_graph",
-    "count_cycles",
     "find_elementary_cycles",
     "nontrivial_components",
     "remove_cycles",

@@ -43,11 +43,6 @@ class ConflictGraph:
     out_edges: dict[int, set[int]] = field(default_factory=dict)
     in_edges: dict[int, set[int]] = field(default_factory=dict)
 
-    @property
-    def edge_count(self) -> int:
-        """Number of directed dependency edges."""
-        return sum(len(targets) for targets in self.out_edges.values())
-
     def add_edge(self, src: int, dst: int) -> None:
         """Record the transaction dependency ``src -> dst``."""
         self.out_edges.setdefault(src, set()).add(dst)

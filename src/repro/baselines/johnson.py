@@ -125,12 +125,3 @@ def _unblock(node: Node, blocked: set[Node], block_map: dict[Node, set[Node]]) -
             blocked.discard(current)
             for waiter in block_map.pop(current, ()):  # vertices blocked on us
                 work.append(waiter)
-
-
-def count_cycles(
-    vertices: Sequence[Node],
-    out_edges: Mapping[Node, set[Node]],
-    budget: int = DEFAULT_CYCLE_BUDGET,
-) -> int:
-    """Convenience wrapper returning only the number of elementary cycles."""
-    return len(find_elementary_cycles(vertices, out_edges, budget))

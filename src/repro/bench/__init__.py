@@ -1,10 +1,8 @@
 """Benchmark harness: runners, sweeps, and table rendering."""
 
 from repro.bench.harness import (
-    SCHEMES,
     SchemeRun,
     bench_scale,
-    make_scheme,
     repeat_runs,
     run_scheme,
     scaled,
@@ -13,10 +11,8 @@ from repro.bench.harness import (
 from repro.bench.tables import print_table, render_series, render_table
 
 __all__ = [
-    "SCHEMES",
     "SchemeRun",
     "bench_scale",
-    "make_scheme",
     "print_table",
     "render_series",
     "render_table",

@@ -14,22 +14,15 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Sequence
 
-from repro.baselines.conflict_graph import CGConfig, CGScheduler
-from repro.baselines.occ import OCCScheduler
-from repro.baselines.pcc import PCCScheduler
-from repro.baselines.serial import SerialScheduler
 from repro.core.schedule import Schedule
-from repro.core.scheduler import NezhaConfig, NezhaScheduler
+from repro.node.pipeline import Scheduler, make_scheme
 from repro.obs.taxonomy import taxonomy_counts
 from repro.obs.tracer import maybe_span
 from repro.txn.transaction import Transaction
 from repro.workload.smallbank import SmallBankConfig, SmallBankWorkload
 from repro.workload.generator import flatten_blocks
-
-if TYPE_CHECKING:
-    from repro.node.pipeline import Scheduler
 
 
 def bench_scale() -> float:
@@ -65,25 +58,6 @@ class SchemeRun:
     def abort_rate(self) -> float:
         """Aborted fraction of the batch."""
         return self.schedule.abort_rate
-
-
-SchemeFactory = Callable[[], "Scheduler"]
-
-SCHEMES: dict[str, SchemeFactory] = {
-    "serial": SerialScheduler,
-    "occ": OCCScheduler,
-    "pcc": PCCScheduler,
-    "cg": CGScheduler,
-    "nezha": NezhaScheduler,
-    "nezha-noreorder": lambda: NezhaScheduler(NezhaConfig(enable_reorder=False)),
-}
-
-
-def make_scheme(name: str, cycle_budget: int | None = None) -> Scheduler:
-    """Instantiate a scheme by name (CG accepts a cycle budget)."""
-    if name == "cg" and cycle_budget is not None:
-        return CGScheduler(CGConfig(cycle_budget=cycle_budget))
-    return SCHEMES[name]()
 
 
 def run_scheme(scheme: Scheduler, transactions: Sequence[Transaction]) -> SchemeRun:

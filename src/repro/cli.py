@@ -17,8 +17,10 @@ import sys
 from typing import Sequence
 
 from repro.analysis import measure_conflicts, pairwise_conflict_count
-from repro.bench import SCHEMES, make_scheme, run_scheme
+from repro.bench import run_scheme
 from repro.bench.tables import render_table
+from repro.errors import WorkloadError
+from repro.node import SCHEMES, make_scheme
 from repro.workload import (
     SmallBankConfig,
     SmallBankWorkload,
@@ -28,6 +30,7 @@ from repro.workload import (
     TokenWorkload,
     flatten_blocks,
 )
+from repro.workload.zipf import check_skew
 
 WORKLOADS = ("smallbank", "token", "synthetic")
 
@@ -240,12 +243,20 @@ def positive_int(text: str) -> int:
     return value
 
 
+def zipf_skew(text: str) -> float:
+    """argparse type: a Zipf exponent the workload samplers accept."""
+    try:
+        return check_skew(float(text))
+    except (ValueError, WorkloadError) as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+
+
 def _add_shape_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--omega", type=positive_int, default=4, help="block concurrency")
     parser.add_argument(
         "--block-size", type=positive_int, default=100, help="txns per block"
     )
-    parser.add_argument("--skew", type=float, default=0.0, help="Zipfian exponent")
+    parser.add_argument("--skew", type=zipf_skew, default=0.0, help="Zipfian exponent")
     parser.add_argument("--accounts", type=positive_int, default=10_000, help="population")
     parser.add_argument("--seed", type=int, default=0, help="PRNG seed")
 
@@ -848,7 +859,11 @@ def _analyze_lint(args: argparse.Namespace) -> int:
     select = None
     if args.select:
         select = [code.strip() for code in args.select.split(",") if code.strip()]
-    findings = lint_paths(paths, select=select)
+    try:
+        findings = lint_paths(paths, select=select)
+    except OSError as exc:
+        print(f"invalid path {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
     rendered_paths = [str(p) for p in paths]
     if args.json:
         print(lint_report_json(findings, paths=rendered_paths))
@@ -923,7 +938,6 @@ def _analyze_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    from repro.errors import WorkloadError
     from repro.workload.trace import load_trace, save_trace, trace_info
 
     if args.trace_command == "record":

@@ -1,12 +1,6 @@
 """Nezha concurrency control: ACG construction plus hierarchical sorting."""
 
-from repro.core.acg import (
-    ACG,
-    DenseACG,
-    build_dense_acg,
-    dense_acg_from_transactions,
-)
-from repro.core.export import acg_to_dot, conflict_graph_to_dot, schedule_to_dot
+from repro.core.acg import ACG, DenseACG, build_dense_acg
 from repro.core.incremental import IncrementalACG, dense_acg_equal
 from repro.core.interner import InternedBatch, intern_batch
 from repro.core.rank import RankPolicy, divide_ranks_dense
@@ -37,15 +31,11 @@ __all__ = [
     "RankPolicy",
     "Schedule",
     "SchemeResult",
-    "acg_to_dot",
     "build_dense_acg",
-    "conflict_graph_to_dot",
     "dense_acg_equal",
-    "dense_acg_from_transactions",
     "divide_ranks_dense",
     "intern_batch",
     "schedule_from_sequences",
-    "schedule_to_dot",
     "serial_schedule",
     "sort_transactions_dense",
     "validate_sort_dense",

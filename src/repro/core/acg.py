@@ -16,13 +16,12 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
-from repro.core.interner import InternedBatch, intern_batch
+from repro.core.interner import InternedBatch
 from repro.core.units import AddressRWList
 from repro.errors import SchedulingError
 from repro.txn.rwset import Address
-from repro.txn.transaction import Transaction
 
 
 @dataclass
@@ -57,11 +56,6 @@ class ACG:
     def addresses(self) -> list[Address]:
         """All accessed addresses, in sorted (deterministic) order."""
         return sorted(self.rw_lists)
-
-    @property
-    def edge_count(self) -> int:
-        """Number of distinct address-dependency edges."""
-        return len(self.edge_multiplicity)
 
     def rw(self, address: Address) -> AddressRWList:
         """Return ``RW_j`` for the given address."""
@@ -149,11 +143,6 @@ class DenseACG:
         return self.batch.txn_count
 
     @property
-    def edge_count(self) -> int:
-        """Number of distinct address-dependency edges."""
-        return len(self.edge_mult)
-
-    @property
     def unit_count(self) -> int:
         """Total number of read, write, and delta units across all addresses."""
         return len(self.read_txns) + len(self.write_txns) + len(self.delta_txns)
@@ -177,10 +166,6 @@ class DenseACG:
     def write_count_of(self, txn_idx: int) -> int:
         """Number of plain write units of transaction ``txn_idx``."""
         return self.txn_write_indptr[txn_idx + 1] - self.txn_write_indptr[txn_idx]
-
-    def delta_count_of(self, txn_idx: int) -> int:
-        """Number of delta units of transaction ``txn_idx``."""
-        return self.txn_delta_indptr[txn_idx + 1] - self.txn_delta_indptr[txn_idx]
 
     def to_acg(self) -> ACG:
         """Materialise the equivalent string-keyed :class:`ACG`.
@@ -285,10 +270,3 @@ def build_dense_acg(batch: InternedBatch) -> DenseACG:
         txn_delta_addrs=txn_delta_addrs,
         edge_mult=edge_mult,
     )
-
-
-def dense_acg_from_transactions(
-    transactions: Sequence[Transaction] | Iterable[Transaction],
-) -> DenseACG:
-    """Intern a raw batch and build its dense ACG in one call."""
-    return build_dense_acg(intern_batch(transactions))

@@ -1,12 +1,4 @@
-"""Exportable scheduling artifacts: DOT graphs and epoch artifacts.
-
-Renders the ACG (per-address unit lists plus address-dependency edges)
-and the transaction-level conflict graph as DOT text — the debugging
-artifact behind the paper's Figures 4 and 6.  Output is deterministic
-(sorted nodes and edges) so it can be asserted in tests and diffed in
-reviews.
-
-Also defines the **epoch artifact** wire format: a JSON-safe record of
+"""The **epoch artifact** wire format: a JSON-safe record of
 exactly what the proof-carrying schedule certifier consumes — admitted
 read/write/delta sets, the emitted commit groups, and the abort
 bookkeeping.  ``repro simulate --certify`` writes one per epoch and
@@ -19,55 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from repro.baselines.conflict_graph import ConflictGraph
-from repro.core.acg import ACG
 from repro.core.schedule import Schedule
 from repro.txn.rwset import RWSet
 
-
-def acg_to_dot(acg: ACG, rank_order: list[str] | None = None) -> str:
-    """Render an ACG as DOT.
-
-    Each address becomes a record node listing its read units before its
-    write units; address-dependency edges carry their multiplicity.  When
-    ``rank_order`` is given, each address label shows its sorting rank.
-    """
-    ranks = {address: i + 1 for i, address in enumerate(rank_order or [])}
-    lines = [
-        "digraph ACG {",
-        "  rankdir=LR;",
-        '  node [shape=record, fontname="monospace"];',
-    ]
-    for address in acg.addresses:
-        rw = acg.rw_lists[address]
-        reads = " ".join(f"T{t}^R" for t in rw.reads) or "-"
-        writes = " ".join(f"T{t}^W" for t in rw.writes) or "-"
-        title = address
-        if address in ranks:
-            title = f"{address} (rank {ranks[address]})"
-        lines.append(
-            f'  "{address}" [label="{{{title}|reads: {reads}|writes: {writes}}}"];'
-        )
-    for (src, dst), count in sorted(acg.edge_multiplicity.items()):
-        label = f' [label="x{count}"]' if count > 1 else ""
-        lines.append(f'  "{src}" -> "{dst}"{label};')
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def conflict_graph_to_dot(graph: ConflictGraph) -> str:
-    """Render a transaction-level conflict graph as DOT."""
-    lines = ["digraph CG {", "  node [shape=circle];"]
-    for txid in sorted(graph.vertices):
-        lines.append(f'  "T{txid}";')
-    for src in sorted(graph.out_edges):
-        for dst in sorted(graph.out_edges[src]):
-            lines.append(f'  "T{src}" -> "T{dst}";')
-    lines.append("}")
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------- epoch artifacts
 
 ARTIFACT_KIND = "epoch-schedule"
 """The ``artifact`` tag every epoch-artifact payload carries."""
@@ -203,21 +149,3 @@ def parse_epoch_artifact(payload: Mapping[str, Any]) -> EpochArtifact:
             for txid, edges in dict(payload.get("abort_edges", {})).items()
         },
     )
-
-
-def schedule_to_dot(schedule: Schedule) -> str:
-    """Render a commit schedule as ranked commit groups."""
-    lines = ["digraph Schedule {", "  rankdir=LR;", "  node [shape=box];"]
-    previous_anchor = None
-    for group in schedule.groups:
-        anchor = f"seq{group.sequence}"
-        members = ", ".join(f"T{t}" for t in group.txids)
-        lines.append(f'  "{anchor}" [label="seq {group.sequence}\\n{members}"];')
-        if previous_anchor is not None:
-            lines.append(f'  "{previous_anchor}" -> "{anchor}";')
-        previous_anchor = anchor
-    if schedule.aborted:
-        aborted = ", ".join(f"T{t}" for t in schedule.aborted)
-        lines.append(f'  "aborted" [label="aborted\\n{aborted}", style=dashed];')
-    lines.append("}")
-    return "\n".join(lines)

@@ -1,14 +1,12 @@
 """Per-batch interning of addresses and transaction ids to dense ints.
 
-The concurrency-control hot path (rank division, transaction sorting,
-validation) spends most of its time hashing address strings and copying
-per-vertex sets when it runs on the string-keyed reference structures.
-The fast path instead interns every address and txid to a contiguous
-integer *once* per batch and runs every later phase on flat arrays
-indexed by those ids.
+Concurrency control interns every address and txid to a contiguous
+integer *once* per batch, and every later phase (ACG construction, rank
+division, transaction sorting, validation) runs on flat arrays indexed
+by those ids instead of hashing address strings.
 
-Two properties make the dense pipeline bit-identical to the reference
-one (see ``tests/core/test_fastpath.py``):
+Two properties keep the schedule identical to the paper's string-keyed
+algorithms (``tests/reference.py``; see ``tests/core/test_fastpath.py``):
 
 * address ids are assigned in **sorted address order**, so comparing two
   ids is equivalent to comparing the two address strings — every
@@ -79,15 +77,6 @@ class InternedBatch:
     def addr_count(self) -> int:
         """Number of distinct addresses the non-isolated transactions touch."""
         return len(self.addresses)
-
-    def address_of(self, addr_id: int) -> Address:
-        """The address string for a dense address id."""
-        return self.addresses[addr_id]
-
-    def txid_of(self, index: int) -> int:
-        """The txid for a dense transaction index."""
-        return self.txids[index]
-
 
 def intern_batch(
     transactions: Sequence[Transaction] | Iterable[Transaction],

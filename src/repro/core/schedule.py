@@ -76,11 +76,6 @@ class Schedule:
         return self.aborted_count / total if total else 0.0
 
     @property
-    def max_group_size(self) -> int:
-        """Size of the largest concurrent commit group."""
-        return max((len(group) for group in self.groups), default=0)
-
-    @property
     def mean_group_size(self) -> float:
         """Average commit-group size (commit concurrency measure)."""
         if not self.groups:
@@ -92,10 +87,6 @@ class Schedule:
         return {
             txid: group.sequence for group in self.groups for txid in group.txids
         }
-
-    def serial_order(self) -> list[int]:
-        """The equivalent serial order: ascending (sequence, txid)."""
-        return list(self.committed)
 
     def iter_groups(self) -> Iterator[CommitGroup]:
         """Yield commit groups in commit order."""

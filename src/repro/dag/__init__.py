@@ -9,7 +9,7 @@ from repro.dag.block import (
 )
 from repro.dag.blockstore import BlockStore, decode_block, encode_block
 from repro.dag.chain import ParallelChains
-from repro.dag.epochs import Epoch, complete_epochs, extract_epoch, total_block_order
+from repro.dag.epochs import Epoch, extract_epoch
 from repro.dag.mempool import Mempool
 from repro.dag.ohie import EpochCoordinator
 from repro.dag.pow import PoWParams, chain_assignment, meets_target, mine
@@ -27,11 +27,9 @@ __all__ = [
     "chain_assignment",
     "decode_block",
     "encode_block",
-    "complete_epochs",
     "extract_epoch",
     "meets_target",
     "mine",
     "tips_digest",
-    "total_block_order",
     "transactions_root",
 ]

@@ -65,35 +65,3 @@ def extract_epoch(chains: ParallelChains, index: int) -> Epoch | None:
     if not blocks:
         return None
     return Epoch(index=index, blocks=tuple(blocks))
-
-
-def complete_epochs(chains: ParallelChains) -> list[Epoch]:
-    """All epochs every chain has fully reached (lockstep regime)."""
-    if chains.chain_count == 0:
-        return []
-    depth = min(chains.height(chain_id) for chain_id in range(chains.chain_count))
-    epochs = []
-    for index in range(depth):
-        epoch = extract_epoch(chains, index)
-        if epoch is not None:
-            epochs.append(epoch)
-    return epochs
-
-
-def total_block_order(chains: ParallelChains) -> list[Block]:
-    """Every accepted block in deterministic total order.
-
-    Epoch-major, chain-id-minor: exactly the order the Serial baseline
-    processes blocks in.
-    """
-    out: list[Block] = []
-    max_height = max(
-        (chains.height(chain_id) for chain_id in range(chains.chain_count)),
-        default=0,
-    )
-    for height in range(max_height):
-        for chain_id in range(chains.chain_count):
-            block = chains.block_at(chain_id, height)
-            if block is not None:
-                out.append(block)
-    return out

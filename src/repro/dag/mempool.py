@@ -58,14 +58,5 @@ class Mempool:
         """Refuse these ids from now on (e.g. ones already on chain)."""
         self._seen.update(txids)
 
-    def forget(self, txids: set[int]) -> None:
-        """Allow ids to be resubmitted (e.g. permanently rejected ones)."""
-        self._seen -= txids
-
     def __len__(self) -> int:
-        return len(self._pending)
-
-    @property
-    def pending_count(self) -> int:
-        """Number of transactions waiting to be packed."""
         return len(self._pending)

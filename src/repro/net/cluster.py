@@ -76,11 +76,6 @@ class EpochOutcome:
     delivery_times: list[float] = field(default_factory=list)
 
     @property
-    def effective_tps(self) -> float:
-        """Committed transactions per (simulated) second for this epoch."""
-        return self.report.committed / self.epoch_seconds if self.epoch_seconds else 0.0
-
-    @property
     def agreed(self) -> bool:
         """True when every replica derived the same root and commit count."""
         return len(set(self.state_roots)) <= 1 and len(set(self.committed)) <= 1

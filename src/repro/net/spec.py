@@ -9,12 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.bench import SCHEMES
 from repro.dag.blockstore import BlockStore
 from repro.dag.chain import ParallelChains
 from repro.dag.pow import PoWParams
 from repro.node.node import FullNode
-from repro.node.pipeline import PipelineConfig
+from repro.node.pipeline import SCHEMES, PipelineConfig
 from repro.obs.ledger import FlightLedger
 from repro.obs.tracer import Tracer
 from repro.state.statedb import StateDB
@@ -27,7 +26,7 @@ from repro.workload.smallbank import SmallBankConfig, initial_state
 class NodeSpec:
     """What a full node is: scheme, chains, genesis workload, pipeline, PoW.
 
-    ``scheme`` is a key of :data:`repro.bench.SCHEMES`.  ``workload``
+    ``scheme`` is a key of :data:`repro.node.SCHEMES`.  ``workload``
     sets the genesis state and the driver's client.
     """
 

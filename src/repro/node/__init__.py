@@ -5,9 +5,15 @@ from repro.node.engine import EngineStats, StreamingEpochEngine
 from repro.node.executor import ConcurrentExecutor, caller_id
 from repro.node.node import FullNode
 from repro.node.phases import EpochReport, PhaseLatencies
-from repro.node.pipeline import PipelineConfig, TransactionPipeline
+from repro.node.pipeline import (
+    SCHEMES,
+    PipelineConfig,
+    TransactionPipeline,
+    make_scheme,
+)
 
 __all__ = [
+    "SCHEMES",
     "CommitReport",
     "Committer",
     "ConcurrentExecutor",
@@ -20,4 +26,5 @@ __all__ = [
     "StreamingEpochEngine",
     "TransactionPipeline",
     "caller_id",
+    "make_scheme",
 ]

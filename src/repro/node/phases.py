@@ -49,11 +49,6 @@ class PhaseLatencies:
         """End-to-end transaction processing latency."""
         return self.validation + self.execution + self.concurrency_control + self.commitment
 
-    @property
-    def control_and_commit(self) -> float:
-        """The paper's "(c)" number: concurrency control plus commitment."""
-        return self.concurrency_control + self.commitment
-
     def as_dict(self) -> dict[str, float]:
         """Phase name -> seconds."""
         return {
@@ -109,11 +104,6 @@ class EpochReport:
         """Aborted fraction of scheduled (non-failed) transactions."""
         scheduled = self.committed + self.aborted
         return self.aborted / scheduled if scheduled else 0.0
-
-    @property
-    def effective_transactions(self) -> int:
-        """Valid transactions that persisted state (the paper's metric)."""
-        return self.committed
 
     @property
     def commit_concurrency(self) -> float:

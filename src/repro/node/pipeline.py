@@ -25,11 +25,16 @@ deterministic block order, exactly as current DAG-based blockchains do.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Callable, Protocol, Sequence, runtime_checkable
 
 from repro.analysis.certify import EpochCertificate, certify_epoch
+from repro.baselines.conflict_graph import CGConfig, CGScheduler
+from repro.baselines.occ import OCCScheduler
+from repro.baselines.pcc import PCCScheduler
+from repro.baselines.serial import SerialScheduler
 from repro.core.export import epoch_artifact
 from repro.core.schedule import Schedule, SchemeResult
+from repro.core.scheduler import NezhaConfig, NezhaScheduler
 from repro.dag.epochs import Epoch
 from repro.errors import BlockValidationError, CertificationError
 from repro.node.committer import CommitReport, Committer, SerialExecutorCommitter
@@ -80,6 +85,24 @@ class Scheduler(Protocol):
 
     def schedule(self, transactions: Sequence[Transaction]) -> SchemeResult:
         """Produce the commit schedule for one epoch's transactions."""
+
+
+SCHEMES: dict[str, Callable[[], Scheduler]] = {
+    "serial": SerialScheduler,
+    "occ": OCCScheduler,
+    "pcc": PCCScheduler,
+    "cg": CGScheduler,
+    "nezha": NezhaScheduler,
+    "nezha-noreorder": lambda: NezhaScheduler(NezhaConfig(enable_reorder=False)),
+}
+"""Every scheme a node can run, by the name ``NodeSpec.scheme`` and the CLI use."""
+
+
+def make_scheme(name: str, cycle_budget: int | None = None) -> Scheduler:
+    """Instantiate a scheme by name (CG accepts a cycle budget)."""
+    if name == "cg" and cycle_budget is not None:
+        return CGScheduler(CGConfig(cycle_budget=cycle_budget))
+    return SCHEMES[name]()
 
 
 @dataclass

@@ -155,11 +155,6 @@ class FlightLedger:
         with self._lock:
             return list(self._events)
 
-    def events_for(self, txid: int) -> list[Event]:
-        """Retained events of one transaction, oldest first."""
-        with self._lock:
-            return [e for e in self._events if e["txid"] == txid]
-
     # -- export ------------------------------------------------------------
 
     def meta(self) -> dict[str, Any]:

@@ -78,12 +78,6 @@ class SpanAggregate:
     count: int = 0
     total_seconds: float = 0.0
 
-    @property
-    def mean_seconds(self) -> float:
-        """Average span duration in seconds."""
-        return self.total_seconds / self.count if self.count else 0.0
-
-
 class Tracer:
     """Records nested spans into a bounded in-memory ring.
 

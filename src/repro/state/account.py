@@ -69,18 +69,6 @@ class Account:
         balance, nonce = item
         return cls(balance=decode_int(balance), nonce=decode_int(nonce))
 
-    def credited(self, amount: int) -> "Account":
-        """Copy with ``amount`` added to the balance."""
-        return Account(balance=self.balance + amount, nonce=self.nonce)
-
-    def debited(self, amount: int) -> "Account":
-        """Copy with ``amount`` removed; raises when overdrawn."""
-        if amount > self.balance:
-            raise StateError(
-                f"insufficient balance: have {self.balance}, need {amount}"
-            )
-        return Account(balance=self.balance - amount, nonce=self.nonce)
-
     def bumped(self) -> "Account":
         """Copy with the nonce advanced by one."""
         return Account(balance=self.balance, nonce=self.nonce + 1)

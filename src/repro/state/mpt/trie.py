@@ -196,59 +196,6 @@ class MerklePatriciaTrie:
             return
         yield from self._items(self.root, b"")
 
-    def items_with_prefix(self, prefix: bytes) -> Iterator[tuple[bytes, bytes]]:
-        """Entries whose key starts with ``prefix``, in key order.
-
-        Descends directly to the prefix's subtree, so enumerating a small
-        namespace (e.g. all ``sav:`` accounts) does not touch the rest of
-        the trie.
-        """
-        if self.root == EMPTY_ROOT:
-            return
-        target = bytes_to_nibbles(prefix)
-        ref = self.root
-        consumed = b""
-        while True:
-            node = self.store.load(ref)
-            if isinstance(node, LeafNode):
-                full = consumed + node.path
-                if full[: len(target)] == target:
-                    yield nibbles_to_bytes(full), node.value
-                return
-            if isinstance(node, ExtensionNode):
-                length = len(node.path)
-                remaining = target[len(consumed) :]
-                overlap = min(length, len(remaining))
-                if node.path[:overlap] != remaining[:overlap]:
-                    return
-                consumed = consumed + node.path
-                ref = node.child
-                if len(consumed) >= len(target):
-                    yield from self._items_filtered(ref, consumed, target)
-                    return
-                continue
-            # Branch node.
-            if len(consumed) >= len(target):
-                yield from self._items_filtered(ref, consumed, target)
-                return
-            slot = target[len(consumed)]
-            child = node.children[slot]
-            if child == EMPTY_REF:
-                return
-            consumed = consumed + _NIBBLE[slot]
-            ref = child
-            if len(consumed) >= len(target):
-                yield from self._items_filtered(ref, consumed, target)
-                return
-
-    def _items_filtered(
-        self, ref: bytes, prefix: Nibbles, target: Nibbles
-    ) -> Iterator[tuple[bytes, bytes]]:
-        """Enumerate a subtree, re-checking the target prefix on each key."""
-        for key, value in self._items(ref, prefix):
-            if bytes_to_nibbles(key)[: len(target)] == target:
-                yield key, value
-
     def _items(self, ref: bytes, prefix: Nibbles) -> Iterator[tuple[bytes, bytes]]:
         node = self.store.load(ref)
         if isinstance(node, LeafNode):

@@ -219,10 +219,6 @@ class StateDB:
         dirty.clear()
         return self._trie.root
 
-    def rollback(self) -> None:
-        """Discard staged writes."""
-        self._dirty.clear()
-
     def snapshot(self, root: bytes | None = None) -> StateSnapshot:
         """Read view pinned at ``root`` (default: last committed root)."""
         return StateSnapshot(self, root if root is not None else self._trie.root)

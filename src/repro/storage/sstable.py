@@ -152,16 +152,6 @@ class SSTable:
             self._keys.append(key)
             self._offsets.append(entry_off)
 
-    @property
-    def smallest_key(self) -> bytes | None:
-        """First key in the table, or ``None`` when empty."""
-        return self._keys[0] if self._keys else None
-
-    @property
-    def largest_key(self) -> bytes | None:
-        """Last key in the table, or ``None`` when empty."""
-        return self._keys[-1] if self._keys else None
-
     def get(self, key: bytes) -> tuple[bool, bytes | None]:
         """``(present, value)``; a present tombstone yields ``(True, None)``."""
         if not self.bloom.may_contain(key):

@@ -6,7 +6,6 @@ from repro.txn.simulation import (
     SimulationBatch,
     SimulationResult,
     SimulationStatus,
-    batch_from_transactions,
 )
 from repro.txn.transaction import Transaction, make_transaction
 
@@ -17,7 +16,6 @@ __all__ = [
     "SimulationResult",
     "SimulationStatus",
     "Transaction",
-    "batch_from_transactions",
     "decode_transaction",
     "encode_transaction",
     "make_transaction",

@@ -84,47 +84,6 @@ class RWSet:
         """All addresses the transaction touches."""
         return self.read_addresses | self.write_addresses | self.delta_addresses
 
-    def conflicts_with(self, other: "RWSet") -> bool:
-        """Return ``True`` if the two sets exhibit a rw, wr, or ww conflict.
-
-        Deltas behave like writes here except that two deltas on the same
-        address commute and therefore do not conflict.
-        """
-        mine_w = self.write_addresses
-        theirs_w = other.write_addresses
-        mine_d = self.delta_addresses
-        theirs_d = other.delta_addresses
-        if (mine_w | mine_d) & theirs_w:
-            return True
-        if mine_w & theirs_d:
-            return True
-        if self.read_addresses & (theirs_w | theirs_d):
-            return True
-        if other.read_addresses & (mine_w | mine_d):
-            return True
-        return False
-
-    def merged_with(self, other: "RWSet") -> "RWSet":
-        """Combine two summaries; later writes win, reads union, deltas sum.
-
-        A plain read or write in either summary downgrades a delta on the
-        same address: the merged summary must stay internally disjoint,
-        and a value-dependent access breaks the commutativity argument.
-        """
-        reads = dict(self.reads)
-        reads.update(other.reads)
-        writes = dict(self.writes)
-        writes.update(other.writes)
-        deltas: dict[Address, int] = {}
-        for source in (self.deltas, other.deltas):
-            for address, amount in source.items():
-                deltas[address] = deltas.get(address, 0) + amount
-        downgraded = deltas.keys() & (reads.keys() | writes.keys())
-        for address in downgraded:
-            writes.setdefault(address, None)
-            del deltas[address]
-        return RWSet(reads=reads, writes=writes, deltas=deltas)
-
     @staticmethod
     def from_addresses(
         read_addresses: Iterator[Address] | frozenset[Address] | list[Address] | tuple[Address, ...],

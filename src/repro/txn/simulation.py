@@ -71,8 +71,8 @@ class SimulationBatch:
     """All simulation results for one epoch, in transaction-id order.
 
     Whoever builds a batch passes ``results`` already sorted by txid
-    (``execute_batch``, the streaming reconciliation and
-    ``batch_from_transactions`` all do); nothing here re-sorts.
+    (``execute_batch`` and the streaming reconciliation both do);
+    nothing here re-sorts.
     """
 
     results: tuple[SimulationResult, ...] = ()
@@ -102,14 +102,3 @@ class SimulationBatch:
     def failed_count(self) -> int:
         """Number of reverted or failed speculative executions."""
         return len(self.results) - len(self._successful)
-
-
-def batch_from_transactions(
-    transactions: list[Transaction], snapshot_root: bytes = b""
-) -> SimulationBatch:
-    """Wrap pre-summarised transactions (synthetic workloads) as a batch."""
-    results = tuple(
-        SimulationResult(transaction=t, rwset=t.rwset)
-        for t in sorted(transactions, key=lambda t: t.txid)
-    )
-    return SimulationBatch(results=results, snapshot_root=snapshot_root)

@@ -69,11 +69,6 @@ class Transaction:
         """``DS(T)`` — addresses updated by a commutative delta."""
         return self.rwset.delta_addresses
 
-    @property
-    def is_read_only(self) -> bool:
-        """True if the transaction performs no writes (plain or delta)."""
-        return not self.rwset.writes and not self.rwset.deltas
-
     def with_rwset(self, rwset: RWSet) -> "Transaction":
         """Return a copy carrying the given read/write summary."""
         return Transaction(

@@ -93,13 +93,3 @@ class LoggedStorage:
         """Forget buffered writes (used when execution reverts)."""
         self._writes.clear()
         self._deltas.clear()
-
-    @property
-    def read_count(self) -> int:
-        """Number of distinct snapshot reads."""
-        return len(self._reads)
-
-    @property
-    def write_count(self) -> int:
-        """Number of distinct buffered writes."""
-        return len(self._writes)

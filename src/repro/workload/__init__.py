@@ -5,7 +5,6 @@ from repro.workload.generator import (
     SyntheticWorkload,
     flatten_blocks,
 )
-from repro.workload.mixed import MixedWorkload
 from repro.workload.smallbank import (
     DEFAULT_ACCOUNT_COUNT,
     DEFAULT_INITIAL_BALANCE,
@@ -28,7 +27,6 @@ from repro.workload.zipf import ZipfSampler, conflict_probability
 __all__ = [
     "DEFAULT_ACCOUNT_COUNT",
     "DEFAULT_INITIAL_BALANCE",
-    "MixedWorkload",
     "SmallBankConfig",
     "SmallBankOp",
     "SmallBankWorkload",

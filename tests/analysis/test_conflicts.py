@@ -8,7 +8,6 @@ from repro.analysis import (
     Summary,
     conflicts_per_address,
     expected_distinct_addresses,
-    geometric_mean,
     measure_conflicts,
     pairwise_conflict_count,
     percentile,
@@ -119,6 +118,3 @@ class TestMetrics:
         assert speedup(10.0, 2.0) == 5.0
         assert speedup(1.0, 0.0) == math.inf
 
-    def test_geometric_mean(self):
-        assert math.isclose(geometric_mean([1.0, 100.0]), 10.0)
-        assert geometric_mean([]) == 0.0

@@ -10,15 +10,14 @@ from pathlib import Path
 import pytest
 
 from repro.bench import (
-    SCHEMES,
     bench_scale,
-    make_scheme,
     render_table,
     repeat_runs,
     run_scheme,
     scaled,
     smallbank_epoch,
 )
+from repro.node import SCHEMES, make_scheme
 
 
 class TestSchemeFactory:

@@ -14,7 +14,7 @@ class TestBuildACG:
     def test_empty_batch(self):
         acg = build_acg([])
         assert acg.addresses == []
-        assert acg.edge_count == 0
+        assert len(acg.edge_multiplicity) == 0
         assert acg.txn_count == 0
 
     def test_single_transaction_no_edges(self):
@@ -64,7 +64,7 @@ class TestBuildACG:
         ]
         acg = build_acg(txns)
         assert acg.edge_multiplicity[("b", "a")] == 2
-        assert acg.edge_count == 1
+        assert len(acg.edge_multiplicity) == 1
 
     def test_multi_address_transaction_builds_cross_product(self):
         txn = make_transaction(1, reads=["r1", "r2"], writes=["w1", "w2"])
@@ -78,13 +78,13 @@ class TestBuildACG:
 
     def test_read_only_transaction(self):
         acg = build_acg([make_transaction(1, reads=["a", "b"], writes=[])])
-        assert acg.edge_count == 0
+        assert len(acg.edge_multiplicity) == 0
         assert acg.rw("a").reads == [1]
         assert acg.rw("b").reads == [1]
 
     def test_write_only_transaction(self):
         acg = build_acg([make_transaction(1, reads=[], writes=["a"])])
-        assert acg.edge_count == 0
+        assert len(acg.edge_multiplicity) == 0
         assert acg.rw("a").writes == [1]
 
 

@@ -34,7 +34,7 @@ class TestScheduleFromSequences:
 
     def test_group_statistics(self):
         schedule = schedule_from_sequences({1: 1, 2: 1, 3: 1, 4: 2})
-        assert schedule.max_group_size == 3
+        assert max(len(group) for group in schedule.groups) == 3
         assert schedule.mean_group_size == 2.0
         assert schedule.committed_count == 4
         assert schedule.total_count == 4
@@ -49,7 +49,7 @@ class TestSerialSchedule:
         schedule = serial_schedule([3, 1, 2])
         assert [g.txids for g in schedule.groups] == [(3,), (1,), (2,)]
         assert schedule.committed == (3, 1, 2)
-        assert schedule.max_group_size == 1
+        assert max(len(group) for group in schedule.groups) == 1
 
     def test_aborted_filtered(self):
         schedule = serial_schedule([1, 2, 3], aborted=[2])

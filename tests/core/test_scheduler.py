@@ -149,20 +149,16 @@ class TestReferenceIsNotADependency:
             "RankPolicy",
             "Schedule",
             "SchemeResult",
-            "acg_to_dot",
             "build_dense_acg",
-            "conflict_graph_to_dot",
             "dense_acg_equal",
-            "dense_acg_from_transactions",
             "divide_ranks_dense",
             "intern_batch",
             "schedule_from_sequences",
-            "schedule_to_dot",
             "serial_schedule",
             "sort_transactions_dense",
             "validate_sort_dense",
         }
-        assert len(repro.core.__all__) == 26
+        assert len(repro.core.__all__) == 22
 
 
 #: Clock reads: ``time.<name>`` and ``from time import <name>``.

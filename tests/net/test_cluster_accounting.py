@@ -26,14 +26,6 @@ def make_outcome(committed=50, epoch_seconds=1.0, aborted=5):
 
 
 class TestAggregation:
-    def test_effective_tps(self):
-        outcome = make_outcome(committed=100, epoch_seconds=2.0)
-        assert outcome.effective_tps == 50.0
-
-    def test_zero_duration_guard(self):
-        outcome = make_outcome(epoch_seconds=0.0)
-        assert outcome.effective_tps == 0.0
-
     def test_run_totals(self):
         run = ClusterRun(outcomes=[make_outcome(), make_outcome(committed=30)])
         assert run.committed == 80

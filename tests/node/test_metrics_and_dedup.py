@@ -76,7 +76,7 @@ class TestCrossEpochDedup:
         assert report1.input_transactions == 20
 
         # A lagging miner re-packs the same transactions next epoch.
-        pool.forget({t.txid for t in first_batch})
+        pool = Mempool()
         pool.submit_many(first_batch)
         blocks = coordinator.mine_epoch(pool, state_root=node.state_root)
         report2 = node.receive_epoch(blocks)
@@ -89,12 +89,11 @@ class TestCrossEpochDedup:
         probe = self.build_node()
         chains = ParallelChains(chain_count=2, pow_params=POW)
         coordinator = EpochCoordinator(chains=chains, miners=["m"], block_size=10)
-        pool = Mempool()
         batch = SmallBankWorkload(CONFIG).generate(30)
         first, fresh = batch[:20], batch[20:]
         mined = []
         for offered in (first, first[:10] + fresh, first):
-            pool.forget({t.txid for t in offered})
+            pool = Mempool()
             pool.submit_many(offered)
             blocks = coordinator.mine_epoch(pool, state_root=probe.state_root)
             mined.append(blocks)

@@ -27,10 +27,6 @@ class TestPhaseLatencies:
         )
         assert phases.total == 10.0
 
-    def test_control_and_commit_is_paper_c(self):
-        phases = PhaseLatencies(concurrency_control=3.0, commitment=4.0)
-        assert phases.control_and_commit == 7.0
-
     def test_as_dict_covers_four_phases(self):
         assert set(PhaseLatencies().as_dict()) == {
             "validation",
@@ -48,9 +44,6 @@ class TestEpochReport:
     def test_abort_rate_empty(self):
         report = make_report(committed=0, aborted=0, failed_simulation=0)
         assert report.abort_rate == 0.0
-
-    def test_effective_transactions(self):
-        assert make_report().effective_transactions == 80
 
     def test_commit_concurrency(self):
         report = make_report(commit_group_count=10)

@@ -56,13 +56,6 @@ class TestRing:
         )
         assert ledger.recorded == 10
 
-    def test_events_for_filters_by_txid(self):
-        ledger = FlightLedger()
-        ledger.record(0, 1, "ingest")
-        ledger.record(0, 2, "ingest")
-        ledger.record(1, 1, "commit", group=3)
-        assert [e["epoch"] for e in ledger.events_for(1)] == [0, 1]
-
     def test_rejects_nonpositive_bound(self):
         with pytest.raises(ValueError):
             FlightLedger(max_events=0)

@@ -23,7 +23,7 @@ from repro.analysis.certify import certify_epoch
 from repro.core import NezhaScheduler
 from repro.node.committer import Committer
 from repro.state import StateDB
-from repro.txn import RWSet, make_transaction
+from repro.txn import make_transaction
 from repro.vm.opcodes import WORD_MASK
 
 ADDRESSES = [f"h{i}" for i in range(4)]
@@ -125,14 +125,6 @@ def test_mixed_batches_stay_serializable(txns):
 
 
 class TestMixedFallback:
-    def test_merge_downgrades_overlapping_delta(self):
-        """A delta colliding with a plain write inside one transaction
-        downgrades to the read-modify-write it abbreviates."""
-        base = RWSet(reads={}, writes={"h0": 7}, deltas={})
-        merged = base.merged_with(RWSet(reads={}, writes={}, deltas={"h0": 3}))
-        assert "h0" not in merged.deltas
-        assert "h0" in merged.writes
-
     def test_plain_writer_never_shares_delta_sequence(self):
         txns = [
             make_transaction(1, deltas={"h0": 1}),

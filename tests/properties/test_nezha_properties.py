@@ -134,7 +134,7 @@ def test_occ_schedules_are_serializable(txns):
 @settings(max_examples=60, deadline=None)
 @given(transaction_batches())
 def test_read_only_transactions_never_aborted(txns):
-    read_only = {t.txid for t in txns if t.is_read_only}
+    read_only = {t.txid for t in txns if not t.rwset.writes and not t.rwset.deltas}
     result = NezhaScheduler().schedule(txns)
     assert not (set(result.schedule.aborted) & read_only)
 
@@ -153,7 +153,7 @@ def test_final_state_equals_serial_replay(txns):
                 grouped_state[address] = value
     # Apply strictly serially in (sequence, txid) order.
     serial_state: dict[str, int] = {}
-    for txid in result.schedule.serial_order():
+    for txid in result.schedule.committed:
         for address, value in by_id[txid].rwset.writes.items():
             serial_state[address] = value
     assert grouped_state == serial_state

@@ -31,15 +31,6 @@ class TestAccount:
         account = Account(balance=12_345, nonce=7)
         assert Account.decode(account.encode()) == account
 
-    def test_credit_debit(self):
-        account = Account(balance=100)
-        assert account.credited(50).balance == 150
-        assert account.debited(30).balance == 70
-
-    def test_overdraft_rejected(self):
-        with pytest.raises(StateError):
-            Account(balance=10).debited(11)
-
     def test_negative_balance_rejected(self):
         with pytest.raises(StateError):
             Account(balance=-1)
@@ -67,13 +58,6 @@ class TestStateDB:
         assert root != empty_root
         assert db.get("a") == 5
         assert db.dirty_count == 0
-
-    def test_rollback_discards(self):
-        db = StateDB()
-        db.seed({"a": 1})
-        db.set("a", 99)
-        db.rollback()
-        assert db.get("a") == 1
 
     def test_negative_value_rejected(self):
         db = StateDB()

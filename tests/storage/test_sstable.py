@@ -63,15 +63,14 @@ class TestSSTable:
         table = SSTable(path)
         assert table.entry_count == 0
         assert table.get(b"anything") == (False, None)
-        assert table.smallest_key is None
-        assert table.largest_key is None
+        assert list(table.items()) == []
 
     def test_key_range(self, tmp_path):
         path = tmp_path / "t.sst"
         write_sstable(path, self.entries())
         table = SSTable(path)
-        assert table.smallest_key == b"a"
-        assert table.largest_key == b"d"
+        keys = [key for key, _ in table.items()]
+        assert (keys[0], keys[-1]) == (b"a", b"d")
 
     def test_corrupt_body_detected(self, tmp_path):
         path = tmp_path / "t.sst"

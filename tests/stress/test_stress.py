@@ -14,13 +14,14 @@ from repro.analysis.certify import certify_epoch
 from repro.baselines import CGConfig, CGScheduler, OCCScheduler
 from repro.core import NezhaScheduler
 from repro.workload import (
-    MixedWorkload,
     SmallBankConfig,
     SmallBankWorkload,
     TokenConfig,
     TokenWorkload,
     flatten_blocks,
 )
+
+from tests.workload.mixed import MixedWorkload
 
 
 def smallbank_batch(seed, skew, size=120):

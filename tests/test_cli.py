@@ -61,6 +61,30 @@ class TestParser:
         assert f"must be a positive integer, got {value}" in err
         assert "Traceback" not in err
 
+    SKEW_COMMANDS = [
+        ["schedule"],
+        ["compare"],
+        ["conflicts"],
+        ["simulate"],
+        ["trace", "record", "--out", "t.json"],
+    ]
+
+    # Parsed, not run: a skew that slipped through would hang the sampler.
+    @pytest.mark.parametrize("argv", SKEW_COMMANDS, ids=lambda argv: " ".join(argv[:2]))
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "400", "5.01", "abc"])
+    def test_skew_must_be_a_zipf_exponent(self, argv, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + ["--skew", value])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "error: argument --skew:" in err.splitlines()[-1]
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", SKEW_COMMANDS, ids=lambda argv: " ".join(argv[:2]))
+    @pytest.mark.parametrize("value", ["0", "1.5", "5"])
+    def test_skew_in_range_parses(self, argv, value):
+        assert build_parser().parse_args(argv + ["--skew", value]).skew == float(value)
+
 
 class TestCommands:
     def run(self, argv, capsys):
@@ -211,6 +235,13 @@ class TestAnalyze:
         code, out = self.run(["analyze", "lint"], capsys)
         assert code == 0
         assert "lint clean" in out
+
+    def test_lint_missing_path_is_one_error_line(self, tmp_path, capsys):
+        missing = tmp_path / "nonexist.py"
+        assert main(["analyze", "lint", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"invalid path {missing}: No such file or directory\n"
+        assert captured.out == ""
 
     def test_lint_flags_bad_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"

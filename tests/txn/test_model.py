@@ -11,7 +11,6 @@ from repro.txn import (
     SimulationResult,
     SimulationStatus,
     Transaction,
-    batch_from_transactions,
     decode_transaction,
     encode_transaction,
     make_transaction,
@@ -25,17 +24,6 @@ class TestRWSet:
         assert rwset.write_addresses == {"b"}
         assert rwset.addresses == {"a", "b"}
 
-    def test_conflicts(self):
-        ww = RWSet(writes={"x": 1})
-        assert ww.conflicts_with(RWSet(writes={"x": 2}))
-        assert ww.conflicts_with(RWSet(reads={"x": 0}))
-        assert RWSet(reads={"x": 0}).conflicts_with(ww)
-        assert not RWSet(reads={"x": 0}).conflicts_with(RWSet(reads={"x": 0}))
-
-    def test_merge_later_writes_win(self):
-        merged = RWSet(writes={"x": 1}).merged_with(RWSet(writes={"x": 2}))
-        assert merged.writes == {"x": 2}
-
     def test_non_mapping_rejected(self):
         with pytest.raises(TransactionError):
             RWSet(reads=["a"], writes={})
@@ -45,10 +33,6 @@ class TestTransaction:
     def test_negative_txid_rejected(self):
         with pytest.raises(TransactionError):
             make_transaction(-1)
-
-    def test_is_read_only(self):
-        assert make_transaction(1, reads=["a"]).is_read_only
-        assert not make_transaction(1, writes=["a"]).is_read_only
 
     def test_with_rwset_preserves_identity(self):
         txn = Transaction(txid=5, sender="user:1", contract="c", function="f", args=(1,))
@@ -87,12 +71,6 @@ class TestSimulationBatch:
         assert batch.delta_values() == {1: {}}
         assert batch.successful() is batch.successful(), "filtered once per batch"
         assert [t.txid for t in batch.transactions()] == [1]
-
-    def test_batch_from_transactions_sorted(self):
-        txns = [make_transaction(3), make_transaction(1)]
-        batch = batch_from_transactions(txns)
-        assert [r.txid for r in batch.results] == [1, 3]
-
 
 class TestCodec:
     def roundtrip(self, txn):

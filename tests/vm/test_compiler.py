@@ -122,7 +122,7 @@ class TestCheckedVariant:
         context = context_for(smallbank_key_renderer, (1, 2, 30), 0, gas_limit=5_000)
         fast = compile_code(code).segment(0, checked=False)
         assert fast(context, [], 0, 0, []) is None
-        assert context.storage.read_count == 0
+        assert not context.storage.rwset().reads
         receipt = SVM().execute(code, context)
         assert receipt.error == "gas limit 5000 exceeded at pc 35"  # the SSTORE
         assert receipt.gas_used == 5_000

@@ -22,7 +22,7 @@ class TestLoggedStorage:
         storage.load("x")
         storage.load("x")
         assert calls == ["x"]
-        assert storage.read_count == 1
+        assert len(storage.rwset().reads) == 1
 
     def test_writes_buffered_not_applied(self):
         backing = {"x": 1}
@@ -59,5 +59,6 @@ class TestLoggedStorage:
         storage.load("a")
         storage.load("b")
         storage.store("c", 1)
-        assert storage.read_count == 2
-        assert storage.write_count == 1
+        rwset = storage.rwset()
+        assert len(rwset.reads) == 2
+        assert len(rwset.writes) == 1

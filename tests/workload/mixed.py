@@ -1,4 +1,4 @@
-"""Mixed workloads: several generators sharing one transaction-id space.
+"""Mixed workloads for tests: several generators sharing one id space.
 
 Real chains carry heterogeneous traffic.  ``MixedWorkload`` interleaves
 any generators exposing ``generate(count)`` (SmallBank, token, synthetic,

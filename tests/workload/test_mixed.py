@@ -8,7 +8,6 @@ from repro.analysis.certify import certify_epoch
 from repro.core import NezhaScheduler
 from repro.errors import WorkloadError
 from repro.workload import (
-    MixedWorkload,
     SmallBankConfig,
     SmallBankWorkload,
     SyntheticConfig,
@@ -17,6 +16,8 @@ from repro.workload import (
     TokenWorkload,
     flatten_blocks,
 )
+
+from tests.workload.mixed import MixedWorkload
 
 
 def make_mixed(seed=0, weights=(0.5, 0.5)):

@@ -8,6 +8,11 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.workload import ZipfSampler, conflict_probability
+from repro.workload.zipf import MAX_SKEW
+
+
+def draw(sampler, count):
+    return [sampler.sample() for _ in range(count)]
 
 
 class TestZipfSampler:
@@ -19,14 +24,23 @@ class TestZipfSampler:
         with pytest.raises(WorkloadError):
             ZipfSampler(population=10, skew=-0.1)
 
+    @pytest.mark.parametrize("skew", [math.nan, math.inf, -math.inf, MAX_SKEW + 0.01, 400.0])
+    def test_rejects_non_finite_or_huge_skew(self, skew):
+        with pytest.raises(WorkloadError, match="skew must be between 0 and"):
+            ZipfSampler(population=1_000, skew=skew)
+
+    def test_accepts_the_cap(self):
+        sampler = ZipfSampler(population=1_000, skew=MAX_SKEW, seed=1)
+        assert len(set(sampler.sample_distinct(3))) == 3
+
     def test_samples_in_range(self):
         sampler = ZipfSampler(population=50, skew=0.9, seed=1)
         for _ in range(1_000):
             assert 0 <= sampler.sample() < 50
 
     def test_seeded_runs_reproducible(self):
-        first = ZipfSampler(100, 0.7, seed=42).sample_many(200)
-        second = ZipfSampler(100, 0.7, seed=42).sample_many(200)
+        first = draw(ZipfSampler(100, 0.7, seed=42), 200)
+        second = draw(ZipfSampler(100, 0.7, seed=42), 200)
         assert first == second
 
     def test_uniform_when_skew_zero(self):
@@ -39,14 +53,14 @@ class TestZipfSampler:
 
     def test_skew_concentrates_on_low_ranks(self):
         sampler = ZipfSampler(population=1_000, skew=1.0, seed=3)
-        draws = sampler.sample_many(5_000)
+        draws = draw(sampler, 5_000)
         head = sum(1 for d in draws if d < 10)
         assert head / len(draws) > 0.2
 
     def test_higher_skew_more_concentrated(self):
         def head_mass(skew):
             sampler = ZipfSampler(population=1_000, skew=skew, seed=5)
-            draws = sampler.sample_many(4_000)
+            draws = draw(sampler, 4_000)
             return sum(1 for d in draws if d < 10) / len(draws)
 
         assert head_mass(1.2) > head_mass(0.6) > head_mass(0.0)
